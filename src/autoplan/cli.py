@@ -1,11 +1,13 @@
 """Command-line driver for the plan-search tasks.
 
 Wires graphs, topologies, environments and the DQN agent into runnable
-searches and emits three artifacts per training run: the best plan as JSON
-(byte-identical for identical config and seed), an incrementally flushed
-training-curve CSV (episode, loss, total score, epsilon), and a run summary
-JSON recording the effective defaults, the best reward and the time it took
-to reach it.
+searches: one episode loop (``train``) and one runner serve all four search
+tasks, with a ``SearchTask`` entry per task.  Each run emits the best plan
+as JSON (byte-identical for identical config and seed), an incrementally
+flushed training-curve CSV (episode, loss, total score, epsilon), and a run
+summary JSON: the effective defaults, the best reward, the episode that
+found it (``found_at_episode``), the wall time from the start of training
+to that episode (``time_to_best_s``) and ``final_epsilon``.
 
 Exit codes: 0 ok, 2 configuration error, 3 infeasible (no valid plan),
 4 training divergence.
@@ -21,7 +23,7 @@ import logging
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Mapping, Sequence, TextIO
 
 import numpy as np
@@ -36,7 +38,6 @@ from autoplan.dataproc import (
     load_profile,
 )
 from autoplan.envs import (
-    PIPE_INFER_EPISODE_CAP,
     AdpEnv,
     OppEnv,
     PartitionSearchEnv,
@@ -61,6 +62,8 @@ from autoplan.zoo import GRAPHS, PROFILES, zoo_graph, zoo_profile
 
 logger = logging.getLogger(__name__)
 
+SearchEnv = PartitionSearchEnv | PipeTrainEnv | PipeInferEnv
+
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
@@ -68,16 +71,12 @@ EXIT_DIVERGED = 4
 
 GEN_SOURCE_LENGTH = 10 * GRANULARITY
 
-# per-task training defaults; everything else comes from AgentConfig
+# per-task defaults; agent settings not listed here come from AgentConfig
 TASK_DEFAULTS: dict[str, dict[str, float | int]] = {
     "opp": {"lr": 0.0005, "epsilon_decay_iters": 2000, "episodes": 2000},
     "adp": {"lr": 0.0005, "epsilon_decay_iters": 500, "episodes": 500},
     "pp-train": {"lr": 0.001, "epsilon_decay_iters": 10000, "episodes": 500},
-    "pp-infer": {
-        "lr": 0.001,
-        "epsilon_decay_iters": 10000,
-        "episodes": PIPE_INFER_EPISODE_CAP,
-    },
+    "pp-infer": {"lr": 0.001, "epsilon_decay_iters": 10000, "episodes": 50, "micro_batches": 1},
 }
 
 
@@ -179,44 +178,47 @@ def _artifact_paths(out: str) -> tuple[str, str]:
     return base + "_curve.csv", base + "_summary.json"
 
 
-# -- training loops ---------------------------------------------------------
+# -- training loop ------------------------------------------------------------
 
 
-@dataclass
-class PartitionOutcome:
-    strategy: dict[DimIndex, DimStatus]
-    partitions: int
-    reward: float
+@dataclass(frozen=True)
+class Best:
+    """The highest-ranked episode of a training run."""
+
+    key: tuple | float  # the episode's rank
+    info: dict  # the terminal step's info
+    reward: float  # the episode's total reward
     episode: int
+    found_at: float  # time.monotonic() at the end of the episode
 
 
-def train_partition(
-    env: PartitionSearchEnv,
+def train(
+    env: SearchEnv,
     agent: DqnAgent,
     episodes: int,
-    curve: CurveWriter | None = None,
+    rank: Callable[[dict, float], tuple | float | None],
+    curve: CurveWriter,
     trace: TraceWriter | None = None,
-    finetune_base: Mapping[DimIndex, DimStatus] | None = None,
+    reset: Callable[[], np.ndarray] | None = None,
     episode_offset: int = 0,
-    stop_when: Callable[[PartitionOutcome], bool] | None = None,
-) -> PartitionOutcome | None:
-    """Run decision episodes, returning the best conflict-free strategy.
+) -> Best | None:
+    """Run decision episodes on one environment and return the best one.
 
-    With ``finetune_base`` every episode restarts from that strategy with
-    its revertible replications undone instead of from scratch.
+    ``rank(terminal_info, total_reward)`` gives an episode's key, or None when
+    its plan is unusable; a strictly greater key replaces the incumbent, so
+    the first-found plan wins a tie.  ``reset`` (default ``env.reset``) starts
+    each episode; training stops early if it leaves nothing to decide.
     """
-    best: PartitionOutcome | None = None
-    for ep in range(episodes):
-        if finetune_base is not None:
-            state = env.finetune_reset(finetune_base)
-            if env.done:
-                break
-        else:
-            state = env.reset()
+    reset = reset or env.reset
+    best: Best | None = None
+    for ep in range(episode_offset, episode_offset + episodes):
+        state = reset()
+        if env.done:
+            break
         total = 0.0
         losses: list[float] = []
         steps: list[dict] = []
-        conflict = False
+        info: dict = {}
         while not env.done:
             mask = env.action_mask()
             action = agent.act(state, mask)
@@ -232,100 +234,15 @@ def train_partition(
                     {"state_digest": _digest(state), "action": action, "reward": result.reward}
                 )
             total += result.reward
-            conflict = bool(result.info.get("conflict", False))
+            info = result.info
             state = result.next_state
-        if not conflict:
-            outcome = PartitionOutcome(env.strategy(), env.partition_count, total, episode_offset + ep)
-            if best is None or (outcome.partitions, outcome.reward) > (best.partitions, best.reward):
-                best = outcome
-        if curve is not None:
-            mean_loss = sum(losses) / len(losses) if losses else None
-            curve.write(episode_offset + ep, mean_loss, total, agent.epsilon)
+        key = rank(info, total)
+        if key is not None and (best is None or key > best.key):
+            best = Best(key, info, total, ep, time.monotonic())
+        mean_loss = sum(losses) / len(losses) if losses else None
+        curve.write(ep, mean_loss, total, agent.epsilon)
         if trace is not None:
-            trace.write(episode_offset + ep, steps, "conflict" if conflict else "complete")
-        if stop_when is not None and best is not None and stop_when(best):
-            break
-    return best
-
-
-@dataclass
-class PipeOutcome:
-    plan: PipelinePlan
-    metrics: list[StageMetrics]
-    pipeline_length: float
-    reward: float
-    episode: int
-    feasible: bool
-
-
-def train_pipe(
-    envs: Sequence[PipeTrainEnv | PipeInferEnv],
-    agent: DqnAgent,
-    episodes: int,
-    curve: CurveWriter | None = None,
-    trace: TraceWriter | None = None,
-    episode_cap_per_env: int | None = None,
-) -> list[PipeOutcome | None]:
-    """Round-robin training over pipeline environments.
-
-    Returns the best memory-feasible plan per environment (the shortest
-    pipeline seen in any episode, greedy or exploratory).  With more than
-    one environment each is visited at most ``episode_cap_per_env`` times.
-    """
-    best: list[PipeOutcome | None] = [None] * len(envs)
-    visits = [0] * len(envs)
-    ep = 0
-    for _ in range(episodes):
-        open_envs = [
-            i
-            for i in range(len(envs))
-            if episode_cap_per_env is None or visits[i] < episode_cap_per_env
-        ]
-        if not open_envs:
-            break
-        idx = open_envs[ep % len(open_envs)]
-        env = envs[idx]
-        visits[idx] += 1
-        state = env.reset()
-        total = 0.0
-        losses = []
-        steps: list[dict] = []
-        final_info: dict = {}
-        while not env.done:
-            mask = env.action_mask()
-            action = agent.act(state, mask)
-            result = env.step(action)
-            agent.observe(
-                Transition(state, action, result.reward, result.next_state, result.done, env.action_mask())
-            )
-            loss = agent.learn()
-            if loss is not None:
-                losses.append(loss)
-            if trace is not None:
-                steps.append(
-                    {"state_digest": _digest(state), "action": action, "reward": result.reward}
-                )
-            total += result.reward
-            final_info = result.info
-            state = result.next_state
-        feasible = bool(final_info.get("memory_feasible", True))
-        outcome = PipeOutcome(
-            plan=final_info["plan"],
-            metrics=list(final_info["metrics"]),
-            pipeline_length=final_info["pipeline_length"],
-            reward=total,
-            episode=ep,
-            feasible=feasible,
-        )
-        incumbent = best[idx]
-        if feasible and (incumbent is None or outcome.pipeline_length < incumbent.pipeline_length):
-            best[idx] = outcome
-        if curve is not None:
-            mean_loss = sum(losses) / len(losses) if losses else None
-            curve.write(ep, mean_loss, total, agent.epsilon)
-        if trace is not None:
-            trace.write(ep, steps, "complete")
-        ep += 1
+            trace.write(ep, steps, "conflict" if info.get("conflict", False) else "complete")
     return best
 
 
@@ -361,18 +278,26 @@ def resolve_topology(spec: str) -> DeviceTopology:
         raise ConfigError(f"cannot load topology {spec!r}: {exc}") from exc
 
 
+def resolve_inputs(cfg: RunConfig, names: Sequence[str]) -> dict:
+    """Load the named inputs (graph, topo, arrays) that the flags point at."""
+    loaders = {
+        "graph": lambda: resolve_graph(cfg.graph),
+        "topo": lambda: resolve_topology(cfg.topology or "configa"),
+        "arrays": lambda: resolve_arrays(cfg),
+    }
+    return {name: loaders[name]() for name in names}
+
+
 def _linkage_for(graph: HloGraph, graph_spec: str | None):
     """Linkage groups, cached next to on-disk graphs keyed by content hash."""
     dims = decision_dims(graph, graph.trainable_variables)
-    max_workers = max(1, int(os.environ.get("AUTOPLAN_THREADS", "1")))
     cache_path = None
     if graph_spec is not None and os.path.exists(graph_spec):
         cache_path = graph_spec + ".linkage.json"
-        if os.path.exists(cache_path):
-            cached = load_cache(cache_path, graph)
-            if cached is not None:
-                return cached
-    groups = extract_linkage_groups(graph, dims, max_workers=max_workers)
+        cached = load_cache(cache_path, graph)
+        if cached is not None:
+            return cached
+    groups = extract_linkage_groups(graph, dims)
     if cache_path is not None:
         save_cache(cache_path, graph, groups)
     return groups
@@ -411,8 +336,6 @@ def validate_payload(
     graph: HloGraph | None = None,
     topo: DeviceTopology | None = None,
     arrays: CoarsenedArrays | None = None,
-    micro_batches: int | None = None,
-    micro_batch_size: int | None = None,
 ) -> tuple[bool, str]:
     """Re-derive a plan payload from first principles and compare."""
     task = payload.get("task")
@@ -426,8 +349,12 @@ def validate_payload(
         )
         dims = decision_dims(graph, names)
         strategy = payload.get("strategy", {})
-        if set(strategy) != set(names):
+        if not isinstance(strategy, dict) or set(strategy) != set(names):
             return False, "strategy keys do not match the candidate tensors"
+        for name, chosen in strategy.items():
+            rank = graph.by_name(name).shape.rank
+            if type(chosen) is not int or not -1 <= chosen < rank:
+                return False, f"strategy value {chosen!r} of {name!r} is not a dim in -1..{rank - 1}"
         seeds = {}
         for d in dims:
             chosen = strategy[graph.instruction(d.instruction_id).name]
@@ -447,118 +374,45 @@ def validate_payload(
             pivots = tuple(by_name[name] for name in payload["pivots"])
         except KeyError as exc:
             return False, f"unknown pivot {exc}"
-        plan = PipelinePlan(
-            pivots,
-            tuple(payload["device_cuts"]),
-            micro_batches if micro_batches is not None else payload.get("micro_batches", 1),
-            micro_batch_size if micro_batch_size is not None else payload.get("micro_batch_size", 16),
-        )
         metrics = stage_metrics(graph, pivots)
-        length = pipeline_length(plan, metrics, topo)
-        if abs(length - payload.get("pipeline_length_s", -1.0)) > 1e-9 * max(1.0, length):
-            return False, f"recomputed pipeline length {length} disagrees"
-        return True, "pipeline length matches the cost model"
-    if task == "pp-infer":
+    elif task == "pp-infer":
         if arrays is None or topo is None:
             return False, "inference validation needs the profile and topology"
-        env = PipeInferEnv(
-            arrays,
-            topo,
-            num_stages=len(payload["boundaries"]) + 1,
-            micro_batches=micro_batches if micro_batches is not None else payload.get("micro_batches", 1),
-            micro_batch_size=micro_batch_size
-            if micro_batch_size is not None
-            else payload.get("micro_batch_size", 16),
-        )
-        metrics = env.decode_metrics(payload["boundaries"])
-        plan = PipelinePlan(
-            tuple(payload["boundaries"]),
-            tuple(payload["device_cuts"]),
-            env.micro_batches,
-            env.micro_batch_size,
-        )
-        length = pipeline_length(plan, metrics, env.topo_norm)
-        if abs(length - payload.get("pipeline_length_s", -1.0)) > 1e-9 * max(1.0, length):
-            return False, f"recomputed pipeline length {length} disagrees"
-        return True, "pipeline length matches the cost model"
-    return False, f"unknown plan task {task!r}"
-
-
-# -- task runners ------------------------------------------------------------
-
-
-def _run_sharding(cfg: RunConfig) -> int:
-    graph = resolve_graph(cfg.graph)
-    if cfg.task == "opp":
-        env = OppEnv(graph, groups=_linkage_for(graph, cfg.graph))
+        pivots = tuple(payload["boundaries"])
+        env = PipeInferEnv(arrays, topo, num_stages=len(pivots) + 1)
+        metrics = env.decode_metrics(pivots)
+        # inference plans are costed on the normalized topology
+        topo = env.topo_norm
     else:
-        env = AdpEnv(graph)
-    agent = DqnAgent(agent_config_for(cfg), env.state_dim, env.num_actions, cfg.seed)
-    curve_path, summary_path = _artifact_paths(cfg.out)
-    curve = CurveWriter(curve_path)
-    trace = TraceWriter(cfg.log) if cfg.log else None
-    started = time.monotonic()
-    try:
-        best = train_partition(env, agent, cfg.episodes, curve, trace)
-        stage2 = None
-        if best is not None and cfg.finetune:
-            stage2 = train_partition(
-                env,
-                agent,
-                cfg.episodes,
-                curve,
-                trace,
-                finetune_base=best.strategy,
-                episode_offset=cfg.episodes,
-            )
-        if stage2 is not None and (stage2.partitions, stage2.reward) > (best.partitions, best.reward):
-            best = stage2
-    finally:
-        curve.close()
-        if trace is not None:
-            trace.close()
-    if best is None:
-        logger.error("no conflict-free strategy found in %d episodes", cfg.episodes)
-        return EXIT_INFEASIBLE
-    elapsed = time.monotonic() - started
-    payload = {
-        "task": cfg.task,
-        "graph": cfg.graph,
-        "seed": cfg.seed,
-        "episodes": cfg.episodes,
-        "finetune": cfg.finetune,
-        "strategy": _strategy_payload(graph, best.strategy),
-        "partition_count": best.partitions,
-        "episode_reward": best.reward,
-        "found_at_episode": best.episode,
-    }
-    ok, message = validate_payload(payload, graph=graph)
-    if not ok:
-        logger.error("emitted plan failed self-validation: %s", message)
-        return EXIT_INFEASIBLE
-    write_json(cfg.out, payload)
-    write_json(
-        summary_path,
-        {
-            "task": cfg.task,
-            "best_reward": best.reward,
-            "best_partitions": best.partitions,
-            "time_to_best_s": elapsed,
-            "episodes": cfg.episodes,
-            "seed": cfg.seed,
-            "defaults": asdict(agent_config_for(cfg)),
-        },
+        return False, f"unknown plan task {task!r}"
+    plan = PipelinePlan(
+        pivots,
+        tuple(payload["device_cuts"]),
+        payload.get("micro_batches", 1),
+        payload.get("micro_batch_size", 16),
     )
-    logger.info("wrote %s (%d partitions)", cfg.out, best.partitions)
-    return EXIT_OK
+    length = pipeline_length(plan, metrics, topo)
+    if abs(length - payload.get("pipeline_length_s", -1.0)) > 1e-9 * max(1.0, length):
+        return False, f"recomputed pipeline length {length} disagrees"
+    return True, "pipeline length matches the cost model"
 
 
-def _run_pp_train(cfg: RunConfig) -> int:
-    graph = resolve_graph(cfg.graph)
-    topo = resolve_topology(cfg.topology or "configa")
-    env = PipeTrainEnv(
-        graph,
-        topo,
+# -- search tasks ------------------------------------------------------------
+
+
+def _opp_env(cfg: RunConfig, inputs: dict) -> SearchEnv:
+    graph = inputs["graph"]
+    return OppEnv(graph, groups=_linkage_for(graph, cfg.graph))
+
+
+def _adp_env(cfg: RunConfig, inputs: dict) -> SearchEnv:
+    return AdpEnv(inputs["graph"])
+
+
+def _pp_train_env(cfg: RunConfig, inputs: dict) -> SearchEnv:
+    return PipeTrainEnv(
+        inputs["graph"],
+        inputs["topo"],
         num_stages=cfg.stages,
         radius=cfg.radius,
         micro_batches=cfg.micro_batches,
@@ -566,61 +420,12 @@ def _run_pp_train(cfg: RunConfig) -> int:
         mem_per_device=cfg.mem_per_device,
         reward_shape=cfg.reward_shape,
     )
-    agent = DqnAgent(agent_config_for(cfg), env.state_dim, env.num_actions, cfg.seed)
-    curve_path, summary_path = _artifact_paths(cfg.out)
-    curve = CurveWriter(curve_path)
-    trace = TraceWriter(cfg.log) if cfg.log else None
-    started = time.monotonic()
-    try:
-        best = train_pipe([env], agent, cfg.episodes, curve, trace)[0]
-    finally:
-        curve.close()
-        if trace is not None:
-            trace.close()
-    if best is None:
-        logger.error("no memory-feasible plan found in %d episodes", cfg.episodes)
-        return EXIT_INFEASIBLE
-    elapsed = time.monotonic() - started
-    payload = {
-        "task": "pp-train",
-        "graph": cfg.graph,
-        "topology": cfg.topology,
-        "seed": cfg.seed,
-        "episodes": cfg.episodes,
-        "micro_batches": cfg.micro_batches,
-        "micro_batch_size": cfg.micro_batch_size,
-        "pivots": [graph.instruction(p).name for p in best.plan.pivot_ids],
-        "device_cuts": list(best.plan.device_cuts),
-        "stages": _stage_payload(best.metrics, best.plan, topo),
-        "pipeline_length_s": best.pipeline_length,
-        "memory_feasible": best.feasible,
-    }
-    ok, message = validate_payload(payload, graph=graph, topo=topo)
-    if not ok:
-        logger.error("emitted plan failed self-validation: %s", message)
-        return EXIT_INFEASIBLE
-    write_json(cfg.out, payload)
-    write_json(
-        summary_path,
-        {
-            "task": cfg.task,
-            "best_reward": best.reward,
-            "pipeline_length_s": best.pipeline_length,
-            "time_to_best_s": elapsed,
-            "episodes": cfg.episodes,
-            "seed": cfg.seed,
-            "defaults": asdict(agent_config_for(cfg)),
-        },
-    )
-    logger.info("wrote %s (L=%.6f s)", cfg.out, best.pipeline_length)
-    return EXIT_OK
 
 
-def _run_pp_infer(cfg: RunConfig) -> int:
-    arrays = resolve_arrays(cfg)
-    topo = resolve_topology(cfg.topology or "configa")
+def _pp_infer_env(cfg: RunConfig, inputs: dict) -> SearchEnv:
+    arrays, topo = inputs["arrays"], inputs["topo"]
     boundary_bands, cut_bands = infer_search_bands(arrays, topo, cfg.stages, cfg.radius)
-    env = PipeInferEnv(
+    return PipeInferEnv(
         arrays,
         topo,
         num_stages=cfg.stages,
@@ -629,54 +434,153 @@ def _run_pp_infer(cfg: RunConfig) -> int:
         allowed_boundaries=boundary_bands,
         allowed_cuts=cut_bands,
     )
+
+
+def _complete_rank(info: dict, total: float) -> tuple[int, float] | None:
+    """Conflict-free strategies, by partition count and then episode reward."""
+    return None if info.get("conflict", False) else (info["partition_count"], total)
+
+
+def _feasible_rank(info: dict, total: float) -> float | None:
+    """Memory-feasible pipelines, shortest first."""
+    return -info["pipeline_length"] if info.get("memory_feasible", True) else None
+
+
+def _partition_payload(cfg: RunConfig, inputs: dict, best: Best) -> dict:
+    return {
+        "finetune": cfg.finetune,
+        "strategy": _strategy_payload(inputs["graph"], best.info["strategy"]),
+        "partition_count": best.info["partition_count"],
+        "episode_reward": best.reward,
+        "found_at_episode": best.episode,
+    }
+
+
+def _pipe_payload(cfg: RunConfig, inputs: dict, best: Best) -> dict:
+    plan = best.info["plan"]
+    return {
+        "topology": cfg.topology,
+        "micro_batches": cfg.micro_batches,
+        "micro_batch_size": cfg.micro_batch_size,
+        "device_cuts": list(plan.device_cuts),
+        "stages": _stage_payload(best.info["metrics"], plan, inputs["topo"]),
+        "pipeline_length_s": best.info["pipeline_length"],
+    }
+
+
+def _pp_train_payload(cfg: RunConfig, inputs: dict, best: Best) -> dict:
+    graph = inputs["graph"]
+    return {
+        **_pipe_payload(cfg, inputs, best),
+        "pivots": [graph.instruction(p).name for p in best.info["plan"].pivot_ids],
+        "memory_feasible": best.info["memory_feasible"],
+    }
+
+
+def _pp_infer_payload(cfg: RunConfig, inputs: dict, best: Best) -> dict:
+    return {
+        **_pipe_payload(cfg, inputs, best),
+        "distribution": None if cfg.graph is not None else cfg.dist,
+        "boundaries": list(best.info["plan"].pivot_ids),
+        "units": "normalized",
+    }
+
+
+@dataclass(frozen=True)
+class SearchTask:
+    """The task-specific pieces of a search run and of plan validation."""
+
+    # resolve_inputs names; the loaded inputs are validate_payload's keywords
+    inputs: tuple[str, ...]
+    env: Callable[[RunConfig, dict], SearchEnv]
+    rank: Callable[[dict, float], tuple | float | None]
+    # plan fields beyond task, graph, seed and episodes
+    payload: Callable[[RunConfig, dict, Best], dict]
+    # (summary field, terminal info key) of the plan's headline figure
+    headline: tuple[str, str]
+    wanted: str  # what a usable plan is, for the error message
+    # restarts an episode from the best plan's terminal info (--finetune)
+    finetune_reset: Callable[[SearchEnv, dict], np.ndarray] | None = None
+
+
+def _partition_finetune_reset(env: PartitionSearchEnv, info: dict) -> np.ndarray:
+    return env.finetune_reset(info["strategy"])
+
+
+SEARCH_TASKS: dict[str, SearchTask] = {
+    "opp": SearchTask(
+        ("graph",), _opp_env, _complete_rank, _partition_payload,
+        ("best_partitions", "partition_count"), "conflict-free strategy", _partition_finetune_reset,
+    ),
+    "adp": SearchTask(
+        ("graph",), _adp_env, _complete_rank, _partition_payload,
+        ("best_partitions", "partition_count"), "conflict-free strategy", _partition_finetune_reset,
+    ),
+    "pp-train": SearchTask(
+        ("graph", "topo"), _pp_train_env, _feasible_rank, _pp_train_payload,
+        ("pipeline_length_s", "pipeline_length"), "memory-feasible plan",
+    ),
+    "pp-infer": SearchTask(
+        ("arrays", "topo"), _pp_infer_env, _feasible_rank, _pp_infer_payload,
+        ("pipeline_length_s", "pipeline_length"), "plan",
+    ),
+}
+
+
+def _run_search(cfg: RunConfig) -> int:
+    """Train, then write the self-validated best plan, its curve and a summary."""
+    task = SEARCH_TASKS[cfg.task]
+    inputs = resolve_inputs(cfg, task.inputs)
+    env = task.env(cfg, inputs)
     agent = DqnAgent(agent_config_for(cfg), env.state_dim, env.num_actions, cfg.seed)
     curve_path, summary_path = _artifact_paths(cfg.out)
     curve = CurveWriter(curve_path)
     trace = TraceWriter(cfg.log) if cfg.log else None
     started = time.monotonic()
     try:
-        best = train_pipe([env], agent, cfg.episodes, curve, trace)[0]
+        best = train(env, agent, cfg.episodes, task.rank, curve, trace)
+        if best is not None and cfg.finetune and task.finetune_reset is not None:
+            stage2 = train(
+                env, agent, cfg.episodes, task.rank, curve, trace,
+                reset=lambda: task.finetune_reset(env, best.info), episode_offset=cfg.episodes,
+            )
+            if stage2 is not None and stage2.key > best.key:
+                best = stage2
     finally:
         curve.close()
         if trace is not None:
             trace.close()
     if best is None:
-        logger.error("no plan found in %d episodes", cfg.episodes)
+        logger.error("no %s found in %d episodes", task.wanted, cfg.episodes)
         return EXIT_INFEASIBLE
-    elapsed = time.monotonic() - started
     payload = {
-        "task": "pp-infer",
+        "task": cfg.task,
         "graph": cfg.graph,
-        "distribution": None if cfg.graph is not None else cfg.dist,
-        "topology": cfg.topology,
         "seed": cfg.seed,
         "episodes": cfg.episodes,
-        "micro_batches": cfg.micro_batches,
-        "micro_batch_size": cfg.micro_batch_size,
-        "boundaries": list(best.plan.pivot_ids),
-        "device_cuts": list(best.plan.device_cuts),
-        "stages": _stage_payload(best.metrics, best.plan, topo),
-        "pipeline_length_s": best.pipeline_length,
-        "units": "normalized",
+        **task.payload(cfg, inputs, best),
     }
-    ok, message = validate_payload(payload, topo=topo, arrays=arrays)
+    ok, message = validate_payload(payload, **inputs)
     if not ok:
         logger.error("emitted plan failed self-validation: %s", message)
         return EXIT_INFEASIBLE
     write_json(cfg.out, payload)
+    field, key = task.headline
     write_json(
         summary_path,
         {
             "task": cfg.task,
             "best_reward": best.reward,
-            "pipeline_length_s": best.pipeline_length,
-            "time_to_best_s": elapsed,
+            "found_at_episode": best.episode,
+            "time_to_best_s": best.found_at - started,
+            "final_epsilon": agent.epsilon,
             "episodes": cfg.episodes,
             "seed": cfg.seed,
             "defaults": asdict(agent_config_for(cfg)),
+            field: best.info[key],
         },
     )
-    logger.info("wrote %s (L=%.6f, normalized)", cfg.out, best.pipeline_length)
+    logger.info("wrote %s (%s %.6g, episode %d)", cfg.out, field, best.info[key], best.episode)
     return EXIT_OK
 
 
@@ -709,18 +613,17 @@ def _run_validate(cfg: RunConfig) -> int:
             payload = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read plan {cfg.plan!r}: {exc}") from exc
-    task = payload.get("task")
-    graph = None
-    arrays = None
-    topo = None
-    if task in ("opp", "adp", "pp-train"):
-        graph = resolve_graph(cfg.graph if cfg.graph is not None else payload.get("graph"))
-    if task in ("pp-train", "pp-infer"):
-        topo = resolve_topology(cfg.topology or payload.get("topology") or "configa")
-    if task == "pp-infer":
-        probe = RunConfig(**{**asdict(cfg), "graph": cfg.graph or payload.get("graph"), "dist": payload.get("distribution") or cfg.dist, "seed": payload.get("seed", cfg.seed)})
-        arrays = resolve_arrays(probe)
-    ok, message = validate_payload(payload, graph=graph, topo=topo, arrays=arrays)
+    task = SEARCH_TASKS.get(payload.get("task"))
+    # flags override the inputs the plan names
+    planned = replace(
+        cfg,
+        graph=cfg.graph or payload.get("graph"),
+        topology=cfg.topology or payload.get("topology"),
+        dist=payload.get("distribution") or cfg.dist,
+        seed=payload.get("seed", cfg.seed),
+    )
+    inputs = resolve_inputs(planned, task.inputs if task is not None else ())
+    ok, message = validate_payload(payload, **inputs)
     if ok:
         logger.info("plan %s is valid: %s", cfg.plan, message)
         return EXIT_OK
@@ -739,7 +642,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--task",
         required=True,
-        choices=["opp", "adp", "pp-train", "pp-infer", "gen-data", "validate"],
+        choices=[*SEARCH_TASKS, "gen-data", "validate"],
     )
     parser.add_argument("--graph", help="graph/profile file or bundled name")
     parser.add_argument(
@@ -778,9 +681,9 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     defaults = TASK_DEFAULTS.get(args.task, {})
     episodes = args.episodes if args.episodes is not None else int(defaults.get("episodes", 500))
     out = args.out if args.out is not None else f"{args.task.replace('-', '_')}_plan.json"
-    micro_batches = args.micro_batches
-    if micro_batches is None:
-        micro_batches = 1 if args.task == "pp-infer" else 4
+    micro_batches = (
+        args.micro_batches if args.micro_batches is not None else int(defaults.get("micro_batches", 4))
+    )
     return RunConfig(
         task=args.task,
         graph=args.graph,
@@ -808,10 +711,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 _RUNNERS = {
-    "opp": _run_sharding,
-    "adp": _run_sharding,
-    "pp-train": _run_pp_train,
-    "pp-infer": _run_pp_infer,
+    **dict.fromkeys(SEARCH_TASKS, _run_search),
     "gen-data": _run_gen_data,
     "validate": _run_validate,
 }

@@ -145,18 +145,6 @@ def generate_environment(
     return build_environment_arrays(profile, granularity)
 
 
-def boundary_to_source_index(boundary: int, source_length: int, granularity: int = GRANULARITY) -> int:
-    """Map a coarse stage boundary back to its raw instruction index.
-
-    Boundary b cuts after coarse point b-1, which sampled the source index
-    floor(b*N/granularity)-1.
-    """
-    if not 1 <= boundary <= granularity:
-        raise ProfileError(f"boundary {boundary} out of range")
-    n = max(source_length, granularity)
-    return boundary * n // granularity - 1
-
-
 def load_profile(path: str) -> ProfileArrays:
     """Read a profile from JSON ({"names", "C", "A", "W"}) or CSV.
 

@@ -13,6 +13,10 @@ Four Markov decision processes with a shared ``reset`` / ``step`` /
 * ``PipeInferEnv``: pick K-1 stage boundaries on coarsened cost arrays,
   then K-1 device cuts, in one phased action space.
 
+The ``info`` of an episode's last step describes its outcome: ``conflict``,
+or ``partition_count`` and ``strategy`` for the partition envs; ``plan``,
+``metrics`` and ``pipeline_length`` (plus ``memory_feasible`` on
+``PipeTrainEnv``) for the pipeline envs.  Callers rank episodes by it.
 Environments are single-threaded; instances share only immutable inputs.
 """
 
@@ -47,10 +51,6 @@ from autoplan.topology import DeviceTopology, allreduce_time, transfer_time
 
 ACTION_PARTITION = 0
 ACTION_REPLICATE = 1
-
-# paper regime: each generated inference environment is visited at most
-# this many episodes while training a shared agent
-PIPE_INFER_EPISODE_CAP = 50
 
 _MIN_LENGTH = 1e-12
 
@@ -169,6 +169,7 @@ class PartitionSearchEnv:
             self._done = True
             self._position = None
             info["partition_count"] = self.partition_count
+            info["strategy"] = self.strategy()
         else:
             self._position = self._next_position()
         return StepResult(self._state(), reward, self._done, info)
@@ -238,13 +239,12 @@ class OppEnv(PartitionSearchEnv):
         self,
         graph: HloGraph,
         groups: Mapping[Trigger, LinkageGroup] | None = None,
-        max_workers: int = 1,
     ):
         if not graph.trainable_variables:
             raise ValueError("operator partitioning needs trainable variables")
         dims = decision_dims(graph, graph.trainable_variables)
         if groups is None:
-            groups = extract_linkage_groups(graph, dims, max_workers=max_workers)
+            groups = extract_linkage_groups(graph, dims)
         order = sorted_decision_order(groups)
         super().__init__(graph, dims, groups, order)
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -41,31 +40,20 @@ class LinkageGroup:
 
 
 def extract_linkage_groups(
-    graph: HloGraph,
-    dims: Sequence[DimIndex],
-    max_workers: int = 1,
+    graph: HloGraph, dims: Sequence[DimIndex]
 ) -> dict[Trigger, LinkageGroup]:
     """Propagate every (dim, status) trigger alone and record what it decides."""
     engine = PropagationEngine(graph, candidates=dims)
-    triggers: list[Trigger] = [
-        (di, status)
-        for di in dims
-        for status in (DimStatus.PARTITIONED, DimStatus.REPLICATED)
-    ]
-
-    def _one(trigger: Trigger) -> LinkageGroup:
-        di, status = trigger
-        result = engine.run({di: status})
-        if result.outcome is Outcome.CONFLICT:
-            return LinkageGroup(trigger=trigger, implied=(), infeasible=True)
-        return LinkageGroup(trigger=trigger, implied=result.newly_decided)
-
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            groups = list(pool.map(_one, triggers))
-    else:
-        groups = [_one(t) for t in triggers]
-    return {g.trigger: g for g in groups}
+    groups: dict[Trigger, LinkageGroup] = {}
+    for di in dims:
+        for status in (DimStatus.PARTITIONED, DimStatus.REPLICATED):
+            trigger = (di, status)
+            result = engine.run({di: status})
+            if result.outcome is Outcome.CONFLICT:
+                groups[trigger] = LinkageGroup(trigger=trigger, implied=(), infeasible=True)
+            else:
+                groups[trigger] = LinkageGroup(trigger=trigger, implied=result.newly_decided)
+    return groups
 
 
 def sorted_decision_order(groups: Mapping[Trigger, LinkageGroup]) -> list[DimIndex]:

@@ -1,10 +1,11 @@
-"""Plan validation through the command line."""
+"""The command line: search runs, their artifacts, and plan validation."""
 
+import csv
 import json
 
 import pytest
 
-from autoplan.cli import EXIT_INFEASIBLE, EXIT_OK, main
+from autoplan.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
 
 from helpers import linkage_chain_graph
 
@@ -37,8 +38,88 @@ def test_opp_plan_on_graph_file(tmp_path, strategy, partitions, status):
         ({"arg0.1": 0, "arg1.2": 0, "arg2.3": -1, "arg3.4": -1}, 2, EXIT_OK),
         # feature-dim partition of the data batch would split the weight w1
         ({"arg0.1": 1, "arg1.2": -1, "arg2.3": -1, "arg3.4": -1}, 1, EXIT_INFEASIBLE),
+        # values outside -1..rank-1, or not plain ints, name no dim
+        ({"arg0.1": 7, "arg1.2": -1, "arg2.3": -1, "arg3.4": -1}, 1, EXIT_INFEASIBLE),
+        ({"arg0.1": -5, "arg1.2": -1, "arg2.3": -1, "arg3.4": -1}, 0, EXIT_INFEASIBLE),
+        ({"arg0.1": "x", "arg1.2": -1, "arg2.3": -1, "arg3.4": -1}, 0, EXIT_INFEASIBLE),
+        ({"arg0.1": False, "arg1.2": False, "arg2.3": -1, "arg3.4": -1}, 2, EXIT_INFEASIBLE),
+        ({"arg0.1": 0.0, "arg1.2": 0, "arg2.3": -1, "arg3.4": -1}, 2, EXIT_INFEASIBLE),
     ],
 )
 def test_adp_plan_on_bundled_graph(tmp_path, strategy, partitions, status):
     payload = {"task": "adp", "graph": "vgg_classifier", "strategy": strategy, "partition_count": partitions}
     assert _validate(tmp_path, payload) == status
+
+
+SEARCH_ARGS = {
+    "opp": ["--task", "opp", "--graph", "t5_block", "--episodes", "4"],
+    "adp": ["--task", "adp", "--graph", "vgg_classifier", "--episodes", "4"],
+    "pp-train": [
+        "--task", "pp-train", "--graph", "uniform_chain", "--episodes", "4",
+        "--stages", "4", "--topology", "configc",
+    ],
+    "pp-infer": [
+        "--task", "pp-infer", "--graph", "bert48_profile", "--episodes", "3",
+        "--stages", "4", "--topology", "configc",
+    ],
+}
+
+
+def _search(workdir, task, *extra, seed=0):
+    """Run one search task; returns its exit code and the plan path."""
+    workdir.mkdir(exist_ok=True)
+    out = workdir / "plan.json"
+    code = main(SEARCH_ARGS[task] + ["--seed", str(seed), "--out", str(out), *extra])
+    return code, out
+
+
+def _curve(workdir):
+    with open(workdir / "plan_curve.csv", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+@pytest.mark.parametrize("task", sorted(SEARCH_ARGS))
+def test_search_is_deterministic_and_validates(tmp_path, task):
+    first, second = tmp_path / "a", tmp_path / "b"
+    code, plan = _search(first, task)
+    assert code == EXIT_OK
+    assert main(["--task", "validate", "--plan", str(plan)]) == EXIT_OK
+    assert _search(second, task)[0] == EXIT_OK
+    for name in ("plan.json", "plan_curve.csv"):
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+@pytest.mark.parametrize("task", sorted(SEARCH_ARGS))
+def test_summary_agrees_with_curve(tmp_path, task):
+    code, plan = _search(tmp_path, task)
+    assert code == EXIT_OK
+    summary = json.loads((tmp_path / "plan_summary.json").read_text())
+    rows = _curve(tmp_path)
+    assert f"{summary['final_epsilon']:.6g}" == rows[-1]["epsilon"]
+    assert summary["time_to_best_s"] >= 0.0
+    if task in ("opp", "adp"):
+        assert summary["found_at_episode"] == json.loads(plan.read_text())["found_at_episode"]
+    else:
+        # every plan is memory-feasible here, so the best plan has the top score 1/L
+        scores = [float(r["score"]) for r in rows]
+        assert summary["found_at_episode"] == int(rows[scores.index(max(scores))]["episode"])
+
+
+def test_opp_finetune(tmp_path):
+    code, plan = _search(tmp_path, "opp", "--finetune")
+    assert code == EXIT_OK
+    assert main(["--task", "validate", "--plan", str(plan)]) == EXIT_OK
+    # the backtrace stage continues the episode numbering of the first stage
+    assert len(_curve(tmp_path)) > 4
+
+
+@pytest.mark.parametrize("task", sorted(SEARCH_ARGS))
+def test_unknown_graph_is_config_error(tmp_path, task):
+    args = SEARCH_ARGS[task]
+    args = args[: args.index("--graph") + 1] + ["nosuch"] + args[args.index("--graph") + 2 :]
+    assert main(args + ["--out", str(tmp_path / "plan.json")]) == EXIT_CONFIG
+
+
+def test_more_stages_than_devices_is_infeasible(tmp_path):
+    args = ["--task", "pp-train", "--graph", "uniform_chain", "--stages", "20", "--topology", "configa"]
+    assert main(args + ["--episodes", "2", "--out", str(tmp_path / "plan.json")]) == EXIT_INFEASIBLE
