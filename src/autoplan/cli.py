@@ -366,6 +366,13 @@ def validate_payload(
         if partitions != payload.get("partition_count"):
             return False, "partition_count does not match the strategy"
         return True, "strategy propagates conflict-free"
+    if task not in ("pp-train", "pp-infer"):
+        return False, f"unknown plan task {task!r}"
+    cut_field, cut_type = ("pivots", str) if task == "pp-train" else ("boundaries", int)
+    for key, kind in ((cut_field, cut_type), ("device_cuts", int)):
+        values = payload.get(key)
+        if not isinstance(values, list) or any(type(v) is not kind for v in values):
+            return False, f"{key} must be a list of {kind.__name__} values"
     if task == "pp-train":
         if graph is None or topo is None:
             return False, "pipeline validation needs the graph and topology"
@@ -375,7 +382,7 @@ def validate_payload(
         except KeyError as exc:
             return False, f"unknown pivot {exc}"
         metrics = stage_metrics(graph, pivots)
-    elif task == "pp-infer":
+    else:
         if arrays is None or topo is None:
             return False, "inference validation needs the profile and topology"
         pivots = tuple(payload["boundaries"])
@@ -383,8 +390,6 @@ def validate_payload(
         metrics = env.decode_metrics(pivots)
         # inference plans are costed on the normalized topology
         topo = env.topo_norm
-    else:
-        return False, f"unknown plan task {task!r}"
     plan = PipelinePlan(
         pivots,
         tuple(payload["device_cuts"]),
@@ -613,6 +618,8 @@ def _run_validate(cfg: RunConfig) -> int:
             payload = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read plan {cfg.plan!r}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ConfigError(f"plan {cfg.plan!r} is not a JSON object")
     task = SEARCH_TASKS.get(payload.get("task"))
     # flags override the inputs the plan names
     planned = replace(

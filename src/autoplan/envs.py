@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from autoplan.dataproc import GRANULARITY, CoarsenedArrays
-from autoplan.ir import DimIndex, HloGraph, decision_dims, forward_subgraph
+from autoplan.ir import DimIndex, HloGraph, decision_dims
 from autoplan.linkage import (
     LinkageGroup,
     Trigger,
@@ -37,17 +37,18 @@ from autoplan.linkage import (
     sorted_decision_order,
 )
 from autoplan.pipecost import (
+    CutCostTable,
+    InfeasiblePlanError,
     PipelinePlan,
     StageMetrics,
     candidate_pivots,
+    length_terms,
     memory_feasible,
     pipeline_length,
-    proportional_device_counts,
     proportional_device_cuts,
-    stage_metrics,
 )
 from autoplan.sharding import DimStatus, Outcome, propagate
-from autoplan.topology import DeviceTopology, allreduce_time, transfer_time
+from autoplan.topology import DeviceTopology
 
 ACTION_PARTITION = 0
 ACTION_REPLICATE = 1
@@ -307,7 +308,8 @@ class PipeTrainEnv:
         self.mem_per_device = mem_per_device
         self.reward_shape = reward_shape
         self.backward_multiplier = backward_multiplier
-        self.candidates = candidate_pivots(graph, topo, num_stages, radius)
+        self.table = CutCostTable.build(graph)
+        self.candidates = candidate_pivots(self.table, topo, num_stages, radius)
         self.num_actions = len(self.candidates)
         self.state_dim = 4 * len(self.candidates)
         self._applied: list[int] = []
@@ -348,7 +350,7 @@ class PipeTrainEnv:
 
         self._done = True
         pivots = tuple(self.candidates[i] for i in self._applied)
-        metrics = stage_metrics(self.graph, pivots, self.backward_multiplier)
+        metrics = self.table.stage_metrics(pivots, self.backward_multiplier)
         cuts = proportional_device_cuts(metrics, self.topo)
         plan = PipelinePlan(pivots, cuts, self.micro_batches, self.micro_batch_size)
         length = max(pipeline_length(plan, metrics, self.topo), _MIN_LENGTH)
@@ -377,22 +379,11 @@ class PipeTrainEnv:
         mask = self.action_mask()
         for i in np.flatnonzero(mask):
             pivots = [self.candidates[j] for j in self._applied] + [self.candidates[i]]
-            metrics = stage_metrics(self.graph, pivots, self.backward_multiplier)
-            counts = proportional_device_counts(
-                [m.compute_ms for m in metrics], self.topo.num_devices
-            )
-            edges = np.cumsum([0] + counts)
-            groups = [(int(edges[s]), int(edges[s + 1])) for s in range(len(counts))]
-            reduces[i] = max(
-                allreduce_time(m.param_bytes, range(start, end), self.topo)
-                for m, (start, end) in zip(metrics, groups)
-            )
-            transfers[i] = max(
-                transfer_time(
-                    metrics[s].activation_bytes, groups[s][1] - 1, groups[s + 1][0], self.topo
-                )
-                for s in range(len(groups) - 1)
-            )
+            metrics = self.table.stage_metrics(pivots, self.backward_multiplier)
+            cuts = proportional_device_cuts(metrics, self.topo)
+            _, stage_transfers, stage_reduces = length_terms(metrics, cuts, self.topo)
+            reduces[i] = max(stage_reduces)
+            transfers[i] = max(stage_transfers)
             computes = [m.compute_ms for m in metrics]
             top = max(computes)
             balance[i] = min(computes) / top if top > 0 else 1.0
@@ -598,8 +589,13 @@ class PipeInferEnv:
         activation payload of a stage is the A* entry at its boundary.
         Compute is scaled to milliseconds so that the pipeline length
         arithmetic (which divides by 1000) recovers the normalized units.
+        It stays apart from ``CutCostTable.stage_metrics``, which keeps a
+        running sum per stage: prefix differences would change the last bit
+        of stage compute there, and with it the device-count tie-breaks.
         """
         edges = [0] + list(boundaries) + [GRANULARITY]
+        if any(b <= a for a, b in zip(edges, edges[1:])):
+            raise InfeasiblePlanError(f"boundaries must increase strictly in 1..{GRANULARITY - 1}")
         metrics = []
         for s in range(len(edges) - 1):
             lo, hi = edges[s], edges[s + 1]

@@ -6,13 +6,19 @@ device list into K contiguous groups at K-1 device cuts.  Stages run
 GPipe-style fill and drain over M micro batches; gradients are all-reduced
 inside each stage's device group, overlapped across stages so only the
 slowest stage's allreduce shows up in the length.
+
+The costs of cutting a graph live in its ``CutCostTable``, built in one
+sweep of the forward order: compute per position, activation bytes crossing
+a cut after each position, and trainable bytes by first forward consumer.
+``stage_metrics``, ``candidate_pivots`` and ``PipeTrainEnv`` read stage
+costs off it; ``length_terms`` holds the terms of ``pipeline_length``.
 """
 
 from __future__ import annotations
 
-import bisect
+import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from autoplan.ir import HloGraph, forward_subgraph
 from autoplan.topology import DeviceTopology, allreduce_time, transfer_time
@@ -35,7 +41,6 @@ class StageMetrics:
     compute_ms: float
     activation_bytes: float
     param_bytes: float
-    num_variables: int = 0
 
 
 @dataclass(frozen=True)
@@ -69,96 +74,107 @@ def device_groups(device_cuts: Sequence[int], num_devices: int) -> list[tuple[in
     return [(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
 
 
+@dataclass(frozen=True)
+class CutCostTable:
+    """The costs of cutting a graph's forward order, by forward position i.
+
+    ``compute[i]``: ``compute_cost_ms`` (missing counts as zero).
+    ``crossing[i]``: bytes of the tensors produced at or before i with a
+    forward consumer after it, each counted once.  ``param_bytes[i]``:
+    trainable bytes whose first forward consumer, or else the trainable
+    itself, sits at i.  The rest, ``unplaced_param_bytes``, count in the
+    first stage but not in ``candidate_pivots``.
+    """
+
+    order: tuple[int, ...]
+    position: Mapping[int, int]
+    compute: tuple[float, ...]
+    crossing: tuple[int, ...]
+    param_bytes: tuple[int, ...]
+    unplaced_param_bytes: int
+
+    @classmethod
+    def build(cls, graph: HloGraph) -> CutCostTable:
+        order = forward_subgraph(graph)
+        position = {ins_id: i for i, ins_id in enumerate(order)}
+
+        def forward_uses(ins_id: int) -> list[int]:
+            return [position[c] for c in graph.consumers(ins_id) if c in position]
+
+        # a tensor crosses the cuts after positions i .. last use - 1
+        delta = [0] * (len(order) + 1)
+        for i, ins_id in enumerate(order):
+            uses = forward_uses(ins_id)
+            if uses:
+                size = graph.instruction(ins_id).shape.byte_size
+                delta[i] += size
+                delta[max(uses)] -= size
+
+        param_bytes = [0] * len(order)
+        unplaced = 0
+        for var_id in graph.trainable_ids():
+            uses = forward_uses(var_id)
+            first = min(uses) if uses else position.get(var_id)
+            size = graph.instruction(var_id).shape.byte_size
+            if first is None:
+                unplaced += size
+            else:
+                param_bytes[first] += size
+
+        return cls(
+            order=tuple(order),
+            position=position,
+            compute=tuple(graph.instruction(i).compute_cost_ms or 0.0 for i in order),
+            crossing=tuple(itertools.accumulate(delta[:-1])),
+            param_bytes=tuple(param_bytes),
+            unplaced_param_bytes=unplaced,
+        )
+
+    def stage_metrics(
+        self, pivots: Sequence[int], backward_multiplier: float = 2.0
+    ) -> list[StageMetrics]:
+        """Cost the stages that the pivots cut the forward order into."""
+        for p in pivots:
+            if p not in self.position:
+                raise InfeasiblePlanError(f"pivot {p} is not a forward instruction")
+        cuts = [self.position[p] for p in pivots]
+        if any(b <= a for a, b in zip(cuts, cuts[1:])):
+            raise InfeasiblePlanError("pivots must be strictly increasing in forward order")
+
+        scale = 1.0 + backward_multiplier
+        edges = [0] + [c + 1 for c in cuts] + [len(self.order)]
+        metrics = []
+        for s in range(len(edges) - 1):
+            lo, hi = edges[s], edges[s + 1]
+            # a running sum: prefix differences would change the last bit of
+            # stage compute and so the tie-breaks of proportional_device_counts
+            compute = 0.0
+            for cost in self.compute[lo:hi]:
+                compute += cost
+            params = sum(self.param_bytes[lo:hi]) + (self.unplaced_param_bytes if s == 0 else 0)
+            activation = float(self.crossing[hi - 1]) if s < len(cuts) else 0.0
+            metrics.append(StageMetrics(compute * scale, activation, float(params)))
+        return metrics
+
+
 def stage_metrics(
     graph: HloGraph, pivots: Sequence[int], backward_multiplier: float = 2.0
 ) -> list[StageMetrics]:
     """Split the forward order at the pivots and cost each stage.
 
-    Compute sums the instructions' ``compute_cost_ms`` (missing costs count
-    as zero) and adds the backward pass as ``backward_multiplier`` times the
-    forward time.  Activations crossing a cut are tensors produced at or
-    before the pivot with a forward consumer after it, counted once each.
-    Trainable parameters belong to the stage of their first forward
-    consumer.
+    Compute adds the backward pass as ``backward_multiplier`` times the
+    forward time; the other costs are those of ``CutCostTable``.  Callers
+    that cost many pivot sets of one graph keep the table instead.
     """
-    order = forward_subgraph(graph)
-    pos = {ins_id: i for i, ins_id in enumerate(order)}
-    cut_positions = []
-    for p in pivots:
-        if p not in pos:
-            raise InfeasiblePlanError(f"pivot {p} is not a forward instruction")
-        cut_positions.append(pos[p])
-    if any(b <= a for a, b in zip(cut_positions, cut_positions[1:])):
-        raise InfeasiblePlanError("pivots must be strictly increasing in forward order")
-
-    k = len(cut_positions) + 1
-
-    def stage_of(position: int) -> int:
-        return bisect.bisect_left(cut_positions, position)
-
-    compute = [0.0] * k
-    for i, ins_id in enumerate(order):
-        cost = graph.instruction(ins_id).compute_cost_ms or 0.0
-        compute[stage_of(i)] += cost
-
-    activation = [0.0] * k
-    for s, cut in enumerate(cut_positions):
-        crossing = 0.0
-        for i in range(cut + 1):
-            ins = graph.instruction(order[i])
-            if any(
-                pos.get(cons, -1) > cut
-                for cons in graph.consumers(ins.id)
-                if graph.instruction(cons).is_forward
-            ):
-                crossing += ins.shape.byte_size
-        activation[s] = crossing
-
-    params = [0.0] * k
-    variables = [0] * k
-    for var_id in graph.trainable_ids():
-        consumer_positions = [
-            pos[c]
-            for c in graph.consumers(var_id)
-            if graph.instruction(c).is_forward and c in pos
-        ]
-        if consumer_positions:
-            stage = stage_of(min(consumer_positions))
-        else:
-            stage = stage_of(pos[var_id]) if var_id in pos else 0
-        params[stage] += graph.instruction(var_id).shape.byte_size
-        variables[stage] += 1
-
-    scale = 1.0 + backward_multiplier
-    return [
-        StageMetrics(
-            compute_ms=compute[s] * scale,
-            activation_bytes=activation[s],
-            param_bytes=params[s],
-            num_variables=variables[s],
-        )
-        for s in range(k)
-    ]
+    return CutCostTable.build(graph).stage_metrics(pivots, backward_multiplier)
 
 
-def pipeline_length(
-    plan: PipelinePlan, metrics: Sequence[StageMetrics], topo: DeviceTopology
-) -> float:
-    """GPipe-style pipeline length in seconds.
-
-    With per-stage time ``t_s = compute_ms_s / 1000 / n_s`` the length is
-    ``(M-1)*max(t) + sum(t) + sum(boundary transfers) + max(allreduce)``:
-    fill and drain on the slowest stage, one pass through every stage, the
-    stage boundary hops, and the slowest gradient allreduce (the rest
-    overlap with it).
-    """
-    if len(metrics) != plan.num_stages:
-        raise InfeasiblePlanError("metrics do not match the plan's stage count")
-    groups = device_groups(plan.device_cuts, topo.num_devices)
-    times = [
-        m.compute_ms / 1000.0 / (end - start)
-        for m, (start, end) in zip(metrics, groups)
-    ]
+def length_terms(
+    metrics: Sequence[StageMetrics], device_cuts: Sequence[int], topo: DeviceTopology
+) -> tuple[list[float], list[float], list[float]]:
+    """Per-stage times ``compute_ms / 1000 / n``, boundary transfers and allreduces."""
+    groups = device_groups(device_cuts, topo.num_devices)
+    times = [m.compute_ms / 1000.0 / (end - start) for m, (start, end) in zip(metrics, groups)]
     transfers = [
         transfer_time(metrics[s].activation_bytes, groups[s][1] - 1, groups[s + 1][0], topo)
         for s in range(len(groups) - 1)
@@ -167,13 +183,24 @@ def pipeline_length(
         allreduce_time(m.param_bytes, range(start, end), topo)
         for m, (start, end) in zip(metrics, groups)
     ]
-    m_batches = plan.micro_batches
-    return (
-        (m_batches - 1) * max(times)
-        + sum(times)
-        + sum(transfers)
-        + max(reduces)
-    )
+    return times, transfers, reduces
+
+
+def pipeline_length(
+    plan: PipelinePlan, metrics: Sequence[StageMetrics], topo: DeviceTopology
+) -> float:
+    """GPipe-style pipeline length in seconds.
+
+    With the terms of ``length_terms`` the length is
+    ``(M-1)*max(t) + sum(t) + sum(boundary transfers) + max(allreduce)``:
+    fill and drain on the slowest stage, one pass through every stage, the
+    stage boundary hops, and the slowest gradient allreduce (the rest
+    overlap with it).
+    """
+    if len(metrics) != plan.num_stages:
+        raise InfeasiblePlanError("metrics do not match the plan's stage count")
+    times, transfers, reduces = length_terms(metrics, plan.device_cuts, topo)
+    return (plan.micro_batches - 1) * max(times) + sum(times) + sum(transfers) + max(reduces)
 
 
 def memory_feasible(
@@ -241,15 +268,8 @@ def proportional_device_cuts(
     metrics: Sequence[StageMetrics], topo: DeviceTopology
 ) -> tuple[int, ...]:
     """Device cuts allocating devices proportionally to stage compute."""
-    counts = proportional_device_counts(
-        [m.compute_ms for m in metrics], topo.num_devices
-    )
-    cuts = []
-    acc = 0
-    for c in counts[:-1]:
-        acc += c
-        cuts.append(acc)
-    return tuple(cuts)
+    counts = proportional_device_counts([m.compute_ms for m in metrics], topo.num_devices)
+    return tuple(itertools.accumulate(counts[:-1]))
 
 
 def allowed_device_cuts(topo: DeviceTopology, radius: int) -> list[int]:
@@ -268,66 +288,35 @@ def allowed_device_cuts(topo: DeviceTopology, radius: int) -> list[int]:
     return sorted(allowed)
 
 
-def two_stage_device_cut(
-    prefix_compute: float, suffix_compute: float, topo: DeviceTopology
-) -> int:
-    """Device cut implied by a two-way compute split."""
-    counts = proportional_device_counts([prefix_compute, suffix_compute], topo.num_devices)
-    return counts[0]
-
-
 def candidate_pivots(
-    graph: HloGraph, topo: DeviceTopology, num_stages: int, radius: int
+    table: CutCostTable, topo: DeviceTopology, num_stages: int, radius: int
 ) -> list[int]:
-    """Pivots worth considering for a K-stage plan.
+    """Pivots worth considering for a K-stage plan of the table's graph.
 
     A pivot stays when the device cut implied by its prefix/suffix compute
     split lands within ``radius`` of a server boundary, and when both sides
-    of the cut hold at least one trainable variable (vacuous for graphs
-    without trainables).  Raises when fewer than K-1 candidates survive.
+    of the cut hold at least one trainable variable placed in the forward
+    order (vacuous for graphs without such trainables).  Raises when fewer
+    than K-1 candidates survive.
     """
     if num_stages < 2:
         raise InfeasiblePlanError("pipeline planning needs at least two stages")
     if num_stages > topo.num_devices:
         raise InfeasiblePlanError("more stages than devices")
-    order = forward_subgraph(graph)
-    if len(order) < 2:
+    if len(table.order) < 2:
         raise InfeasiblePlanError("graph is too small to cut")
-    pos = {ins_id: i for i, ins_id in enumerate(order)}
 
-    costs = [graph.instruction(i).compute_cost_ms or 0.0 for i in order]
-    prefix = []
-    acc = 0.0
-    for c in costs:
-        acc += c
-        prefix.append(acc)
-    total = acc
-
-    var_first_consumer: list[int] = []
-    for var_id in graph.trainable_ids():
-        consumer_positions = [
-            pos[c]
-            for c in graph.consumers(var_id)
-            if graph.instruction(c).is_forward and c in pos
-        ]
-        if consumer_positions:
-            var_first_consumer.append(min(consumer_positions))
-        elif var_id in pos:
-            var_first_consumer.append(pos[var_id])
-    var_first_consumer.sort()
-
+    prefix = list(itertools.accumulate(table.compute))
+    # every tensor holds at least one byte, so bytes tell whether a side holds a variable
+    params = list(itertools.accumulate(table.param_bytes))
     allowed = set(allowed_device_cuts(topo, radius))
-    kept: list[int] = []
-    num_vars = len(var_first_consumer)
-    for i in range(len(order) - 1):
-        cut = two_stage_device_cut(prefix[i], total - prefix[i], topo)
-        if cut not in allowed:
-            continue
-        if num_vars:
-            before = bisect.bisect_right(var_first_consumer, i)
-            if before == 0 or before == num_vars:
-                continue
-        kept.append(order[i])
+    kept = [
+        table.order[i]
+        for i in range(len(table.order) - 1)
+        # the device cut of a two-way split is the first side's device count
+        if proportional_device_counts([prefix[i], prefix[-1] - prefix[i]], topo.num_devices)[0] in allowed
+        and (not params[-1] or 0 < params[i] < params[-1])
+    ]
     if len(kept) < num_stages - 1:
         raise InfeasiblePlanError(
             f"only {len(kept)} candidate pivots for {num_stages} stages; "

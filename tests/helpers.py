@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from autoplan.ir import DimIndex, HloGraph, Instruction, TensorShape, decision_dims
+from autoplan.ir import DimIndex, HloGraph, Instruction, TensorShape, decision_dims, forward_subgraph
+from autoplan.pipecost import InfeasiblePlanError
 from autoplan.sharding import DimStatus, Outcome, propagate
 from autoplan.topology import DeviceTopology, allreduce_time, transfer_time
 from autoplan.dataproc import GRANULARITY
@@ -126,6 +128,65 @@ def random_decision_graph(rng: np.random.Generator) -> HloGraph:
         same_shape.setdefault(shape, cur)
     g.add("loss", "reduce", (cur,), ())
     return g.build()
+
+
+def reference_stage_metrics(
+    graph: HloGraph, pivots: Sequence[int], backward_multiplier: float = 2.0
+) -> list[tuple[float, float, float]]:
+    """Stage costs by the per-call walk of the forward order, as an oracle.
+
+    This is the body ``pipecost.stage_metrics`` had before the cut-cost
+    table, kept verbatim except that it returns ``(compute_ms,
+    activation_bytes, param_bytes)`` per stage and no variable counts.
+    """
+    order = forward_subgraph(graph)
+    pos = {ins_id: i for i, ins_id in enumerate(order)}
+    cut_positions = []
+    for p in pivots:
+        if p not in pos:
+            raise InfeasiblePlanError(f"pivot {p} is not a forward instruction")
+        cut_positions.append(pos[p])
+    if any(b <= a for a, b in zip(cut_positions, cut_positions[1:])):
+        raise InfeasiblePlanError("pivots must be strictly increasing in forward order")
+
+    k = len(cut_positions) + 1
+
+    def stage_of(position: int) -> int:
+        return bisect.bisect_left(cut_positions, position)
+
+    compute = [0.0] * k
+    for i, ins_id in enumerate(order):
+        cost = graph.instruction(ins_id).compute_cost_ms or 0.0
+        compute[stage_of(i)] += cost
+
+    activation = [0.0] * k
+    for s, cut in enumerate(cut_positions):
+        crossing = 0.0
+        for i in range(cut + 1):
+            ins = graph.instruction(order[i])
+            if any(
+                pos.get(cons, -1) > cut
+                for cons in graph.consumers(ins.id)
+                if graph.instruction(cons).is_forward
+            ):
+                crossing += ins.shape.byte_size
+        activation[s] = crossing
+
+    params = [0.0] * k
+    for var_id in graph.trainable_ids():
+        consumer_positions = [
+            pos[c]
+            for c in graph.consumers(var_id)
+            if graph.instruction(c).is_forward and c in pos
+        ]
+        if consumer_positions:
+            stage = stage_of(min(consumer_positions))
+        else:
+            stage = stage_of(pos[var_id]) if var_id in pos else 0
+        params[stage] += graph.instruction(var_id).shape.byte_size
+
+    scale = 1.0 + backward_multiplier
+    return [(compute[s] * scale, activation[s], params[s]) for s in range(k)]
 
 
 def stepwise_outcome(

@@ -51,6 +51,58 @@ def test_adp_plan_on_bundled_graph(tmp_path, strategy, partitions, status):
     assert _validate(tmp_path, payload) == status
 
 
+
+INFER_PLAN = {
+    "task": "pp-infer", "graph": "bert48_profile", "topology": "configc",
+    "boundaries": [34, 66, 98], "device_cuts": [8, 16, 24],
+    "micro_batches": 1, "micro_batch_size": 16, "pipeline_length_s": 0.8745000000000145,
+}
+TRAIN_PLAN = {
+    "task": "pp-train", "graph": "uniform_chain", "topology": "configc",
+    "pivots": ["op017", "op034", "op050"], "device_cuts": [8, 16, 24],
+    "micro_batches": 4, "micro_batch_size": 16, "pipeline_length_s": 0.04425024576,
+}
+DROP = object()
+
+
+@pytest.mark.parametrize(
+    "base, change, status",
+    [
+        (INFER_PLAN, {}, EXIT_OK),
+        # an empty stage, and all compute in stage 0, each with the length
+        # the prefix decode gives them
+        (INFER_PLAN, {"boundaries": [34, 34, 98], "pipeline_length_s": 1.311999999999988}, EXIT_INFEASIBLE),
+        (INFER_PLAN, {"boundaries": [0, 66, 98], "pipeline_length_s": 12.098833333333392}, EXIT_INFEASIBLE),
+        (INFER_PLAN, {"boundaries": [34, 66, 200]}, EXIT_INFEASIBLE),
+        (INFER_PLAN, {"boundaries": [98, 66, 34]}, EXIT_INFEASIBLE),
+        (INFER_PLAN, {"boundaries": DROP}, EXIT_INFEASIBLE),
+        (INFER_PLAN, {"boundaries": 34}, EXIT_INFEASIBLE),
+        (INFER_PLAN, {"boundaries": [34.0, 66, 98]}, EXIT_INFEASIBLE),
+        (INFER_PLAN, {"device_cuts": DROP}, EXIT_INFEASIBLE),
+        (INFER_PLAN, {"device_cuts": 8}, EXIT_INFEASIBLE),
+        (TRAIN_PLAN, {}, EXIT_OK),
+        (TRAIN_PLAN, {"pivots": DROP}, EXIT_INFEASIBLE),
+        (TRAIN_PLAN, {"pivots": 17}, EXIT_INFEASIBLE),
+        (TRAIN_PLAN, {"pivots": [17, 34, 50]}, EXIT_INFEASIBLE),
+        (TRAIN_PLAN, {"device_cuts": DROP}, EXIT_INFEASIBLE),
+        (TRAIN_PLAN, {"device_cuts": "8,16,24"}, EXIT_INFEASIBLE),
+    ],
+    ids=[
+        "infer-valid", "infer-empty-stage", "infer-boundary-0", "infer-boundary-200",
+        "infer-decreasing", "infer-no-boundaries", "infer-boundaries-int", "infer-boundary-float",
+        "infer-no-device-cuts", "infer-device-cuts-int", "train-valid", "train-no-pivots",
+        "train-pivots-int", "train-pivot-ids", "train-no-device-cuts", "train-device-cuts-str",
+    ],
+)
+def test_pipeline_plan_on_bundled_inputs(tmp_path, base, change, status):
+    payload = {**base, **change}
+    payload = {key: value for key, value in payload.items() if value is not DROP}
+    assert _validate(tmp_path, payload) == status
+
+
+def test_plan_that_is_not_an_object_is_config_error(tmp_path):
+    assert _validate(tmp_path, [1]) == EXIT_CONFIG
+
 SEARCH_ARGS = {
     "opp": ["--task", "opp", "--graph", "t5_block", "--episodes", "4"],
     "adp": ["--task", "adp", "--graph", "vgg_classifier", "--episodes", "4"],
