@@ -7,13 +7,26 @@ target network scores it.  Replay is prioritized by absolute TD error with
 importance-sampling correction.  Everything runs in double precision with
 explicit analytic gradients so the backward pass can be checked against
 finite differences.
+
+The learner allocates almost nothing per step.  A network keeps all its
+parameters in one flat float64 vector (``QNetwork.flat``), and ``params``
+maps each tensor name to a reshaped view into it, in the order the tensors
+are drawn at initialization; ``backward`` writes into a gradient vector of
+the same layout.  Adam updates the flat vector in place, over two scratch
+buffers, with the per-tensor operations in their original order, so the
+results are bit-for-bit those of one update per tensor.  The replay buffer
+stores each transition field in a preallocated array and gathers a batch by
+index.  The online network scores ``next_states`` and ``states`` in two
+forward passes, not one stacked pass: a 128-row matrix product may sum in a
+different order than two 64-row ones, which changes the last bits of the
+Q values and, through them, of the losses and the learned plans.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -56,7 +69,12 @@ def epsilon_at(iteration: int, config: AgentConfig) -> float:
 
 
 class QNetwork:
-    """Dueling MLP: shared ReLU trunk, value head and advantage head."""
+    """Dueling MLP: shared ReLU trunk, value head and advantage head.
+
+    ``params`` and ``grads`` are views into the flat vectors ``flat`` and
+    ``grad_flat``: write into a view (``params[key][...] = value``), never
+    rebind it, or the flat vector no longer sees the change.
+    """
 
     def __init__(
         self,
@@ -64,31 +82,44 @@ class QNetwork:
         num_actions: int,
         hidden: Sequence[int] = (256, 256),
         rng: np.random.Generator | None = None,
+        flat: np.ndarray | None = None,
     ):
+        """Draw the parameters from ``rng``, or take ``flat`` over as they are."""
         if state_dim < 1 or num_actions < 1:
             raise ValueError("state_dim and num_actions must be positive")
         if not hidden:
             raise ValueError("the trunk needs at least one hidden layer")
-        rng = rng or np.random.default_rng(0)
         self.state_dim = state_dim
         self.num_actions = num_actions
         self.hidden = tuple(hidden)
-        self.params: dict[str, np.ndarray] = {}
+        # (name, shape, fan-in) in drawing order
+        self._layout: list[tuple[str, tuple[int, ...], int]] = []
         fan_in = state_dim
         for i, width in enumerate(self.hidden):
-            self.params[f"w{i}"] = self._init(rng, fan_in, width)
-            self.params[f"b{i}"] = self._init(rng, fan_in, width, bias=True)
+            self._layout += [(f"w{i}", (fan_in, width), fan_in), (f"b{i}", (width,), fan_in)]
             fan_in = width
-        self.params["wv"] = self._init(rng, fan_in, 1)
-        self.params["bv"] = self._init(rng, fan_in, 1, bias=True)
-        self.params["wa"] = self._init(rng, fan_in, num_actions)
-        self.params["ba"] = self._init(rng, fan_in, num_actions, bias=True)
+        for head, width in (("v", 1), ("a", num_actions)):
+            self._layout += [(f"w{head}", (fan_in, width), fan_in), (f"b{head}", (width,), fan_in)]
+        size = sum(int(np.prod(shape)) for _, shape, _ in self._layout)
+        self.flat = np.empty(size) if flat is None else flat
+        self.params = self.views(self.flat)
+        self.grad_flat = np.empty(size)
+        self.grads = self.views(self.grad_flat)
+        if flat is None:
+            rng = rng or np.random.default_rng(0)
+            for key, shape, fan_in in self._layout:
+                bound = 1.0 / np.sqrt(fan_in)
+                self.params[key][...] = rng.uniform(-bound, bound, size=shape)
 
-    @staticmethod
-    def _init(rng: np.random.Generator, fan_in: int, width: int, bias: bool = False) -> np.ndarray:
-        bound = 1.0 / np.sqrt(fan_in)
-        shape = (width,) if bias else (fan_in, width)
-        return rng.uniform(-bound, bound, size=shape).astype(np.float64)
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Per-tensor views into a vector laid out like ``flat``."""
+        out: dict[str, np.ndarray] = {}
+        start = 0
+        for key, shape, _ in self._layout:
+            stop = start + int(np.prod(shape))
+            out[key] = flat[start:stop].reshape(shape)
+            start = stop
+        return out
 
     def forward(self, states: np.ndarray) -> np.ndarray:
         q, _ = self.forward_cached(states)
@@ -112,31 +143,29 @@ class QNetwork:
         return q, cache
 
     def backward(self, cache: dict, dq: np.ndarray) -> dict[str, np.ndarray]:
-        """Gradients of a scalar loss given dLoss/dQ."""
-        grads: dict[str, np.ndarray] = {}
+        """Gradients of a scalar loss given dLoss/dQ, written into ``grads``."""
+        grads, params = self.grads, self.params
         h = cache["trunk_out"]
         dvalue = dq.sum(axis=1, keepdims=True)
-        dadv = dq - dq.sum(axis=1, keepdims=True) / self.num_actions
-        grads["wv"] = h.T @ dvalue
-        grads["bv"] = dvalue.sum(axis=0)
-        grads["wa"] = h.T @ dadv
-        grads["ba"] = dadv.sum(axis=0)
-        dh = dvalue @ self.params["wv"].T + dadv @ self.params["wa"].T
+        dadv = dq - dvalue / self.num_actions
+        np.matmul(h.T, dvalue, out=grads["wv"])
+        dvalue.sum(axis=0, out=grads["bv"])
+        np.matmul(h.T, dadv, out=grads["wa"])
+        dadv.sum(axis=0, out=grads["ba"])
+        dh = dvalue @ params["wv"].T + dadv @ params["wa"].T
         for i in range(len(self.hidden) - 1, -1, -1):
             dz = dh * (cache["pre"][i] > 0.0)
-            grads[f"w{i}"] = cache["inputs"][i].T @ dz
-            grads[f"b{i}"] = dz.sum(axis=0)
-            dh = dz @ self.params[f"w{i}"].T
+            np.matmul(cache["inputs"][i].T, dz, out=grads[f"w{i}"])
+            dz.sum(axis=0, out=grads[f"b{i}"])
+            if i:  # nothing needs the gradient of the states
+                dh = dz @ params[f"w{i}"].T
         return grads
 
     def copy_from(self, other: "QNetwork") -> None:
-        for key, value in other.params.items():
-            self.params[key] = value.copy()
+        self.flat[...] = other.flat
 
     def clone(self) -> "QNetwork":
-        twin = QNetwork(self.state_dim, self.num_actions, self.hidden)
-        twin.copy_from(self)
-        return twin
+        return QNetwork(self.state_dim, self.num_actions, self.hidden, flat=self.flat.copy())
 
 
 def sync_target(net: QNetwork, target_net: QNetwork) -> None:
@@ -180,39 +209,66 @@ class Transition:
     next_mask: np.ndarray
 
 
+class Batch(NamedTuple):
+    """Transition fields, one row per transition."""
+
+    states: np.ndarray
+    actions: np.ndarray
+    rewards: np.ndarray
+    next_states: np.ndarray
+    done: np.ndarray
+    next_masks: np.ndarray
+
+
 class PrioritizedReplayBuffer:
-    """Ring buffer with proportional prioritized sampling."""
+    """Ring buffer with proportional prioritized sampling.
+
+    Each transition field lives in its own array, allocated on the first
+    push once the state and mask sizes are known.
+    """
 
     def __init__(self, capacity: int = 2000):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._data: list[Transition] = []
+        self._store: Batch | None = None
         self._priorities = np.zeros(capacity, dtype=np.float64)
+        self._size = 0
         self._next = 0
 
     def __len__(self) -> int:
-        return len(self._data)
+        return self._size
 
     def push(self, transition: Transition) -> None:
         """Insert with the current maximum priority so it gets sampled soon."""
-        priority = self._priorities[: len(self._data)].max() if self._data else 1.0
-        if len(self._data) < self.capacity:
-            self._data.append(transition)
-        else:
-            self._data[self._next] = transition
+        t = transition
+        if self._store is None:
+            n = self.capacity
+            self._store = Batch(
+                np.zeros((n, len(t.state))),
+                np.zeros(n, dtype=np.int64),
+                np.zeros(n),
+                np.zeros((n, len(t.next_state))),
+                np.zeros(n),
+                np.zeros((n, len(t.next_mask)), dtype=bool),
+            )
+        priority = self._priorities[: self._size].max() if self._size else 1.0
+        fields = (t.state, t.action, t.reward, t.next_state, t.done, t.next_mask)
+        for column, value in zip(self._store, fields):
+            column[self._next] = value
         self._priorities[self._next] = priority
         self._next = (self._next + 1) % self.capacity
+        self._size = min(self._size + 1, self.capacity)
 
     def sample(
         self, batch_size: int, alpha: float, beta: float, rng: np.random.Generator
-    ) -> tuple[np.ndarray, list[Transition], np.ndarray]:
+    ) -> tuple[np.ndarray, Batch, np.ndarray]:
         """Sample indices with probability proportional to priority**alpha.
 
-        Returns (indices, transitions, importance weights); weights are
-        normalized by the batch maximum.
+        Returns (indices, the transitions at them, importance weights);
+        weights are normalized by the batch maximum.
         """
-        n = len(self._data)
+        n = self._size
         if n < batch_size:
             raise ValueError("not enough transitions to sample a batch")
         scaled = self._priorities[:n] ** alpha
@@ -220,34 +276,48 @@ class PrioritizedReplayBuffer:
         indices = rng.choice(n, size=batch_size, replace=True, p=probs)
         weights = (n * probs[indices]) ** (-beta)
         weights = weights / weights.max()
-        return indices, [self._data[i] for i in indices], weights
+        return indices, Batch(*(column[indices] for column in self._store)), weights
 
     def update_priorities(self, indices: np.ndarray, td_errors: np.ndarray) -> None:
         self._priorities[indices] = np.abs(td_errors) + 1e-6
 
 
 class AdamOptimizer:
-    """Adam with bias correction, one slot pair per parameter tensor."""
+    """Adam with bias correction over one flat parameter vector, in place."""
 
-    def __init__(self, params: dict[str, np.ndarray], config: AgentConfig):
+    def __init__(self, params: np.ndarray, config: AgentConfig):
         self.lr = config.lr
         self.beta1 = config.adam_beta1
         self.beta2 = config.adam_beta2
         self.eps = config.adam_eps
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        # np.zeros and np.empty leave the pages untouched until the first step
+        self.m = np.zeros(params.shape)
+        self.v = np.zeros(params.shape)
+        self._scratch = (np.empty(params.shape), np.empty(params.shape))
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+    def step(self, params: np.ndarray, grads: np.ndarray) -> None:
+        """``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g**2`` and
+        ``params -= lr*(m/c1) / (sqrt(v/c2) + eps)``, operation by operation."""
         self.t += 1
         correct1 = 1.0 - self.beta1**self.t
         correct2 = 1.0 - self.beta2**self.t
-        for key, grad in grads.items():
-            self.m[key] = self.beta1 * self.m[key] + (1.0 - self.beta1) * grad
-            self.v[key] = self.beta2 * self.v[key] + (1.0 - self.beta2) * grad**2
-            m_hat = self.m[key] / correct1
-            v_hat = self.v[key] / correct2
-            params[key] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        m, v = self.m, self.v
+        a, b = self._scratch
+        m *= self.beta1
+        np.multiply(grads, 1.0 - self.beta1, out=a)
+        m += a
+        v *= self.beta2
+        np.square(grads, out=a)
+        a *= 1.0 - self.beta2
+        v += a
+        np.divide(v, correct2, out=a)
+        np.sqrt(a, out=a)
+        a += self.eps
+        np.divide(m, correct1, out=b)
+        b *= self.lr
+        b /= a
+        params -= b
 
 
 def huber(x: np.ndarray, delta: float) -> np.ndarray:
@@ -267,34 +337,30 @@ def train_step(
     indices, batch, weights = buffer.sample(
         config.batch_size, config.per_alpha, config.per_beta, rng
     )
-    states = np.stack([t.state for t in batch])
-    actions = np.array([t.action for t in batch], dtype=np.int64)
-    rewards = np.array([t.reward for t in batch], dtype=np.float64)
-    next_states = np.stack([t.next_state for t in batch])
-    next_masks = np.stack([t.next_mask for t in batch]).astype(bool)
-    done = np.array([t.done for t in batch], dtype=np.float64)
+    states, actions, rewards, next_states, done, next_masks = batch
+    rows = np.arange(len(indices))
 
     # terminal rows may have empty masks; their bootstrap term is zeroed anyway
     has_next = next_masks.any(axis=1)
-    safe_masks = next_masks.copy()
+    safe_masks = next_masks  # a fresh gather, free to change
     safe_masks[~has_next, 0] = True
     done = np.maximum(done, (~has_next).astype(np.float64))
 
     online_next = net.forward(next_states)
     best_next = np.argmax(np.where(safe_masks, online_next, -np.inf), axis=1)
-    target_next = target_net.forward(next_states)[np.arange(len(batch)), best_next]
+    target_next = target_net.forward(next_states)[rows, best_next]
     targets = rewards + config.gamma * (1.0 - done) * target_next
 
     q_all, cache = net.forward_cached(states)
-    q_taken = q_all[np.arange(len(batch)), actions]
+    q_taken = q_all[rows, actions]
     td = q_taken - targets
 
     loss = float(np.mean(weights * huber(td, config.huber_delta)))
-    dq_taken = weights * np.clip(td, -config.huber_delta, config.huber_delta) / len(batch)
+    dq_taken = weights * np.clip(td, -config.huber_delta, config.huber_delta) / len(indices)
     dq = np.zeros_like(q_all)
-    dq[np.arange(len(batch)), actions] = dq_taken
-    grads = net.backward(cache, dq)
-    optimizer.step(net.params, grads)
+    dq[rows, actions] = dq_taken
+    net.backward(cache, dq)
+    optimizer.step(net.flat, net.grad_flat)
     buffer.update_priorities(indices, td)
     return loss
 
@@ -308,7 +374,7 @@ class DqnAgent:
         self.net = QNetwork(state_dim, num_actions, config.hidden, self.rng)
         self.target = self.net.clone()
         self.buffer = PrioritizedReplayBuffer(config.buffer_capacity)
-        self.optimizer = AdamOptimizer(self.net.params, config)
+        self.optimizer = AdamOptimizer(self.net.flat, config)
         self.train_steps = 0
 
     @property
@@ -338,12 +404,22 @@ class DqnAgent:
 
     # -- checkpointing ----------------------------------------------------
 
+    def _checkpoint_tensors(self) -> tuple[tuple[str, dict[str, np.ndarray]], ...]:
+        """(scope, per-tensor views) of the arrays a checkpoint holds."""
+        return (
+            ("net", self.net.params),
+            ("target", self.target.params),
+            ("adam.m", self.net.views(self.optimizer.m)),
+            ("adam.v", self.net.views(self.optimizer.v)),
+        )
+
     def save(self, path: str) -> None:
         """Write config, parameters, iteration count and RNG state."""
-        arrays = {f"net.{k}": v for k, v in self.net.params.items()}
-        arrays.update({f"target.{k}": v for k, v in self.target.params.items()})
-        arrays.update({f"adam.m.{k}": v for k, v in self.optimizer.m.items()})
-        arrays.update({f"adam.v.{k}": v for k, v in self.optimizer.v.items()})
+        arrays = {
+            f"{scope}.{key}": view
+            for scope, views in self._checkpoint_tensors()
+            for key, view in views.items()
+        }
         header = {
             "version": 1,
             "config": asdict(self.config),
@@ -370,20 +446,15 @@ class DqnAgent:
         raw["hidden"] = tuple(raw["hidden"])
         config = AgentConfig(**raw)
         agent = cls(config, header["state_dim"], header["num_actions"])
-        for scope, params in (("net", agent.net.params), ("target", agent.target.params)):
-            for key, expected in params.items():
+        # write into the views, so that the flat vectors see the stored values
+        for scope, views in agent._checkpoint_tensors():
+            for key, view in views.items():
                 stored = arrays.get(f"{scope}.{key}")
-                if stored is None or stored.shape != expected.shape:
+                if stored is None or stored.shape != view.shape:
                     raise CheckpointError(
-                        f"checkpoint parameter {scope}.{key} is missing or has the wrong shape"
+                        f"checkpoint array {scope}.{key} is missing or has the wrong shape"
                     )
-                params[key] = stored.astype(np.float64)
-        for slot, target in (("m", agent.optimizer.m), ("v", agent.optimizer.v)):
-            for key in target:
-                stored = arrays.get(f"adam.{slot}.{key}")
-                if stored is None or stored.shape != target[key].shape:
-                    raise CheckpointError(f"checkpoint slot adam.{slot}.{key} is missing or malformed")
-                target[key] = stored.astype(np.float64)
+                view[...] = stored
         agent.train_steps = int(header["train_steps"])
         agent.optimizer.t = int(header["adam_t"])
         state = header["rng_state"]

@@ -373,6 +373,13 @@ def validate_payload(
         values = payload.get(key)
         if not isinstance(values, list) or any(type(v) is not kind for v in values):
             return False, f"{key} must be a list of {kind.__name__} values"
+    sizes = {
+        "micro_batches": payload.get("micro_batches", 1),
+        "micro_batch_size": payload.get("micro_batch_size", 16),
+    }
+    for key, value in sizes.items():
+        if type(value) is not int or value < 1:
+            return False, f"{key} {value!r} is not a positive int"
     if task == "pp-train":
         if graph is None or topo is None:
             return False, "pipeline validation needs the graph and topology"
@@ -386,16 +393,13 @@ def validate_payload(
         if arrays is None or topo is None:
             return False, "inference validation needs the profile and topology"
         pivots = tuple(payload["boundaries"])
+        if not 1 <= len(pivots) < topo.num_devices:
+            return False, f"boundaries must give 2..{topo.num_devices} stages"
         env = PipeInferEnv(arrays, topo, num_stages=len(pivots) + 1)
         metrics = env.decode_metrics(pivots)
         # inference plans are costed on the normalized topology
         topo = env.topo_norm
-    plan = PipelinePlan(
-        pivots,
-        tuple(payload["device_cuts"]),
-        payload.get("micro_batches", 1),
-        payload.get("micro_batch_size", 16),
-    )
+    plan = PipelinePlan(pivots, tuple(payload["device_cuts"]), **sizes)
     length = pipeline_length(plan, metrics, topo)
     if abs(length - payload.get("pipeline_length_s", -1.0)) > 1e-9 * max(1.0, length):
         return False, f"recomputed pipeline length {length} disagrees"
@@ -579,6 +583,7 @@ def _run_search(cfg: RunConfig) -> int:
             "found_at_episode": best.episode,
             "time_to_best_s": best.found_at - started,
             "final_epsilon": agent.epsilon,
+            "learn_steps": agent.train_steps,
             "episodes": cfg.episodes,
             "seed": cfg.seed,
             "defaults": asdict(agent_config_for(cfg)),

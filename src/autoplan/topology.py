@@ -129,20 +129,28 @@ def transfer_time(num_bytes: float, src: int, dst: int, topo: DeviceTopology) ->
 
 
 def allreduce_time(num_bytes: float, devices: Sequence[int], topo: DeviceTopology) -> float:
-    """Ring allreduce time over a device group.
+    """Ring allreduce time over a device group, in the order given.
 
     The ring is bottlenecked by its slowest link, including the wrap-around
     link, giving 2*(n-1)/n * bytes / min_bw.  Groups of one device cost
-    nothing.
+    nothing.  A ring that visits more than one server crosses the network
+    at least twice, so its slowest link is the network whenever the network
+    is the slower of the two link kinds; only a network faster than the
+    links inside a server needs the links one by one.
     """
     if num_bytes < 0:
         raise ValueError("payload must be non-negative")
     n = len(devices)
-    if n <= 1 or num_bytes == 0:
-        for dev in devices:
-            topo.server_of(dev)
+    if n == 0:
         return 0.0
-    min_bw = min(
-        topo.bandwidth(devices[i], devices[(i + 1) % n]) for i in range(n)
-    )
+    lo, hi = min(devices), max(devices)
+    spans_servers = topo.server_of(lo) != topo.server_of(hi)
+    if n == 1 or num_bytes == 0:
+        return 0.0
+    if not spans_servers and lo != hi:
+        min_bw = topo.intra_bw
+    elif spans_servers and topo.inter_bw <= topo.intra_bw:
+        min_bw = topo.inter_bw
+    else:  # one device repeated, or a network faster than the server links
+        min_bw = min(topo.bandwidth(devices[i], devices[(i + 1) % n]) for i in range(n))
     return 2.0 * (n - 1) / n * num_bytes / min_bw

@@ -297,3 +297,212 @@ def label_map(graph: HloGraph, dims: Sequence[DimIndex]) -> dict[DimIndex, str]:
 
 def trainable_dims(graph: HloGraph) -> list[DimIndex]:
     return decision_dims(graph, graph.trainable_variables)
+
+
+# -- the DQN learner before the flat parameter vector, as an oracle ----------
+#
+# ReferenceQNetwork, ReferenceReplayBuffer, ReferenceAdamOptimizer and
+# reference_train_step are the per-tensor network, the Transition-list replay,
+# the dict-based Adam and the training step that ``autoplan.agent`` had before
+# its parameters became one flat vector, kept verbatim apart from their names,
+# type annotations and argument checks.
+
+
+class ReferenceQNetwork:
+    """Dueling MLP: shared ReLU trunk, value head and advantage head."""
+
+    def __init__(self, state_dim, num_actions, hidden=(256, 256), rng=None):
+        rng = rng or np.random.default_rng(0)
+        self.state_dim = state_dim
+        self.num_actions = num_actions
+        self.hidden = tuple(hidden)
+        self.params: dict[str, np.ndarray] = {}
+        fan_in = state_dim
+        for i, width in enumerate(self.hidden):
+            self.params[f"w{i}"] = self._init(rng, fan_in, width)
+            self.params[f"b{i}"] = self._init(rng, fan_in, width, bias=True)
+            fan_in = width
+        self.params["wv"] = self._init(rng, fan_in, 1)
+        self.params["bv"] = self._init(rng, fan_in, 1, bias=True)
+        self.params["wa"] = self._init(rng, fan_in, num_actions)
+        self.params["ba"] = self._init(rng, fan_in, num_actions, bias=True)
+
+    @staticmethod
+    def _init(rng, fan_in, width, bias=False):
+        bound = 1.0 / np.sqrt(fan_in)
+        shape = (width,) if bias else (fan_in, width)
+        return rng.uniform(-bound, bound, size=shape).astype(np.float64)
+
+    def forward(self, states):
+        q, _ = self.forward_cached(states)
+        return q
+
+    def forward_cached(self, states):
+        x = np.atleast_2d(np.asarray(states, dtype=np.float64))
+        cache: dict = {"inputs": [x]}
+        h = x
+        for i in range(len(self.hidden)):
+            z = h @ self.params[f"w{i}"] + self.params[f"b{i}"]
+            h = np.maximum(z, 0.0)
+            cache.setdefault("pre", []).append(z)
+            cache["inputs"].append(h)
+        value = h @ self.params["wv"] + self.params["bv"]
+        advantage = h @ self.params["wa"] + self.params["ba"]
+        q = value + advantage - advantage.mean(axis=1, keepdims=True)
+        cache["trunk_out"] = h
+        return q, cache
+
+    def backward(self, cache, dq):
+        grads: dict[str, np.ndarray] = {}
+        h = cache["trunk_out"]
+        dvalue = dq.sum(axis=1, keepdims=True)
+        dadv = dq - dq.sum(axis=1, keepdims=True) / self.num_actions
+        grads["wv"] = h.T @ dvalue
+        grads["bv"] = dvalue.sum(axis=0)
+        grads["wa"] = h.T @ dadv
+        grads["ba"] = dadv.sum(axis=0)
+        dh = dvalue @ self.params["wv"].T + dadv @ self.params["wa"].T
+        for i in range(len(self.hidden) - 1, -1, -1):
+            dz = dh * (cache["pre"][i] > 0.0)
+            grads[f"w{i}"] = cache["inputs"][i].T @ dz
+            grads[f"b{i}"] = dz.sum(axis=0)
+            dh = dz @ self.params[f"w{i}"].T
+        return grads
+
+    def copy_from(self, other):
+        for key, value in other.params.items():
+            self.params[key] = value.copy()
+
+    def clone(self):
+        twin = ReferenceQNetwork(self.state_dim, self.num_actions, self.hidden)
+        twin.copy_from(self)
+        return twin
+
+
+class ReferenceReplayBuffer:
+    """Ring buffer with proportional prioritized sampling."""
+
+    def __init__(self, capacity=2000):
+        self.capacity = capacity
+        self._data: list = []
+        self._priorities = np.zeros(capacity, dtype=np.float64)
+        self._next = 0
+
+    def __len__(self):
+        return len(self._data)
+
+    def push(self, transition):
+        priority = self._priorities[: len(self._data)].max() if self._data else 1.0
+        if len(self._data) < self.capacity:
+            self._data.append(transition)
+        else:
+            self._data[self._next] = transition
+        self._priorities[self._next] = priority
+        self._next = (self._next + 1) % self.capacity
+
+    def sample(self, batch_size, alpha, beta, rng):
+        n = len(self._data)
+        if n < batch_size:
+            raise ValueError("not enough transitions to sample a batch")
+        scaled = self._priorities[:n] ** alpha
+        probs = scaled / scaled.sum()
+        indices = rng.choice(n, size=batch_size, replace=True, p=probs)
+        weights = (n * probs[indices]) ** (-beta)
+        weights = weights / weights.max()
+        return indices, [self._data[i] for i in indices], weights
+
+    def update_priorities(self, indices, td_errors):
+        self._priorities[indices] = np.abs(td_errors) + 1e-6
+
+
+class ReferenceAdamOptimizer:
+    """Adam with bias correction, one slot pair per parameter tensor."""
+
+    def __init__(self, params, config):
+        self.lr = config.lr
+        self.beta1 = config.adam_beta1
+        self.beta2 = config.adam_beta2
+        self.eps = config.adam_eps
+        self.t = 0
+        self.m = {k: np.zeros_like(v) for k, v in params.items()}
+        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+
+    def step(self, params, grads):
+        self.t += 1
+        correct1 = 1.0 - self.beta1**self.t
+        correct2 = 1.0 - self.beta2**self.t
+        for key, grad in grads.items():
+            self.m[key] = self.beta1 * self.m[key] + (1.0 - self.beta1) * grad
+            self.v[key] = self.beta2 * self.v[key] + (1.0 - self.beta2) * grad**2
+            m_hat = self.m[key] / correct1
+            v_hat = self.v[key] / correct2
+            params[key] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def _reference_huber(x, delta):
+    absx = np.abs(x)
+    return np.where(absx <= delta, 0.5 * x**2, delta * (absx - 0.5 * delta))
+
+
+def reference_train_step(net, target_net, buffer, config, optimizer, rng) -> float:
+    """One double-DQN update on a prioritized batch; returns the loss."""
+    indices, batch, weights = buffer.sample(
+        config.batch_size, config.per_alpha, config.per_beta, rng
+    )
+    states = np.stack([t.state for t in batch])
+    actions = np.array([t.action for t in batch], dtype=np.int64)
+    rewards = np.array([t.reward for t in batch], dtype=np.float64)
+    next_states = np.stack([t.next_state for t in batch])
+    next_masks = np.stack([t.next_mask for t in batch]).astype(bool)
+    done = np.array([t.done for t in batch], dtype=np.float64)
+
+    # terminal rows may have empty masks; their bootstrap term is zeroed anyway
+    has_next = next_masks.any(axis=1)
+    safe_masks = next_masks.copy()
+    safe_masks[~has_next, 0] = True
+    done = np.maximum(done, (~has_next).astype(np.float64))
+
+    online_next = net.forward(next_states)
+    best_next = np.argmax(np.where(safe_masks, online_next, -np.inf), axis=1)
+    target_next = target_net.forward(next_states)[np.arange(len(batch)), best_next]
+    targets = rewards + config.gamma * (1.0 - done) * target_next
+
+    q_all, cache = net.forward_cached(states)
+    q_taken = q_all[np.arange(len(batch)), actions]
+    td = q_taken - targets
+
+    loss = float(np.mean(weights * _reference_huber(td, config.huber_delta)))
+    dq_taken = weights * np.clip(td, -config.huber_delta, config.huber_delta) / len(batch)
+    dq = np.zeros_like(q_all)
+    dq[np.arange(len(batch)), actions] = dq_taken
+    grads = net.backward(cache, dq)
+    optimizer.step(net.params, grads)
+    buffer.update_priorities(indices, td)
+    return loss
+
+
+class ReferenceLearner:
+    """The reference pieces wired together the way ``DqnAgent`` wires its own."""
+
+    def __init__(self, config, state_dim, num_actions, seed=0):
+        self.config = config
+        self.rng = np.random.default_rng(seed)
+        self.net = ReferenceQNetwork(state_dim, num_actions, config.hidden, self.rng)
+        self.target = self.net.clone()
+        self.buffer = ReferenceReplayBuffer(config.buffer_capacity)
+        self.optimizer = ReferenceAdamOptimizer(self.net.params, config)
+        self.train_steps = 0
+
+    def observe(self, transition):
+        self.buffer.push(transition)
+
+    def learn(self):
+        if len(self.buffer) < self.config.batch_size:
+            return None
+        loss = reference_train_step(
+            self.net, self.target, self.buffer, self.config, self.optimizer, self.rng
+        )
+        self.train_steps += 1
+        if self.train_steps % self.config.target_sync_every == 0:
+            self.target.copy_from(self.net)
+        return loss

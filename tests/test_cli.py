@@ -86,12 +86,26 @@ DROP = object()
         (TRAIN_PLAN, {"pivots": [17, 34, 50]}, EXIT_INFEASIBLE),
         (TRAIN_PLAN, {"device_cuts": DROP}, EXIT_INFEASIBLE),
         (TRAIN_PLAN, {"device_cuts": "8,16,24"}, EXIT_INFEASIBLE),
+        # micro-batch counts and sizes are positive ints
+        (INFER_PLAN, {"micro_batches": "4"}, EXIT_INFEASIBLE),
+        (INFER_PLAN, {"micro_batches": True}, EXIT_INFEASIBLE),
+        (INFER_PLAN, {"micro_batch_size": 0}, EXIT_INFEASIBLE),
+        (TRAIN_PLAN, {"micro_batches": "4"}, EXIT_INFEASIBLE),
+        (TRAIN_PLAN, {"micro_batches": 0}, EXIT_INFEASIBLE),
+        (TRAIN_PLAN, {"micro_batch_size": 16.0}, EXIT_INFEASIBLE),
+        (TRAIN_PLAN, {"micro_batch_size": -16}, EXIT_INFEASIBLE),
+        # an inference pipeline has 2..32 stages on configc
+        (INFER_PLAN, {"boundaries": [], "device_cuts": []}, EXIT_INFEASIBLE),
+        (INFER_PLAN, {"boundaries": list(range(1, 34)), "device_cuts": list(range(1, 34))}, EXIT_INFEASIBLE),
     ],
     ids=[
         "infer-valid", "infer-empty-stage", "infer-boundary-0", "infer-boundary-200",
         "infer-decreasing", "infer-no-boundaries", "infer-boundaries-int", "infer-boundary-float",
         "infer-no-device-cuts", "infer-device-cuts-int", "train-valid", "train-no-pivots",
         "train-pivots-int", "train-pivot-ids", "train-no-device-cuts", "train-device-cuts-str",
+        "infer-micro-batches-str", "infer-micro-batches-bool", "infer-micro-batch-size-0",
+        "train-micro-batches-str", "train-micro-batches-0", "train-micro-batch-size-float",
+        "train-micro-batch-size-negative", "infer-no-cuts", "infer-34-stages",
     ],
 )
 def test_pipeline_plan_on_bundled_inputs(tmp_path, base, change, status):
@@ -155,6 +169,25 @@ def test_summary_agrees_with_curve(tmp_path, task):
         # every plan is memory-feasible here, so the best plan has the top score 1/L
         scores = [float(r["score"]) for r in rows]
         assert summary["found_at_episode"] == int(rows[scores.index(max(scores))]["episode"])
+
+
+@pytest.mark.parametrize(
+    "args, learn_steps",
+    [
+        # about two steps an episode never fill a batch of 64: pure random search
+        (["--task", "adp", "--graph", "vgg_classifier", "--episodes", "30", "--seed", "3"], 0),
+        # 50 episodes of 6 steps; learning starts at the 64th transition
+        (
+            ["--task", "pp-infer", "--graph", "bert48_profile", "--episodes", "50",
+             "--stages", "4", "--topology", "configc"],
+            300 - 64 + 1,
+        ),
+    ],
+    ids=["adp-short", "pp-infer"],
+)
+def test_summary_counts_learn_steps(tmp_path, args, learn_steps):
+    assert main(args + ["--out", str(tmp_path / "plan.json")]) == EXIT_OK
+    assert json.loads((tmp_path / "plan_summary.json").read_text())["learn_steps"] == learn_steps
 
 
 def test_opp_finetune(tmp_path):
