@@ -7,7 +7,11 @@ as JSON (byte-identical for identical config and seed), an incrementally
 flushed training-curve CSV (episode, loss, total score, epsilon), and a run
 summary JSON: the effective defaults, the best reward, the episode that
 found it (``found_at_episode``), the wall time from the start of training
-to that episode (``time_to_best_s``) and ``final_epsilon``.
+to that episode (``time_to_best_s``) and ``final_epsilon``.  Partition
+searches (opp, adp) also report ``propagations``, the propagation runs the
+search made (linkage extraction, env steps and self-validation), and
+``linkage_cache``: ``hit`` or ``miss`` for a graph file, ``none`` for a
+bundled graph or a task without linkage.
 
 Exit codes: 0 ok, 2 configuration error, 3 infeasible (no valid plan),
 4 training divergence.
@@ -56,7 +60,7 @@ from autoplan.pipecost import (
     pipeline_length,
     stage_metrics,
 )
-from autoplan.sharding import DimStatus, Outcome, propagate
+from autoplan.sharding import DimStatus, Outcome, PropagationEngine, propagate
 from autoplan.topology import DeviceTopology, TopologyError, load_topology
 from autoplan.zoo import GRAPHS, PROFILES, zoo_graph, zoo_profile
 
@@ -219,12 +223,14 @@ def train(
         losses: list[float] = []
         steps: list[dict] = []
         info: dict = {}
+        mask = env.action_mask()
         while not env.done:
-            mask = env.action_mask()
             action = agent.act(state, mask)
             result = env.step(action)
+            # the next step acts on the mask this transition stores
+            mask = env.action_mask()
             agent.observe(
-                Transition(state, action, result.reward, result.next_state, result.done, env.action_mask())
+                Transition(state, action, result.reward, result.next_state, result.done, mask)
             )
             loss = agent.learn()
             if loss is not None:
@@ -289,18 +295,22 @@ def resolve_inputs(cfg: RunConfig, names: Sequence[str]) -> dict:
 
 
 def _linkage_for(graph: HloGraph, graph_spec: str | None):
-    """Linkage groups, cached next to on-disk graphs keyed by content hash."""
+    """Linkage groups, cached next to on-disk graphs keyed by content hash.
+
+    Returns the groups and how the cache served them: ``hit``, ``miss``
+    (extracted and written), or ``none`` for a bundled graph, which has no
+    file to cache next to.
+    """
     dims = decision_dims(graph, graph.trainable_variables)
-    cache_path = None
-    if graph_spec is not None and os.path.exists(graph_spec):
-        cache_path = graph_spec + ".linkage.json"
-        cached = load_cache(cache_path, graph)
-        if cached is not None:
-            return cached
+    if graph_spec is None or not os.path.exists(graph_spec):
+        return extract_linkage_groups(graph, dims), "none"
+    cache_path = graph_spec + ".linkage.json"
+    cached = load_cache(cache_path, graph)
+    if cached is not None:
+        return cached, "hit"
     groups = extract_linkage_groups(graph, dims)
-    if cache_path is not None:
-        save_cache(cache_path, graph, groups)
-    return groups
+    save_cache(cache_path, graph, groups)
+    return groups, "miss"
 
 
 # -- plan payloads and validation -------------------------------------------
@@ -388,13 +398,16 @@ def validate_payload(
             pivots = tuple(by_name[name] for name in payload["pivots"])
         except KeyError as exc:
             return False, f"unknown pivot {exc}"
-        metrics = stage_metrics(graph, pivots)
     else:
         if arrays is None or topo is None:
             return False, "inference validation needs the profile and topology"
         pivots = tuple(payload["boundaries"])
-        if not 1 <= len(pivots) < topo.num_devices:
-            return False, f"boundaries must give 2..{topo.num_devices} stages"
+    # planning refuses a single stage, so a plan cannot have one
+    if not 1 <= len(pivots) < topo.num_devices:
+        return False, f"{cut_field} must give 2..{topo.num_devices} stages"
+    if task == "pp-train":
+        metrics = stage_metrics(graph, pivots)
+    else:
         env = PipeInferEnv(arrays, topo, num_stages=len(pivots) + 1)
         metrics = env.decode_metrics(pivots)
         # inference plans are costed on the normalized topology
@@ -409,16 +422,17 @@ def validate_payload(
 # -- search tasks ------------------------------------------------------------
 
 
-def _opp_env(cfg: RunConfig, inputs: dict) -> SearchEnv:
+def _opp_env(cfg: RunConfig, inputs: dict, stats: dict) -> SearchEnv:
     graph = inputs["graph"]
-    return OppEnv(graph, groups=_linkage_for(graph, cfg.graph))
+    groups, stats["linkage_cache"] = _linkage_for(graph, cfg.graph)
+    return OppEnv(graph, groups=groups)
 
 
-def _adp_env(cfg: RunConfig, inputs: dict) -> SearchEnv:
+def _adp_env(cfg: RunConfig, inputs: dict, stats: dict) -> SearchEnv:
     return AdpEnv(inputs["graph"])
 
 
-def _pp_train_env(cfg: RunConfig, inputs: dict) -> SearchEnv:
+def _pp_train_env(cfg: RunConfig, inputs: dict, stats: dict) -> SearchEnv:
     return PipeTrainEnv(
         inputs["graph"],
         inputs["topo"],
@@ -431,7 +445,7 @@ def _pp_train_env(cfg: RunConfig, inputs: dict) -> SearchEnv:
     )
 
 
-def _pp_infer_env(cfg: RunConfig, inputs: dict) -> SearchEnv:
+def _pp_infer_env(cfg: RunConfig, inputs: dict, stats: dict) -> SearchEnv:
     arrays, topo = inputs["arrays"], inputs["topo"]
     boundary_bands, cut_bands = infer_search_bands(arrays, topo, cfg.stages, cfg.radius)
     return PipeInferEnv(
@@ -501,7 +515,8 @@ class SearchTask:
 
     # resolve_inputs names; the loaded inputs are validate_payload's keywords
     inputs: tuple[str, ...]
-    env: Callable[[RunConfig, dict], SearchEnv]
+    # builds the env from the config and inputs; may note run facts in stats
+    env: Callable[[RunConfig, dict, dict], SearchEnv]
     rank: Callable[[dict, float], tuple | float | None]
     # plan fields beyond task, graph, seed and episodes
     payload: Callable[[RunConfig, dict, Best], dict]
@@ -540,7 +555,9 @@ def _run_search(cfg: RunConfig) -> int:
     """Train, then write the self-validated best plan, its curve and a summary."""
     task = SEARCH_TASKS[cfg.task]
     inputs = resolve_inputs(cfg, task.inputs)
-    env = task.env(cfg, inputs)
+    runs_before = PropagationEngine.runs
+    stats: dict = {}
+    env = task.env(cfg, inputs, stats)
     agent = DqnAgent(agent_config_for(cfg), env.state_dim, env.num_actions, cfg.seed)
     curve_path, summary_path = _artifact_paths(cfg.out)
     curve = CurveWriter(curve_path)
@@ -575,21 +592,23 @@ def _run_search(cfg: RunConfig) -> int:
         return EXIT_INFEASIBLE
     write_json(cfg.out, payload)
     field, key = task.headline
-    write_json(
-        summary_path,
-        {
-            "task": cfg.task,
-            "best_reward": best.reward,
-            "found_at_episode": best.episode,
-            "time_to_best_s": best.found_at - started,
-            "final_epsilon": agent.epsilon,
-            "learn_steps": agent.train_steps,
-            "episodes": cfg.episodes,
-            "seed": cfg.seed,
-            "defaults": asdict(agent_config_for(cfg)),
-            field: best.info[key],
-        },
-    )
+    summary = {
+        "task": cfg.task,
+        "best_reward": best.reward,
+        "found_at_episode": best.episode,
+        "time_to_best_s": best.found_at - started,
+        "final_epsilon": agent.epsilon,
+        "learn_steps": agent.train_steps,
+        "episodes": cfg.episodes,
+        "seed": cfg.seed,
+        "defaults": asdict(agent_config_for(cfg)),
+        field: best.info[key],
+    }
+    if isinstance(env, PartitionSearchEnv):
+        # linkage extraction, env steps and self-validation alike
+        summary["propagations"] = PropagationEngine.runs - runs_before
+        summary["linkage_cache"] = stats.get("linkage_cache", "none")
+    write_json(summary_path, summary)
     logger.info("wrote %s (%s %.6g, episode %d)", cfg.out, field, best.info[key], best.episode)
     return EXIT_OK
 

@@ -47,7 +47,7 @@ from autoplan.pipecost import (
     pipeline_length,
     proportional_device_cuts,
 )
-from autoplan.sharding import DimStatus, Outcome, propagate
+from autoplan.sharding import DimStatus, Outcome, PropagationEngine
 from autoplan.topology import DeviceTopology
 
 ACTION_PARTITION = 0
@@ -73,9 +73,12 @@ class PartitionSearchEnv:
 
     The state is the decision vector over the candidate dims (-1 undecided,
     0 replicated, 1 partitioned) plus the normalized flat index of the dim
-    currently up for decision.  A step seeds the current dim with the chosen
-    status and re-propagates all decisions taken so far; every candidate dim
-    the propagation newly settles is rewarded at 0.4 (partitioned) or 0.1
+    currently up for decision.  One ``PropagationEngine`` serves the whole
+    run.  An episode starts from a copy of its pinned base state, and a step
+    seeds only the current dim, with the chosen status, onto the state the
+    previous step left; the rules are monotone, so this decides exactly what
+    propagating all decisions taken so far at once would.  Every candidate
+    dim the step newly settles is rewarded at 0.4 (partitioned) or 0.1
     (replicated).  A contradiction ends the episode with reward -1.
     """
 
@@ -94,17 +97,24 @@ class PartitionSearchEnv:
         self.order = list(order)
         self.num_actions = 2
         self.state_dim = len(self.dims) + 1
+        self.engine = PropagationEngine(graph, self.dims)
         self._feasibility: dict[Trigger, bool] = {}
+        self._rows: dict[int, list[int]] = {}  # the engine's state of the episode
         self._seeds: dict[DimIndex, DimStatus] = {}
         self._decided: dict[DimIndex, DimStatus] = {}
+        self._undecided: list[DimIndex] = []  # the candidate dims not in _decided
+        self._cursor = 0  # every dim in order[:_cursor] is decided
         self._done = True
         self._position: DimIndex | None = None
 
     # -- episode control --------------------------------------------------
 
     def reset(self) -> np.ndarray:
+        self._rows = self.engine.base()
         self._seeds = {}
         self._decided = {}
+        self._undecided = list(self.dims)
+        self._cursor = 0
         self._done = False
         self._position = self._next_position()
         return self._state()
@@ -126,8 +136,14 @@ class PartitionSearchEnv:
             if status == DimStatus.REPLICATED and self._partition_feasible(d):
                 continue
             seeds[d] = status
+        result = self.engine.run(seeds, start=self.engine.base())
+        if result.outcome is Outcome.CONFLICT:
+            raise ValueError("finetune needs a conflict-free strategy")
+        self._rows = result.rows
         self._seeds = seeds
         self._decided = dict(seeds)
+        self._undecided = [d for d in self.dims if d not in seeds]
+        self._cursor = 0
         self._position = self._next_position()
         self._done = self._position is None
         return self._state()
@@ -143,28 +159,30 @@ class PartitionSearchEnv:
             raise EpisodeError(f"unknown action {action}")
         dim = self._position
         assert dim is not None
-        seeds = dict(self._seeds)
-        seeds[dim] = status
-        result = propagate(self.graph, seeds, self.dims)
+        result = self.engine.run({dim: status}, start=self._rows)
         if result.outcome is Outcome.CONFLICT:
             self._done = True
             return StepResult(self._state(), -1.0, True, {"conflict": True})
 
-        decided: dict[DimIndex, DimStatus] = {}
-        for d in self.dims:
-            value = result.assignments[d.instruction_id].statuses[d.dim]
-            if value != DimStatus.UNDECIDED:
-                decided[d] = DimStatus(value)
-        newly = [s for d, s in decided.items() if d not in self._decided]
-        reward = 0.4 * sum(s == DimStatus.PARTITIONED for s in newly) + 0.1 * sum(
-            s == DimStatus.REPLICATED for s in newly
-        )
-        self._seeds = seeds
-        self._decided = decided
+        self._seeds[dim] = status
+        # only dims undecided so far can have been settled by this step
+        undecided: list[DimIndex] = []
+        newly: list[tuple[DimIndex, DimStatus]] = []
+        for d in self._undecided:
+            value = self._rows[d.instruction_id][d.dim]
+            if value == DimStatus.UNDECIDED:
+                undecided.append(d)
+            else:
+                newly.append((d, DimStatus(value)))
+        self._undecided = undecided
+        self._decided.update(newly)
+        partitioned = sum(s == DimStatus.PARTITIONED for _, s in newly)
+        replicated = len(newly) - partitioned
+        reward = 0.4 * partitioned + 0.1 * replicated
         info = {
             "conflict": False,
-            "newly_partitioned": sum(s == DimStatus.PARTITIONED for s in newly),
-            "newly_replicated": sum(s == DimStatus.REPLICATED for s in newly),
+            "newly_partitioned": partitioned,
+            "newly_replicated": replicated,
         }
         if result.outcome is Outcome.COMPLETE:
             self._done = True
@@ -208,10 +226,15 @@ class PartitionSearchEnv:
     # -- internals --------------------------------------------------------
 
     def _next_position(self) -> DimIndex | None:
-        for d in self.order:
-            if d not in self._decided:
-                return d
-        return None
+        """The first dim in decision order that is still undecided.
+
+        Decisions only accumulate within an episode, so the scan resumes
+        where the previous one stopped.
+        """
+        order = self.order
+        while self._cursor < len(order) and order[self._cursor] in self._decided:
+            self._cursor += 1
+        return order[self._cursor] if self._cursor < len(order) else None
 
     def _state(self) -> np.ndarray:
         vec = np.full(self.state_dim, float(DimStatus.UNDECIDED), dtype=np.float64)
@@ -228,7 +251,7 @@ class PartitionSearchEnv:
         if trigger in self.groups:
             return not self.groups[trigger].infeasible
         if trigger not in self._feasibility:
-            result = propagate(self.graph, {dim: DimStatus.PARTITIONED}, self.dims)
+            result = self.engine.run({dim: DimStatus.PARTITIONED}, start=self.engine.base())
             self._feasibility[trigger] = result.outcome is not Outcome.CONFLICT
         return self._feasibility[trigger]
 

@@ -1,10 +1,11 @@
 """Linkage groups: which dims a single sharding decision drags along.
 
 For every candidate dim and for both decisions (partition / replicate), the
-dim is seeded alone and propagated.  The candidate dims that come out
-decided form the dim's linkage group for that decision.  Group sizes drive
-the decision order during search: dims whose decisions settle many other
-dims are decided first, which shortens episodes considerably.
+dim is seeded alone onto the pinned base state of one propagation engine
+and propagated.  The candidate dims that come out decided form the dim's
+linkage group for that decision.  Group sizes drive the decision order
+during search: dims whose decisions settle many other dims are decided
+first, which shortens episodes considerably.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ def extract_linkage_groups(
     for di in dims:
         for status in (DimStatus.PARTITIONED, DimStatus.REPLICATED):
             trigger = (di, status)
-            result = engine.run({di: status})
+            result = engine.run({di: status}, start=engine.base())
             if result.outcome is Outcome.CONFLICT:
                 groups[trigger] = LinkageGroup(trigger=trigger, implied=(), infeasible=True)
             else:

@@ -1,8 +1,8 @@
 """SPMD sharding status propagation over a computation graph.
 
 Every tensor dimension carries one of three statuses: partitioned across all
-devices, replicated, or undecided.  Seeding some dims and running the rule
-table to a fixed point derives the statuses forced on the rest of the graph.
+devices, replicated, or undecided.  Seeding some dims and running the rules
+to a fixed point derives the statuses forced on the rest of the graph.
 Because "partitioned" always means split across the whole device set, a
 tensor can hold at most one partitioned dim; requesting a second one is a
 conflict, and deciding one dim partitioned forces the tensor's remaining
@@ -17,17 +17,31 @@ and data parallelism keeps the weights replicated.  Constants stay free,
 since they are produced inside the graph and any device can build any slice
 of one locally.
 
-Rules are monotone implications, so propagation is order independent: the
-fixed point of a seed set does not depend on the order the seeds arrive in,
-and seeding dims one at a time classifies conflict exactly as seeding them
-all at once does.
+Each instruction's rule becomes one or more plans over the tensors it
+reads and writes, and ``PropagationEngine`` indexes the plans by tensor
+once per graph.  Propagation is a worklist: when a tensor's status row
+changes, only the plans touching that tensor fire again, until no plan
+changes anything.  Runs work on raw rows (a list of ints per instruction);
+a result builds ``ShardingSpec``s only when its ``assignments`` are read.
+``rule_for`` applies one opcode's plans to standalone specs through the same
+worklist.
+
+The rules are monotone implications, so the fixed point of a seed set does
+not depend on the order in which the seeds arrive, and a conflict is found
+whatever the order.  A run may therefore start from an earlier fixed point:
+an engine keeps the fixed point of its pins alone (the base state), linkage
+extraction seeds each trigger onto a copy of it, and a search seeds one
+decision per step onto the state its previous step left.  Seeding dims one
+at a time decides and classifies exactly as seeding them all at once does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, field
 from enum import Enum, IntEnum
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property
+from typing import Callable, Mapping, Sequence
 
 from autoplan.ir import (
     ELEMENTWISE_BINARY,
@@ -99,18 +113,34 @@ class ShardingSpec:
         return all(s != DimStatus.UNDECIDED for s in self.statuses)
 
 
+# the status row of every instruction, keyed by instruction id
+Rows = dict[int, list[int]]
+
+
 @dataclass(frozen=True)
 class PropagationResult:
-    """Outcome of running the rule table from a seed set to a fixed point.
+    """Outcome of running the rules from a seed set to a fixed point.
 
-    ``newly_decided`` lists the candidate dims that propagation derived
-    beyond the seeds themselves, in flat-index order.
+    ``rows`` holds the raw status row of every instruction, keyed by id; on
+    a conflict it is the state at the contradiction, and ``conflict_site``
+    the instruction whose rule or seed met it.  ``newly_decided`` lists
+    the candidate dims decided beyond the seeds themselves, in candidate
+    order.  ``assignments`` builds a ``ShardingSpec`` per instruction from
+    the rows when it is first read.
     """
 
     outcome: Outcome
-    assignments: dict[int, ShardingSpec]
+    rows: Rows
     conflict_site: int | None
     newly_decided: tuple[tuple[DimIndex, DimStatus], ...]
+    graph: HloGraph = field(repr=False, compare=False)
+
+    @cached_property
+    def assignments(self) -> dict[int, ShardingSpec]:
+        return {
+            ins.id: ShardingSpec(statuses=tuple(self.rows[ins.id]), dims=ins.shape.dims)
+            for ins in self.graph.instructions
+        }
 
 
 class _Conflict(Exception):
@@ -121,18 +151,25 @@ class _Conflict(Exception):
 _P = int(DimStatus.PARTITIONED)
 _R = int(DimStatus.REPLICATED)
 _U = int(DimStatus.UNDECIDED)
+_STATUS = {_P: DimStatus.PARTITIONED, _R: DimStatus.REPLICATED}
+
+# a rule plan: the function that fires it and its arguments after (rows, dirty)
+Plan = tuple[Callable[..., None], tuple]
 
 
-def _set(state: dict[int, list[int]], tid: int, dim: int, value: int, site: int) -> bool:
-    """Record one status, enforcing the single-partition rule per tensor."""
-    row = state[tid]
+def _set(rows: Rows, tid: int, dim: int, value: int, site: int, dirty: list[int]) -> None:
+    """Record one status, enforcing the single-partition rule per tensor.
+
+    A tensor whose row changes is appended to ``dirty``.
+    """
+    row = rows[tid]
     cur = row[dim]
     if cur == value:
-        return False
+        return
     if cur != _U:
         raise _Conflict(site)
     if value == _P:
-        if any(s == _P for s in row):
+        if _P in row:
             raise _Conflict(site)
         row[dim] = _P
         # one partitioned dim pins the rest of the tensor to replicated
@@ -141,100 +178,211 @@ def _set(state: dict[int, list[int]], tid: int, dim: int, value: int, site: int)
                 row[j] = _R
     else:
         row[dim] = value
-    return True
+    dirty.append(tid)
 
 
-def _link(state: dict[int, list[int]], a: tuple[int, int], b: tuple[int, int], site: int) -> bool:
-    va = state[a[0]][a[1]]
-    vb = state[b[0]][b[1]]
+def _link(rows: Rows, ta: int, da: int, tb: int, db: int, site: int, dirty: list[int]) -> None:
+    va = rows[ta][da]
+    vb = rows[tb][db]
     if va == vb:
-        return False
+        return
     if va == _U:
-        return _set(state, a[0], a[1], vb, site)
-    if vb == _U:
-        return _set(state, b[0], b[1], va, site)
-    raise _Conflict(site)
+        _set(rows, ta, da, vb, site, dirty)
+    elif vb == _U:
+        _set(rows, tb, db, va, site, dirty)
+    else:
+        raise _Conflict(site)
+
+
+def _fire_links(rows: Rows, dirty: list[int], links: tuple, site: int) -> None:
+    """Dims that must share one status: elementwise, transpose, aligned
+    reshape, broadcast and kept-reduce-dim pairs."""
+    for ta, da, tb, db in links:
+        _link(rows, ta, da, tb, db, site, dirty)
+
+
+def _fire_dot(rows: Rows, dirty: list[int], a: int, b: int, c: int) -> None:
+    """dot(A[m,k], B[k,n]) -> C[m,n].
+
+    The m and n dims flow between operand and output; the contracting k
+    dims must agree.  Partitioning m (n) leaves the other operand fully
+    replicated, and a partitioned contracting dim forces the output to full
+    replication, which models the implied allreduce.
+    """
+    _link(rows, a, 0, c, 0, c, dirty)
+    _link(rows, b, 1, c, 1, c, dirty)
+    _link(rows, a, 1, b, 0, c, dirty)
+    ra, rb, rc = rows[a], rows[b], rows[c]
+    if ra[0] == _P or rc[0] == _P:
+        _set(rows, b, 0, _R, c, dirty)
+        _set(rows, b, 1, _R, c, dirty)
+    if rb[1] == _P or rc[1] == _P:
+        _set(rows, a, 0, _R, c, dirty)
+        _set(rows, a, 1, _R, c, dirty)
+    if ra[1] == _P or rb[0] == _P:
+        _set(rows, c, 0, _R, c, dirty)
+        _set(rows, c, 1, _R, c, dirty)
+
+
+def _fire_reduce(rows: Rows, dirty: list[int], a: int, reduced: tuple[int, ...], out: int) -> None:
+    """A partitioned reduced dim implies an allreduce, so the output is
+    fully replicated; a partitioned output dim rules that out."""
+    out_row = rows[out]
+    if any(rows[a][r] == _P for r in reduced):
+        for j in range(len(out_row)):
+            _set(rows, out, j, _R, out, dirty)
+    if _P in out_row:
+        for r in reduced:
+            _set(rows, a, r, _R, out, dirty)
+
+
+def _rule(
+    opcode: str,
+    operands: Sequence[int],
+    out: int,
+    out_rank: int,
+    operand_dims: Sequence[tuple[int, ...] | None],
+    out_dims: tuple[int, ...] | None,
+) -> tuple[list[Plan], list[tuple[int, int]]]:
+    """The plans and the forced-replicated dims of one op's rule.
+
+    ``operands`` and ``out`` are row ids; a get-tuple-element passes the
+    tuple element it reads as its one operand.  Reshape, broadcast and
+    reduce need the extents in ``operand_dims`` and ``out_dims``.
+    """
+    if opcode in ("reshape", "broadcast", "reduce") and (operand_dims[0] is None or out_dims is None):
+        raise ValueError(f"rule for {opcode} needs specs with dims attached")
+    plans: list[Plan] = []
+    forced: list[tuple[int, int]] = []
+    if opcode in ELEMENTWISE_BINARY or opcode in ELEMENTWISE_UNARY or opcode == "get-tuple-element":
+        links = tuple([(op, d, out, d) for op in operands for d in range(out_rank)])
+        plans.append((_fire_links, (links, out)))
+    elif opcode == "dot":
+        a, b = operands
+        plans.append((_fire_dot, (a, b, out)))
+    elif opcode == "transpose":
+        (a,) = operands
+        links = tuple([(a, out_rank - 1 - d, out, d) for d in range(out_rank)])
+        plans.append((_fire_links, (links, out)))
+    elif opcode == "reshape":
+        (a,) = operands
+        aligned, un_in, un_out = _pair_reshape(operand_dims[0], out_dims)
+        plans.append((_fire_links, (tuple([(a, i, out, j) for i, j in aligned]), out)))
+        forced.extend((a, i) for i in un_in)
+        forced.extend((out, j) for j in un_out)
+    elif opcode == "broadcast":
+        (a,) = operands
+        pairs = _pair_broadcast(operand_dims[0], out_dims)
+        plans.append((_fire_links, (tuple([(a, i, out, j) for i, j in pairs]), out)))
+        paired_out = {j for _, j in pairs}
+        forced.extend((out, j) for j in range(out_rank) if j not in paired_out)
+    elif opcode == "reduce":
+        (a,) = operands
+        pairs, reduced = _pair_reduce(operand_dims[0], out_dims)
+        if pairs:
+            plans.append((_fire_links, (tuple([(a, i, out, j) for i, j in pairs]), out)))
+        if reduced and out_rank:
+            plans.append((_fire_reduce, (a, tuple(reduced), out)))
+    elif opcode not in ("parameter", "constant", "tuple"):
+        raise ValueError(f"unknown opcode {opcode!r}")
+    return plans, forced
+
+
+def _drain(rows: Rows, dirty: list[int], plans: Sequence[Plan], touching: Mapping[int, Sequence[int]]) -> None:
+    """Fire the plans touching each changed tensor until none changes a row.
+
+    ``dirty`` lists the tensors changed since ``rows`` was last a fixed
+    point; ``touching`` maps a tensor to the indices of the plans over it.
+    Raises ``_Conflict`` at the first contradiction.
+    """
+    queue: deque[int] = deque()
+    queued: set[int] = set()
+    while True:
+        for tid in dirty:
+            for p in touching.get(tid, ()):
+                if p not in queued:
+                    queued.add(p)
+                    queue.append(p)
+        dirty.clear()
+        if not queue:
+            return
+        p = queue.popleft()
+        queued.discard(p)
+        fire, args = plans[p]
+        fire(rows, dirty, *args)
 
 
 class PropagationEngine:
-    """Reusable propagation over a fixed graph and candidate dim set.
+    """Propagation over a fixed graph and candidate dim set.
 
-    Parameters whose dims are not among the candidates are pinned to full
-    replication on every run.  With ``candidates=None`` the candidates are
-    all dims of the seeded tensors, so every parameter that is not seeded is
-    replicated.
+    The rule plans are built and indexed by tensor once.  Parameters whose
+    dims are not among the candidates are pinned to full replication on
+    every run.  With ``candidates`` given, ``base()`` keeps the fixed point
+    of those pins (the base state), and runs that start from a copy of it
+    skip re-deriving what the pins force.  With ``candidates=None`` the
+    candidates are all dims of the seeded tensors, so every parameter that
+    is not seeded is replicated and the pins are derived per run.
+
+    ``PropagationEngine.runs`` counts the runs of every engine in the
+    process.
     """
+
+    runs = 0
 
     def __init__(self, graph: HloGraph, candidates: Sequence[DimIndex] | None = None):
         self.graph = graph
         self.candidates = list(candidates) if candidates is not None else None
-        self._plans: list[tuple[int, str, tuple]] = []
-        self._forced_replicated: list[tuple[int, int]] = []
-        self._build()
-        self._pinned = (
-            self._forced_replicated + self._replicated_inputs(self.candidates)
-            if self.candidates is not None
-            else None
-        )
+        self._plans: list[Plan] = []
+        touching: dict[int, list[int]] = {}
+        self._forced: list[tuple[int, int]] = []
+        for ins in graph.instructions:
+            operands = ins.operand_ids
+            if ins.opcode == "get-tuple-element":
+                element = graph.instruction(operands[0]).operand_ids[graph.tuple_element_index(ins)]
+                operands = (element,)
+            plans, forced = _rule(
+                ins.opcode,
+                operands,
+                ins.id,
+                ins.shape.rank,
+                [graph.instruction(op).shape.dims for op in operands],
+                ins.shape.dims,
+            )
+            for plan in plans:
+                for tid in {*operands, ins.id}:
+                    touching.setdefault(tid, []).append(len(self._plans))
+                self._plans.append(plan)
+            self._forced.extend(forced)
+        self._touching = {tid: tuple(ps) for tid, ps in touching.items()}
+        self._base: Rows | None = None
 
-    def _build(self) -> None:
-        g = self.graph
-        for ins in g.instructions:
-            out = ins.id
-            ops = ins.operand_ids
-            if ins.opcode in ELEMENTWISE_BINARY or ins.opcode in ELEMENTWISE_UNARY:
-                links = [((op, d), (out, d)) for op in ops for d in range(ins.shape.rank)]
-                self._plans.append((out, "links", tuple(links)))
-            elif ins.opcode == "dot":
-                a, b = ops
-                self._plans.append((out, "dot", (a, b)))
-            elif ins.opcode == "transpose":
-                (a,) = ops
-                rank = ins.shape.rank
-                links = [((a, rank - 1 - d), (out, d)) for d in range(rank)]
-                self._plans.append((out, "links", tuple(links)))
-            elif ins.opcode == "reshape":
-                (a,) = ops
-                aligned, un_in, un_out = _pair_reshape(
-                    g.instruction(a).shape.dims, ins.shape.dims
-                )
-                links = [((a, i), (out, j)) for i, j in aligned]
-                self._plans.append((out, "links", tuple(links)))
-                self._forced_replicated.extend((a, i) for i in un_in)
-                self._forced_replicated.extend((out, j) for j in un_out)
-            elif ins.opcode == "broadcast":
-                (a,) = ops
-                pairs = _pair_broadcast(g.instruction(a).shape.dims, ins.shape.dims)
-                paired_out = {j for _, j in pairs}
-                links = [((a, i), (out, j)) for i, j in pairs]
-                self._plans.append((out, "links", tuple(links)))
-                self._forced_replicated.extend(
-                    (out, j) for j in range(ins.shape.rank) if j not in paired_out
-                )
-            elif ins.opcode == "reduce":
-                (a,) = ops
-                pairs, reduced = _pair_reduce(g.instruction(a).shape.dims, ins.shape.dims)
-                links = [((a, i), (out, j)) for i, j in pairs]
-                if links:
-                    self._plans.append((out, "links", tuple(links)))
-                if reduced and ins.shape.rank:
-                    self._plans.append((out, "reduce", (a, tuple(reduced))))
-            elif ins.opcode == "get-tuple-element":
-                idx = g.tuple_element_index(ins)
-                element = g.instruction(ops[0]).operand_ids[idx]
-                links = [((element, d), (out, d)) for d in range(ins.shape.rank)]
-                self._plans.append((out, "links", tuple(links)))
-            # parameter, constant and tuple have no rule
+    def base(self) -> Rows:
+        """A copy of the base state: the fixed point of the pins alone.
 
-    def _replicated_inputs(self, candidates: Sequence[DimIndex]) -> list[tuple[int, int]]:
-        """Every dim of each parameter that holds no candidate dim."""
+        It is computed on the first call and kept for the next ones.
+        """
+        if self._base is None:
+            if self.candidates is None:
+                raise ValueError("an engine without candidates has no fixed base state")
+            # pins hold only replicated statuses, which cannot conflict
+            self._base, dirty = self._pinned(self.candidates)
+            _drain(self._base, dirty, self._plans, self._touching)
+        return {tid: row[:] for tid, row in self._base.items()}
+
+    def _pinned(self, candidates: Sequence[DimIndex]) -> tuple[Rows, list[int]]:
+        """Rows with only the pins set, and the tensors they changed."""
+        rows = {ins.id: [_U] * ins.shape.rank for ins in self.graph.instructions}
+        dirty: list[int] = []
         chosen = {di.instruction_id for di in candidates}
-        return [
+        inputs = [
             (ins.id, d)
             for ins in self.graph.instructions
             if ins.opcode == "parameter" and ins.id not in chosen
             for d in range(ins.shape.rank)
         ]
+        for tid, dim in self._forced + inputs:
+            _set(rows, tid, dim, _R, tid, dirty)
+        return rows, dirty
 
     def _candidate_dims(self, seeds: Mapping[DimIndex, DimStatus]) -> list[DimIndex]:
         if self.candidates is not None:
@@ -242,102 +390,43 @@ class PropagationEngine:
         names = {self.graph.instruction(di.instruction_id).name for di in seeds}
         return decision_dims(self.graph, names)
 
-    def run(self, seeds: Mapping[DimIndex, DimStatus]) -> PropagationResult:
-        g = self.graph
-        state: dict[int, list[int]] = {
-            ins.id: [_U] * ins.shape.rank for ins in g.instructions
-        }
-        candidates = self._candidate_dims(seeds)
-        pinned = self._pinned
-        if pinned is None:
-            pinned = self._forced_replicated + self._replicated_inputs(candidates)
-        seed_keys = set()
-        conflict_site: int | None = None
-        try:
-            for tid, dim in pinned:
-                _set(state, tid, dim, _R, tid)
-            for di in sorted(seeds, key=lambda d: (d.instruction_id, d.dim)):
-                if di.instruction_id not in state:
-                    raise GraphValidationError(f"seed references unknown instruction {di.instruction_id}")
-                if di.dim >= len(state[di.instruction_id]):
-                    raise GraphValidationError(
-                        f"seed dim {di.dim} out of range for instruction {di.instruction_id}"
-                    )
-                seed_keys.add((di.instruction_id, di.dim))
-                _set(state, di.instruction_id, di.dim, int(seeds[di]), di.instruction_id)
-            self._fixed_point(state)
-        except _Conflict as c:
-            conflict_site = c.site
+    def run(
+        self, seeds: Mapping[DimIndex, DimStatus], start: Rows | None = None
+    ) -> PropagationResult:
+        """Propagate ``seeds`` to a fixed point.
 
-        assignments = {
-            ins.id: ShardingSpec(statuses=tuple(state[ins.id]), dims=ins.shape.dims)
-            for ins in g.instructions
-        }
-        if conflict_site is not None:
-            return PropagationResult(Outcome.CONFLICT, assignments, conflict_site, ())
-        newly = tuple(
-            (di, DimStatus(state[di.instruction_id][di.dim]))
-            for di in candidates
-            if (di.instruction_id, di.dim) not in seed_keys
-            and state[di.instruction_id][di.dim] != _U
-        )
-        complete = all(state[di.instruction_id][di.dim] != _U for di in candidates)
-        outcome = Outcome.COMPLETE if complete else Outcome.INCOMPLETE
-        return PropagationResult(outcome, assignments, None, newly)
-
-    def _fixed_point(self, state: dict[int, list[int]]) -> None:
-        max_rank = max((ins.shape.rank for ins in self.graph.instructions), default=1)
-        cap = max(2, len(self.graph) * max(1, max_rank) + 2)
-        for _ in range(cap):
-            changed = False
-            for site, kind, payload in self._plans:
-                if kind == "links":
-                    for a, b in payload:
-                        changed |= _link(state, a, b, site)
-                elif kind == "dot":
-                    changed |= self._apply_dot(state, payload[0], payload[1], c=site)
-                else:
-                    changed |= self._apply_reduce(state, payload[0], payload[1], out=site)
-            if not changed:
-                return
-        raise RuntimeError("sharding propagation failed to reach a fixed point")
-
-    @staticmethod
-    def _apply_dot(state: dict[int, list[int]], a: int, b: int, c: int) -> bool:
-        """dot(A[m,k], B[k,n]) -> C[m,n].
-
-        The m and n dims flow between operand and output; the contracting k
-        dims must agree.  Partitioning m (n) leaves the other operand fully
-        replicated, and a partitioned contracting dim forces the output to
-        full replication, which models the implied allreduce.
+        Without ``start`` the run begins from the bare pins.  A ``start``
+        must be a fixed point of this engine, such as ``base()`` or the rows
+        of an earlier conflict-free result; the seeds go onto it in place,
+        so a search can seed one decision per step onto the state the
+        previous step left.
         """
-        changed = _link(state, (a, 0), (c, 0), c)
-        changed |= _link(state, (b, 1), (c, 1), c)
-        changed |= _link(state, (a, 1), (b, 0), c)
-        if state[a][0] == _P or state[c][0] == _P:
-            changed |= _set(state, b, 0, _R, c)
-            changed |= _set(state, b, 1, _R, c)
-        if state[b][1] == _P or state[c][1] == _P:
-            changed |= _set(state, a, 0, _R, c)
-            changed |= _set(state, a, 1, _R, c)
-        if state[a][1] == _P or state[b][0] == _P:
-            changed |= _set(state, c, 0, _R, c)
-            changed |= _set(state, c, 1, _R, c)
-        return changed
-
-    @staticmethod
-    def _apply_reduce(state: dict[int, list[int]], a: int, reduced: tuple[int, ...], out: int) -> bool:
-        """A partitioned reduced dim implies an allreduce, so the output is
-        fully replicated; a partitioned output dim rules that out."""
-        changed = False
-        out_row = state[out]
-        if any(state[a][r] == _P for r in reduced):
-            for j in range(len(out_row)):
-                changed |= _set(state, out, j, _R, out)
-        if any(s == _P for s in out_row):
-            for r in reduced:
-                changed |= _set(state, a, r, _R, out)
-        return changed
+        PropagationEngine.runs += 1
+        order = sorted(seeds, key=lambda d: (d.instruction_id, d.dim))
+        for di in order:
+            if di.instruction_id not in self.graph:
+                raise GraphValidationError(f"seed references unknown instruction {di.instruction_id}")
+            if di.dim >= self.graph.instruction(di.instruction_id).shape.rank:
+                raise GraphValidationError(
+                    f"seed dim {di.dim} out of range for instruction {di.instruction_id}"
+                )
+        candidates = self._candidate_dims(seeds)
+        rows, dirty = self._pinned(candidates) if start is None else (start, [])
+        try:
+            for di in order:
+                _set(rows, di.instruction_id, di.dim, int(seeds[di]), di.instruction_id, dirty)
+            _drain(rows, dirty, self._plans, self._touching)
+        except _Conflict as c:
+            return PropagationResult(Outcome.CONFLICT, rows, c.site, (), self.graph)
+        seeded = {(di.instruction_id, di.dim) for di in order}
+        newly = tuple(
+            (di, _STATUS[rows[di.instruction_id][di.dim]])
+            for di in candidates
+            if (di.instruction_id, di.dim) not in seeded and rows[di.instruction_id][di.dim] != _U
+        )
+        complete = all(rows[di.instruction_id][di.dim] != _U for di in candidates)
+        outcome = Outcome.COMPLETE if complete else Outcome.INCOMPLETE
+        return PropagationResult(outcome, rows, None, newly, self.graph)
 
 
 def propagate(
@@ -365,70 +454,32 @@ def rule_for(
     carry ``dims``.  For get-tuple-element pass the selected element's spec
     as the single operand.  Applying the rule twice is a no-op.
     """
-    state: dict[int, list[int]] = {
-        i: list(spec.statuses) for i, spec in enumerate(operand_specs)
-    }
-    out_id = len(operand_specs)
-    state[out_id] = list(output_spec.statuses)
-
-    def _need_dims(spec: ShardingSpec) -> tuple[int, ...]:
-        if spec.dims is None:
-            raise ValueError(f"rule for {opcode} needs specs with dims attached")
-        return spec.dims
-
-    links: list[tuple[tuple[int, int], tuple[int, int]]] = []
-    forced: list[tuple[int, int]] = []
-    reduce_plan: tuple[int, tuple[int, ...]] | None = None
-    is_dot = False
-    if opcode in ELEMENTWISE_BINARY or opcode in ELEMENTWISE_UNARY or opcode == "get-tuple-element":
-        if any(spec.rank != output_spec.rank for spec in operand_specs):
-            raise ValueError(f"rule for {opcode} needs operand ranks equal to the output rank")
-        links = [((i, d), (out_id, d)) for i in range(len(operand_specs)) for d in range(output_spec.rank)]
-    elif opcode == "dot":
-        is_dot = True
-    elif opcode == "transpose":
-        rank = output_spec.rank
-        if operand_specs[0].rank != rank:
-            raise ValueError("rule for transpose needs operand rank equal to the output rank")
-        links = [((0, rank - 1 - d), (out_id, d)) for d in range(rank)]
-    elif opcode == "reshape":
-        aligned, un_in, un_out = _pair_reshape(_need_dims(operand_specs[0]), _need_dims(output_spec))
-        links = [((0, i), (out_id, j)) for i, j in aligned]
-        forced = [(0, i) for i in un_in] + [(out_id, j) for j in un_out]
-    elif opcode == "broadcast":
-        pairs = _pair_broadcast(_need_dims(operand_specs[0]), _need_dims(output_spec))
-        links = [((0, i), (out_id, j)) for i, j in pairs]
-        paired = {j for _, j in pairs}
-        forced = [(out_id, j) for j in range(output_spec.rank) if j not in paired]
-    elif opcode == "reduce":
-        pairs, reduced = _pair_reduce(_need_dims(operand_specs[0]), _need_dims(output_spec))
-        links = [((0, i), (out_id, j)) for i, j in pairs]
-        reduce_plan = (0, tuple(reduced))
-    elif opcode in ("parameter", "constant", "tuple"):
-        pass
-    else:
-        raise ValueError(f"unknown opcode {opcode!r}")
-
+    same_rank = opcode in ELEMENTWISE_BINARY or opcode in ELEMENTWISE_UNARY
+    if (same_rank or opcode in ("get-tuple-element", "transpose")) and any(
+        spec.rank != output_spec.rank for spec in operand_specs
+    ):
+        raise ValueError(f"rule for {opcode} needs operand ranks equal to the output rank")
+    out = len(operand_specs)
+    plans, forced = _rule(
+        opcode,
+        range(out),
+        out,
+        output_spec.rank,
+        [spec.dims for spec in operand_specs],
+        output_spec.dims,
+    )
+    rows = {i: list(spec.statuses) for i, spec in enumerate((*operand_specs, output_spec))}
+    # the given specs need not be a fixed point: every plan fires at first
+    dirty = list(rows)
+    touching = dict.fromkeys(rows, range(len(plans)))
     try:
         for tid, dim in forced:
-            _set(state, tid, dim, _R, tid)
-        for _ in range(2 + sum(len(row) for row in state.values())):
-            changed = False
-            for a, b in links:
-                changed |= _link(state, a, b, out_id)
-            if is_dot:
-                changed |= PropagationEngine._apply_dot(state, 0, 1, c=out_id)
-            if reduce_plan is not None:
-                changed |= PropagationEngine._apply_reduce(
-                    state, reduce_plan[0], reduce_plan[1], out=out_id
-                )
-            if not changed:
-                break
+            _set(rows, tid, dim, _R, tid, dirty)
+        _drain(rows, dirty, plans, touching)
     except _Conflict:
         return None
     new_operands = tuple(
-        ShardingSpec(statuses=tuple(state[i]), dims=spec.dims)
+        ShardingSpec(statuses=tuple(rows[i]), dims=spec.dims)
         for i, spec in enumerate(operand_specs)
     )
-    new_output = ShardingSpec(statuses=tuple(state[out_id]), dims=output_spec.dims)
-    return new_operands, new_output
+    return new_operands, ShardingSpec(statuses=tuple(rows[out]), dims=output_spec.dims)

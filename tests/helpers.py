@@ -4,13 +4,26 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from autoplan.ir import DimIndex, HloGraph, Instruction, TensorShape, decision_dims, forward_subgraph
+from autoplan.ir import (
+    ELEMENTWISE_BINARY,
+    ELEMENTWISE_UNARY,
+    DimIndex,
+    GraphValidationError,
+    HloGraph,
+    Instruction,
+    TensorShape,
+    _pair_broadcast,
+    _pair_reduce,
+    _pair_reshape,
+    decision_dims,
+    forward_subgraph,
+)
 from autoplan.pipecost import InfeasiblePlanError
-from autoplan.sharding import DimStatus, Outcome, propagate
+from autoplan.sharding import DimStatus, Outcome, ShardingSpec, propagate
 from autoplan.topology import DeviceTopology, allreduce_time, transfer_time
 from autoplan.dataproc import GRANULARITY
 
@@ -506,3 +519,250 @@ class ReferenceLearner:
         if self.train_steps % self.config.target_sync_every == 0:
             self.target.copy_from(self.net)
         return loss
+
+
+# -- the sweep propagation engine, as an oracle ----------------------------------
+#
+# ReferencePropagationEngine is the propagation engine ``autoplan.sharding``
+# had before its worklist: full sweeps over every rule plan until none changes
+# anything, a fresh state per run and a ShardingSpec for every instruction on
+# every run.  It is kept verbatim apart from its names and its result type.
+
+
+class ReferenceResult(NamedTuple):
+    outcome: Outcome
+    assignments: dict[int, ShardingSpec]
+    conflict_site: int | None
+    newly_decided: tuple[tuple[DimIndex, DimStatus], ...]
+
+
+class _RefConflict(Exception):
+    def __init__(self, site: int):
+        self.site = site
+
+
+_P = int(DimStatus.PARTITIONED)
+_R = int(DimStatus.REPLICATED)
+_U = int(DimStatus.UNDECIDED)
+
+
+def _ref_set(state: dict[int, list[int]], tid: int, dim: int, value: int, site: int) -> bool:
+    """Record one status, enforcing the single-partition rule per tensor."""
+    row = state[tid]
+    cur = row[dim]
+    if cur == value:
+        return False
+    if cur != _U:
+        raise _RefConflict(site)
+    if value == _P:
+        if any(s == _P for s in row):
+            raise _RefConflict(site)
+        row[dim] = _P
+        # one partitioned dim pins the rest of the tensor to replicated
+        for j in range(len(row)):
+            if row[j] == _U:
+                row[j] = _R
+    else:
+        row[dim] = value
+    return True
+
+
+def _ref_link(state: dict[int, list[int]], a: tuple[int, int], b: tuple[int, int], site: int) -> bool:
+    va = state[a[0]][a[1]]
+    vb = state[b[0]][b[1]]
+    if va == vb:
+        return False
+    if va == _U:
+        return _ref_set(state, a[0], a[1], vb, site)
+    if vb == _U:
+        return _ref_set(state, b[0], b[1], va, site)
+    raise _RefConflict(site)
+
+
+class ReferencePropagationEngine:
+    def __init__(self, graph: HloGraph, candidates: Sequence[DimIndex] | None = None):
+        self.graph = graph
+        self.candidates = list(candidates) if candidates is not None else None
+        self._plans: list[tuple[int, str, tuple]] = []
+        self._forced_replicated: list[tuple[int, int]] = []
+        self._build()
+        self._pinned = (
+            self._forced_replicated + self._replicated_inputs(self.candidates)
+            if self.candidates is not None
+            else None
+        )
+
+    def _build(self) -> None:
+        g = self.graph
+        for ins in g.instructions:
+            out = ins.id
+            ops = ins.operand_ids
+            if ins.opcode in ELEMENTWISE_BINARY or ins.opcode in ELEMENTWISE_UNARY:
+                links = [((op, d), (out, d)) for op in ops for d in range(ins.shape.rank)]
+                self._plans.append((out, "links", tuple(links)))
+            elif ins.opcode == "dot":
+                a, b = ops
+                self._plans.append((out, "dot", (a, b)))
+            elif ins.opcode == "transpose":
+                (a,) = ops
+                rank = ins.shape.rank
+                links = [((a, rank - 1 - d), (out, d)) for d in range(rank)]
+                self._plans.append((out, "links", tuple(links)))
+            elif ins.opcode == "reshape":
+                (a,) = ops
+                aligned, un_in, un_out = _pair_reshape(
+                    g.instruction(a).shape.dims, ins.shape.dims
+                )
+                links = [((a, i), (out, j)) for i, j in aligned]
+                self._plans.append((out, "links", tuple(links)))
+                self._forced_replicated.extend((a, i) for i in un_in)
+                self._forced_replicated.extend((out, j) for j in un_out)
+            elif ins.opcode == "broadcast":
+                (a,) = ops
+                pairs = _pair_broadcast(g.instruction(a).shape.dims, ins.shape.dims)
+                paired_out = {j for _, j in pairs}
+                links = [((a, i), (out, j)) for i, j in pairs]
+                self._plans.append((out, "links", tuple(links)))
+                self._forced_replicated.extend(
+                    (out, j) for j in range(ins.shape.rank) if j not in paired_out
+                )
+            elif ins.opcode == "reduce":
+                (a,) = ops
+                pairs, reduced = _pair_reduce(g.instruction(a).shape.dims, ins.shape.dims)
+                links = [((a, i), (out, j)) for i, j in pairs]
+                if links:
+                    self._plans.append((out, "links", tuple(links)))
+                if reduced and ins.shape.rank:
+                    self._plans.append((out, "reduce", (a, tuple(reduced))))
+            elif ins.opcode == "get-tuple-element":
+                idx = g.tuple_element_index(ins)
+                element = g.instruction(ops[0]).operand_ids[idx]
+                links = [((element, d), (out, d)) for d in range(ins.shape.rank)]
+                self._plans.append((out, "links", tuple(links)))
+            # parameter, constant and tuple have no rule
+
+    def _replicated_inputs(self, candidates: Sequence[DimIndex]) -> list[tuple[int, int]]:
+        """Every dim of each parameter that holds no candidate dim."""
+        chosen = {di.instruction_id for di in candidates}
+        return [
+            (ins.id, d)
+            for ins in self.graph.instructions
+            if ins.opcode == "parameter" and ins.id not in chosen
+            for d in range(ins.shape.rank)
+        ]
+
+    def _candidate_dims(self, seeds: Mapping[DimIndex, DimStatus]) -> list[DimIndex]:
+        if self.candidates is not None:
+            return self.candidates
+        names = {self.graph.instruction(di.instruction_id).name for di in seeds}
+        return decision_dims(self.graph, names)
+
+    def run(self, seeds: Mapping[DimIndex, DimStatus]) -> ReferenceResult:
+        g = self.graph
+        state: dict[int, list[int]] = {
+            ins.id: [_U] * ins.shape.rank for ins in g.instructions
+        }
+        candidates = self._candidate_dims(seeds)
+        pinned = self._pinned
+        if pinned is None:
+            pinned = self._forced_replicated + self._replicated_inputs(candidates)
+        seed_keys = set()
+        conflict_site: int | None = None
+        try:
+            for tid, dim in pinned:
+                _ref_set(state, tid, dim, _R, tid)
+            for di in sorted(seeds, key=lambda d: (d.instruction_id, d.dim)):
+                if di.instruction_id not in state:
+                    raise GraphValidationError(f"seed references unknown instruction {di.instruction_id}")
+                if di.dim >= len(state[di.instruction_id]):
+                    raise GraphValidationError(
+                        f"seed dim {di.dim} out of range for instruction {di.instruction_id}"
+                    )
+                seed_keys.add((di.instruction_id, di.dim))
+                _ref_set(state, di.instruction_id, di.dim, int(seeds[di]), di.instruction_id)
+            self._fixed_point(state)
+        except _RefConflict as c:
+            conflict_site = c.site
+
+        assignments = {
+            ins.id: ShardingSpec(statuses=tuple(state[ins.id]), dims=ins.shape.dims)
+            for ins in g.instructions
+        }
+        if conflict_site is not None:
+            return ReferenceResult(Outcome.CONFLICT, assignments, conflict_site, ())
+        newly = tuple(
+            (di, DimStatus(state[di.instruction_id][di.dim]))
+            for di in candidates
+            if (di.instruction_id, di.dim) not in seed_keys
+            and state[di.instruction_id][di.dim] != _U
+        )
+        complete = all(state[di.instruction_id][di.dim] != _U for di in candidates)
+        outcome = Outcome.COMPLETE if complete else Outcome.INCOMPLETE
+        return ReferenceResult(outcome, assignments, None, newly)
+
+    def _fixed_point(self, state: dict[int, list[int]]) -> None:
+        max_rank = max((ins.shape.rank for ins in self.graph.instructions), default=1)
+        cap = max(2, len(self.graph) * max(1, max_rank) + 2)
+        for _ in range(cap):
+            changed = False
+            for site, kind, payload in self._plans:
+                if kind == "links":
+                    for a, b in payload:
+                        changed |= _ref_link(state, a, b, site)
+                elif kind == "dot":
+                    changed |= self._apply_dot(state, payload[0], payload[1], c=site)
+                else:
+                    changed |= self._apply_reduce(state, payload[0], payload[1], out=site)
+            if not changed:
+                return
+        raise RuntimeError("sharding propagation failed to reach a fixed point")
+
+    @staticmethod
+    def _apply_dot(state: dict[int, list[int]], a: int, b: int, c: int) -> bool:
+        changed = _ref_link(state, (a, 0), (c, 0), c)
+        changed |= _ref_link(state, (b, 1), (c, 1), c)
+        changed |= _ref_link(state, (a, 1), (b, 0), c)
+        if state[a][0] == _P or state[c][0] == _P:
+            changed |= _ref_set(state, b, 0, _R, c)
+            changed |= _ref_set(state, b, 1, _R, c)
+        if state[b][1] == _P or state[c][1] == _P:
+            changed |= _ref_set(state, a, 0, _R, c)
+            changed |= _ref_set(state, a, 1, _R, c)
+        if state[a][1] == _P or state[b][0] == _P:
+            changed |= _ref_set(state, c, 0, _R, c)
+            changed |= _ref_set(state, c, 1, _R, c)
+        return changed
+
+    @staticmethod
+    def _apply_reduce(state: dict[int, list[int]], a: int, reduced: tuple[int, ...], out: int) -> bool:
+        changed = False
+        out_row = state[out]
+        if any(state[a][r] == _P for r in reduced):
+            for j in range(len(out_row)):
+                changed |= _ref_set(state, out, j, _R, out)
+        if any(s == _P for s in out_row):
+            for r in reduced:
+                changed |= _ref_set(state, a, r, _R, out)
+        return changed
+
+
+def reference_propagate(
+    graph: HloGraph,
+    seeds: Mapping[DimIndex, DimStatus],
+    candidates: Sequence[DimIndex] | None = None,
+) -> ReferenceResult:
+    return ReferencePropagationEngine(graph, candidates).run(seeds)
+
+
+def reference_linkage_groups(graph: HloGraph, dims: Sequence[DimIndex]) -> dict:
+    """Linkage extraction over the sweep engine: (dim, status) -> (implied, infeasible)."""
+    engine = ReferencePropagationEngine(graph, candidates=dims)
+    groups = {}
+    for di in dims:
+        for status in (DimStatus.PARTITIONED, DimStatus.REPLICATED):
+            result = engine.run({di: status})
+            if result.outcome is Outcome.CONFLICT:
+                groups[(di, status)] = ((), True)
+            else:
+                groups[(di, status)] = (result.newly_decided, False)
+    return groups

@@ -7,6 +7,8 @@ import pytest
 
 from autoplan.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
 
+from autoplan.zoo import t5_block
+
 from helpers import linkage_chain_graph
 
 
@@ -97,6 +99,8 @@ DROP = object()
         # an inference pipeline has 2..32 stages on configc
         (INFER_PLAN, {"boundaries": [], "device_cuts": []}, EXIT_INFEASIBLE),
         (INFER_PLAN, {"boundaries": list(range(1, 34)), "device_cuts": list(range(1, 34))}, EXIT_INFEASIBLE),
+        # --stages 1 refuses to plan, so a one-stage training plan is not valid
+        (TRAIN_PLAN, {"pivots": [], "device_cuts": [], "pipeline_length_s": 0.024}, EXIT_INFEASIBLE),
     ],
     ids=[
         "infer-valid", "infer-empty-stage", "infer-boundary-0", "infer-boundary-200",
@@ -105,7 +109,7 @@ DROP = object()
         "train-pivots-int", "train-pivot-ids", "train-no-device-cuts", "train-device-cuts-str",
         "infer-micro-batches-str", "infer-micro-batches-bool", "infer-micro-batch-size-0",
         "train-micro-batches-str", "train-micro-batches-0", "train-micro-batch-size-float",
-        "train-micro-batch-size-negative", "infer-no-cuts", "infer-34-stages",
+        "train-micro-batch-size-negative", "infer-no-cuts", "infer-34-stages", "train-one-stage",
     ],
 )
 def test_pipeline_plan_on_bundled_inputs(tmp_path, base, change, status):
@@ -188,6 +192,21 @@ def test_summary_agrees_with_curve(tmp_path, task):
 def test_summary_counts_learn_steps(tmp_path, args, learn_steps):
     assert main(args + ["--out", str(tmp_path / "plan.json")]) == EXIT_OK
     assert json.loads((tmp_path / "plan_summary.json").read_text())["learn_steps"] == learn_steps
+
+
+def test_partition_summary_counts_propagations_and_linkage_cache(tmp_path):
+    graph = tmp_path / "t5.json"
+    t5_block().save(str(graph))
+    args = ["--task", "opp", "--graph", str(graph), "--episodes", "4", "--out", str(tmp_path / "plan.json")]
+    seen = []
+    for _ in range(2):
+        assert main(args) == EXIT_OK
+        summary = json.loads((tmp_path / "plan_summary.json").read_text())
+        seen.append((summary["linkage_cache"], summary["propagations"]))
+    # 18 candidate dims give 36 linkage triggers, the 4 episodes take 12
+    # steps and self-validation propagates once; the second run reads the
+    # groups from the cache the first one wrote
+    assert seen == [("miss", 36 + 12 + 1), ("hit", 12 + 1)]
 
 
 def test_opp_finetune(tmp_path):
