@@ -105,7 +105,6 @@ class RunConfig:
     finetune: bool
     reward_shape: str
     log: str | None
-    count: int
     dist: str
     plan: str | None
     mem_per_device: float | None
@@ -159,8 +158,12 @@ class TraceWriter:
     def __init__(self, path: str):
         self._fh: TextIO = open(path, "w", encoding="utf-8")
 
-    def write(self, episode: int, steps: list[dict], outcome: str) -> None:
-        record = {"episode": episode, "steps": steps, "outcome": outcome}
+    def write(self, episode: int, steps: list[dict], info: dict) -> None:
+        """One episode's record; a conflict also names the instruction that met it."""
+        conflict = info.get("conflict", False)
+        record = {"episode": episode, "steps": steps, "outcome": "conflict" if conflict else "complete"}
+        if conflict:
+            record["conflict_site"] = info["conflict_site"]
         self._fh.write(json.dumps(record, sort_keys=True) + "\n")
         self._fh.flush()
 
@@ -248,7 +251,7 @@ def train(
         mean_loss = sum(losses) / len(losses) if losses else None
         curve.write(ep, mean_loss, total, agent.epsilon)
         if trace is not None:
-            trace.write(ep, steps, "conflict" if info.get("conflict", False) else "complete")
+            trace.write(ep, steps, info)
     return best
 
 
@@ -373,8 +376,9 @@ def validate_payload(
         if result.outcome is not Outcome.COMPLETE:
             return False, f"strategy does not propagate cleanly: {result.outcome.name}"
         partitions = sum(1 for v in strategy.values() if v >= 0)
-        if partitions != payload.get("partition_count"):
-            return False, "partition_count does not match the strategy"
+        count = payload.get("partition_count")
+        if type(count) is not int or count != partitions:
+            return False, f"partition_count {count!r} does not match the strategy"
         return True, "strategy propagates conflict-free"
     if task not in ("pp-train", "pp-infer"):
         return False, f"unknown plan task {task!r}"
@@ -613,27 +617,6 @@ def _run_search(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _run_gen_data(cfg: RunConfig) -> int:
-    if cfg.count < 1:
-        raise ConfigError("--count must be >= 1")
-    with open(cfg.out, "w", encoding="utf-8") as fh:
-        for i in range(cfg.count):
-            arrays = generate_environment(cfg.dist, GEN_SOURCE_LENGTH, cfg.seed + i)
-            record = {
-                "index": i,
-                "seed": cfg.seed + i,
-                "distribution": cfg.dist,
-                "source_length": GEN_SOURCE_LENGTH,
-                "c": [float(x) for x in arrays.c],
-                "a": [float(x) for x in arrays.a],
-                "w": [float(x) for x in arrays.w],
-            }
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-            fh.flush()
-    logger.info("wrote %d environments to %s", cfg.count, cfg.out)
-    return EXIT_OK
-
-
 def _run_validate(cfg: RunConfig) -> int:
     if cfg.plan is None:
         raise ConfigError("validate needs --plan")
@@ -673,7 +656,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--task",
         required=True,
-        choices=[*SEARCH_TASKS, "gen-data", "validate"],
+        choices=[*SEARCH_TASKS, "validate"],
+        help="a plan search, or validate to re-check a plan file",
     )
     parser.add_argument("--graph", help="graph/profile file or bundled name")
     parser.add_argument(
@@ -691,12 +675,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--finetune", action="store_true", help="opp: run the backtrace stage")
     parser.add_argument("--reward-shape", choices=["inv", "inv-sqrt"], default="inv")
     parser.add_argument("--log", help="episode trace JSONL path")
-    parser.add_argument("--count", type=int, default=100, help="gen-data: environments to emit")
     parser.add_argument(
         "--dist",
         default="uniform",
         choices=["uniform", "normal", "binomial"],
-        help="distribution for generated environments",
+        help="pp-infer without --graph: distribution of the generated environment",
     )
     parser.add_argument("--plan", help="validate: plan JSON to check")
     parser.add_argument("--mem-per-device", type=float, help="memory budget in bytes")
@@ -729,7 +712,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         finetune=args.finetune,
         reward_shape=args.reward_shape,
         log=args.log,
-        count=args.count,
         dist=args.dist,
         plan=args.plan,
         mem_per_device=args.mem_per_device,
@@ -741,11 +723,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     )
 
 
-_RUNNERS = {
-    **dict.fromkeys(SEARCH_TASKS, _run_search),
-    "gen-data": _run_gen_data,
-    "validate": _run_validate,
-}
+_RUNNERS = {**dict.fromkeys(SEARCH_TASKS, _run_search), "validate": _run_validate}
 
 
 def main(argv: Sequence[str] | None = None) -> int:

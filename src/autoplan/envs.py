@@ -13,8 +13,9 @@ Four Markov decision processes with a shared ``reset`` / ``step`` /
 * ``PipeInferEnv``: pick K-1 stage boundaries on coarsened cost arrays,
   then K-1 device cuts, in one phased action space.
 
-The ``info`` of an episode's last step describes its outcome: ``conflict``,
-or ``partition_count`` and ``strategy`` for the partition envs; ``plan``,
+The ``info`` of an episode's last step describes its outcome: ``conflict``
+(with ``conflict_site``, the name of the instruction that met it), or
+``partition_count`` and ``strategy`` for the partition envs; ``plan``,
 ``metrics`` and ``pipeline_length`` (plus ``memory_feasible`` on
 ``PipeTrainEnv``) for the pipeline envs.  Callers rank episodes by it.
 Environments are single-threaded; instances share only immutable inputs.
@@ -79,7 +80,8 @@ class PartitionSearchEnv:
     previous step left; the rules are monotone, so this decides exactly what
     propagating all decisions taken so far at once would.  Every candidate
     dim the step newly settles is rewarded at 0.4 (partitioned) or 0.1
-    (replicated).  A contradiction ends the episode with reward -1.
+    (replicated).  A contradiction ends the episode with reward -1, and its
+    ``info`` names the instruction that met it in ``conflict_site``.
     """
 
     def __init__(
@@ -162,7 +164,8 @@ class PartitionSearchEnv:
         result = self.engine.run({dim: status}, start=self._rows)
         if result.outcome is Outcome.CONFLICT:
             self._done = True
-            return StepResult(self._state(), -1.0, True, {"conflict": True})
+            site = self.graph.instruction(result.conflict_site).name
+            return StepResult(self._state(), -1.0, True, {"conflict": True, "conflict_site": site})
 
         self._seeds[dim] = status
         # only dims undecided so far can have been settled by this step
@@ -483,6 +486,15 @@ class PipeInferEnv:
     device cuts in 1..D-1, with phase-dependent masks.  The terminal reward
     is 1/L where L is the pipeline length of the decoded plan on the
     normalized topology.
+
+    The state holds the 2(K-1) slot entries only: the boundaries picked so
+    far over 128, then the device cuts over D, with 0 for a slot not yet
+    picked.  The profile (C*, A*, W*) and the bandwidth matrix are not
+    inputs: a run plans on one fixed environment, where they never change,
+    so the slots alone form a complete Markov state and the reward carries
+    the costs.  The paper feeds them in so that one policy trained on many
+    generated environments transfers to new ones; that setting needs a
+    training consumer for those environments before a wide state pays off.
     """
 
     def __init__(
@@ -519,11 +531,7 @@ class PipeInferEnv:
         self.allowed_cuts = allowed_cuts
         d = topo.num_devices
         self.num_actions = (GRANULARITY - 1) + (d - 1)
-        self.state_dim = 3 * GRANULARITY + d * d + 2 * picks
-        bw = topo.bandwidth_matrix.copy()
-        finite_max = bw[np.isfinite(bw)].max()
-        bw[~np.isfinite(bw)] = finite_max
-        self._bw_flat = (bw / finite_max).ravel()
+        self.state_dim = 2 * picks
         self._boundaries: list[int] = []
         self._cuts: list[int] = []
         self._done = True
@@ -641,6 +649,4 @@ class PipeInferEnv:
             slots[i] = b / GRANULARITY
         for i, c in enumerate(self._cuts):
             slots[picks + i] = c / self.topo.num_devices
-        return np.concatenate(
-            [self.arrays.c, self.arrays.a, self.arrays.w, self._bw_flat, slots]
-        )
+        return slots

@@ -125,8 +125,10 @@ class PropagationResult:
     a conflict it is the state at the contradiction, and ``conflict_site``
     the instruction whose rule or seed met it.  ``newly_decided`` lists
     the candidate dims decided beyond the seeds themselves, in candidate
-    order.  ``assignments`` builds a ``ShardingSpec`` per instruction from
-    the rows when it is first read.
+    order; from a later search state than ``base()`` it keeps only those
+    the base state decides or the run's changed tensors hold.
+    ``assignments`` builds a ``ShardingSpec`` per instruction from the rows
+    when it is first read.
     """
 
     outcome: Outcome
@@ -288,16 +290,21 @@ def _rule(
     return plans, forced
 
 
-def _drain(rows: Rows, dirty: list[int], plans: Sequence[Plan], touching: Mapping[int, Sequence[int]]) -> None:
+def _drain(
+    rows: Rows, dirty: list[int], plans: Sequence[Plan], touching: Mapping[int, Sequence[int]]
+) -> set[int]:
     """Fire the plans touching each changed tensor until none changes a row.
 
     ``dirty`` lists the tensors changed since ``rows`` was last a fixed
     point; ``touching`` maps a tensor to the indices of the plans over it.
-    Raises ``_Conflict`` at the first contradiction.
+    Returns every tensor changed, ``dirty`` included.  Raises ``_Conflict``
+    at the first contradiction.
     """
     queue: deque[int] = deque()
     queued: set[int] = set()
+    changed: set[int] = set()
     while True:
+        changed.update(dirty)
         for tid in dirty:
             for p in touching.get(tid, ()):
                 if p not in queued:
@@ -305,7 +312,7 @@ def _drain(rows: Rows, dirty: list[int], plans: Sequence[Plan], touching: Mappin
                     queue.append(p)
         dirty.clear()
         if not queue:
-            return
+            return changed
         p = queue.popleft()
         queued.discard(p)
         fire, args = plans[p]
@@ -354,7 +361,11 @@ class PropagationEngine:
                 self._plans.append(plan)
             self._forced.extend(forced)
         self._touching = {tid: tuple(ps) for tid, ps in touching.items()}
+        self._by_tensor: dict[int, list[int]] = {}  # candidate positions per tensor
+        for i, di in enumerate(self.candidates or ()):
+            self._by_tensor.setdefault(di.instruction_id, []).append(i)
         self._base: Rows | None = None
+        self._base_decided: list[int] = []  # candidate positions the base state decides
 
     def base(self) -> Rows:
         """A copy of the base state: the fixed point of the pins alone.
@@ -367,6 +378,9 @@ class PropagationEngine:
             # pins hold only replicated statuses, which cannot conflict
             self._base, dirty = self._pinned(self.candidates)
             _drain(self._base, dirty, self._plans, self._touching)
+            self._base_decided = [
+                i for i, di in enumerate(self.candidates) if self._base[di.instruction_id][di.dim] != _U
+            ]
         return {tid: row[:] for tid, row in self._base.items()}
 
     def _pinned(self, candidates: Sequence[DimIndex]) -> tuple[Rows, list[int]]:
@@ -399,7 +413,8 @@ class PropagationEngine:
         must be a fixed point of this engine, such as ``base()`` or the rows
         of an earlier conflict-free result; the seeds go onto it in place,
         so a search can seed one decision per step onto the state the
-        previous step left.
+        previous step left.  Only an engine with candidates takes a
+        ``start``.
         """
         PropagationEngine.runs += 1
         order = sorted(seeds, key=lambda d: (d.instruction_id, d.dim))
@@ -415,13 +430,21 @@ class PropagationEngine:
         try:
             for di in order:
                 _set(rows, di.instruction_id, di.dim, int(seeds[di]), di.instruction_id, dirty)
-            _drain(rows, dirty, self._plans, self._touching)
+            changed = _drain(rows, dirty, self._plans, self._touching)
         except _Conflict as c:
             return PropagationResult(Outcome.CONFLICT, rows, c.site, (), self.graph)
+        if start is None:
+            positions: Sequence[int] = range(len(candidates))
+        else:
+            # a start holds the base state, and only the changed tensors moved on from it
+            if self._base is None:
+                self.base()
+            by_tensor = self._by_tensor
+            positions = sorted({*self._base_decided, *(i for t in changed for i in by_tensor.get(t, ()))})
         seeded = {(di.instruction_id, di.dim) for di in order}
         newly = tuple(
             (di, _STATUS[rows[di.instruction_id][di.dim]])
-            for di in candidates
+            for di in map(candidates.__getitem__, positions)
             if (di.instruction_id, di.dim) not in seeded and rows[di.instruction_id][di.dim] != _U
         )
         complete = all(rows[di.instruction_id][di.dim] != _U for di in candidates)

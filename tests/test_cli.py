@@ -46,6 +46,9 @@ def test_opp_plan_on_graph_file(tmp_path, strategy, partitions, status):
         ({"arg0.1": "x", "arg1.2": -1, "arg2.3": -1, "arg3.4": -1}, 0, EXIT_INFEASIBLE),
         ({"arg0.1": False, "arg1.2": False, "arg2.3": -1, "arg3.4": -1}, 2, EXIT_INFEASIBLE),
         ({"arg0.1": 0.0, "arg1.2": 0, "arg2.3": -1, "arg3.4": -1}, 2, EXIT_INFEASIBLE),
+        # the partition count is a plain int too
+        ({"arg0.1": 0, "arg1.2": 0, "arg2.3": -1, "arg3.4": -1}, 2.0, EXIT_INFEASIBLE),
+        ({"arg0.1": -1, "arg1.2": -1, "arg2.3": -1, "arg3.4": -1}, False, EXIT_INFEASIBLE),
     ],
 )
 def test_adp_plan_on_bundled_graph(tmp_path, strategy, partitions, status):
@@ -222,6 +225,12 @@ def test_unknown_graph_is_config_error(tmp_path, task):
     args = SEARCH_ARGS[task]
     args = args[: args.index("--graph") + 1] + ["nosuch"] + args[args.index("--graph") + 2 :]
     assert main(args + ["--out", str(tmp_path / "plan.json")]) == EXIT_CONFIG
+
+
+def test_gen_data_task_is_gone(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["--task", "gen-data", "--out", str(tmp_path / "envs.jsonl")])
+    assert exc.value.code == EXIT_CONFIG
 
 
 def test_more_stages_than_devices_is_infeasible(tmp_path):
