@@ -7,11 +7,15 @@ as JSON (byte-identical for identical config and seed), an incrementally
 flushed training-curve CSV (episode, loss, total score, epsilon), and a run
 summary JSON: the effective defaults, the best reward, the episode that
 found it (``found_at_episode``), the wall time from the start of training
-to that episode (``time_to_best_s``) and ``final_epsilon``.  Partition
-searches (opp, adp) also report ``propagations``, the propagation runs the
-search made (linkage extraction, env steps and self-validation), and
-``linkage_cache``: ``hit`` or ``miss`` for a graph file, ``none`` for a
-bundled graph or a task without linkage.
+to that episode (``time_to_best_s``), ``final_epsilon``, and ``phase_s``,
+the seconds spent loading inputs, building the env (linkage included),
+training, fine-tuning (0 without ``--finetune``) and self-validating.
+Partition searches (opp, adp) also report ``propagations``, the propagation
+runs the search made (linkage extraction, env steps and self-validation),
+and ``linkage_cache``: ``hit`` or ``miss`` for a graph file, ``none`` for a
+bundled graph or a task without linkage.  Pipeline searches report the
+``length_terms`` of the plan, the per-stage terms its length adds up from;
+they stay out of the plan JSON, whose fields are those of earlier plans.
 
 Exit codes: 0 ok, 2 configuration error, 3 infeasible (no valid plan),
 4 training divergence.
@@ -57,6 +61,7 @@ from autoplan.pipecost import (
     PipelinePlan,
     StageMetrics,
     device_groups,
+    length_breakdown,
     pipeline_length,
     stage_metrics,
 )
@@ -529,6 +534,8 @@ class SearchTask:
     wanted: str  # what a usable plan is, for the error message
     # restarts an episode from the best plan's terminal info (--finetune)
     finetune_reset: Callable[[SearchEnv, dict], np.ndarray] | None = None
+    # the topology a pipeline plan is costed on, for its length_terms summary
+    cost_topology: Callable[[SearchEnv], DeviceTopology] | None = None
 
 
 def _partition_finetune_reset(env: PartitionSearchEnv, info: dict) -> np.ndarray:
@@ -547,21 +554,38 @@ SEARCH_TASKS: dict[str, SearchTask] = {
     "pp-train": SearchTask(
         ("graph", "topo"), _pp_train_env, _feasible_rank, _pp_train_payload,
         ("pipeline_length_s", "pipeline_length"), "memory-feasible plan",
+        cost_topology=lambda env: env.topo,
     ),
     "pp-infer": SearchTask(
         ("arrays", "topo"), _pp_infer_env, _feasible_rank, _pp_infer_payload,
         ("pipeline_length_s", "pipeline_length"), "plan",
+        cost_topology=lambda env: env.topo_norm,
     ),
 }
+
+
+# the timed phases of a search run, in run order
+PHASES = ("load_inputs", "build_env", "train", "finetune", "validate")
+
+
+def _lap(phases: dict[str, float], phase: str, since: float) -> float:
+    """Book the time since ``since`` to the phase; returns the current time."""
+    now = time.monotonic()
+    phases[phase] = now - since
+    return now
 
 
 def _run_search(cfg: RunConfig) -> int:
     """Train, then write the self-validated best plan, its curve and a summary."""
     task = SEARCH_TASKS[cfg.task]
+    phases = dict.fromkeys(PHASES, 0.0)
+    clock = time.monotonic()
     inputs = resolve_inputs(cfg, task.inputs)
+    clock = _lap(phases, "load_inputs", clock)
     runs_before = PropagationEngine.runs
     stats: dict = {}
     env = task.env(cfg, inputs, stats)
+    clock = _lap(phases, "build_env", clock)
     agent = DqnAgent(agent_config_for(cfg), env.state_dim, env.num_actions, cfg.seed)
     curve_path, summary_path = _artifact_paths(cfg.out)
     curve = CurveWriter(curve_path)
@@ -569,11 +593,13 @@ def _run_search(cfg: RunConfig) -> int:
     started = time.monotonic()
     try:
         best = train(env, agent, cfg.episodes, task.rank, curve, trace)
+        clock = _lap(phases, "train", started)
         if best is not None and cfg.finetune and task.finetune_reset is not None:
             stage2 = train(
                 env, agent, cfg.episodes, task.rank, curve, trace,
                 reset=lambda: task.finetune_reset(env, best.info), episode_offset=cfg.episodes,
             )
+            _lap(phases, "finetune", clock)
             if stage2 is not None and stage2.key > best.key:
                 best = stage2
     finally:
@@ -590,7 +616,9 @@ def _run_search(cfg: RunConfig) -> int:
         "episodes": cfg.episodes,
         **task.payload(cfg, inputs, best),
     }
+    clock = time.monotonic()
     ok, message = validate_payload(payload, **inputs)
+    _lap(phases, "validate", clock)
     if not ok:
         logger.error("emitted plan failed self-validation: %s", message)
         return EXIT_INFEASIBLE
@@ -607,7 +635,12 @@ def _run_search(cfg: RunConfig) -> int:
         "seed": cfg.seed,
         "defaults": asdict(agent_config_for(cfg)),
         field: best.info[key],
+        "phase_s": phases,
     }
+    if task.cost_topology is not None:
+        summary["length_terms"] = length_breakdown(
+            best.info["plan"], best.info["metrics"], task.cost_topology(env)
+        )
     if isinstance(env, PartitionSearchEnv):
         # linkage extraction, env steps and self-validation alike
         summary["propagations"] = PropagationEngine.runs - runs_before

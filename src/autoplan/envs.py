@@ -43,9 +43,10 @@ from autoplan.pipecost import (
     PipelinePlan,
     StageMetrics,
     candidate_pivots,
-    length_terms,
+    length_term_maxima,
     memory_feasible,
     pipeline_length,
+    proportional_device_count_rows,
     proportional_device_cuts,
 )
 from autoplan.sharding import DimStatus, Outcome, PropagationEngine
@@ -58,7 +59,15 @@ _MIN_LENGTH = 1e-12
 
 
 class EpisodeError(Exception):
-    """step() called on a finished episode, or with a masked action."""
+    """step() called on a finished episode, or with a masked or out-of-range action."""
+
+
+def _check_action(mask: np.ndarray, action: int) -> None:
+    # a negative index would wrap around the mask
+    if not 0 <= action < len(mask):
+        raise EpisodeError(f"action {action} is outside 0..{len(mask) - 1}")
+    if not mask[action]:
+        raise EpisodeError(f"action {action} is masked")
 
 
 @dataclass(frozen=True)
@@ -307,9 +316,23 @@ class PipeTrainEnv:
     An episode picks K-1 pivots out of the pruned candidate list, in
     increasing forward order.  Per candidate the state carries the slowest
     hypothetical gradient allreduce, the slowest boundary transfer and the
-    stage compute balance, each time block scaled by its maximum over the
-    currently allowed candidates; a one-hot block marks the applied cuts.
-    The terminal reward is 1/L for a memory-feasible plan, else -1/sqrt(L).
+    stage compute balance of the plan that picking it next would cut, with
+    devices allocated in proportion to stage compute; each time block is
+    scaled by its maximum over the currently allowed candidates, and a
+    one-hot block marks the applied cuts.  The terminal reward is 1/L for a
+    memory-feasible plan, else -1/sqrt(L).
+
+    All allowed candidates are scored in one numpy pass.  A stage runs from
+    a stage boundary (the first position, or one past a candidate) to one
+    past a candidate or the end, so its compute is an entry of the
+    ``CutCostTable.running_sums`` table built once per env: one forward
+    cumsum per possible start, which keeps the bits of ``stage_metrics``
+    where prefix differences would not, and so keeps every device count.
+    Parameter bytes are differences of integer prefix sums, which are
+    exact.  ``proportional_device_count_rows`` and ``length_term_maxima``
+    then give per row what ``proportional_device_cuts`` and
+    ``length_terms`` give per plan.  The reset state is the same in every
+    episode and is built once.
     """
 
     def __init__(
@@ -338,13 +361,25 @@ class PipeTrainEnv:
         self.candidates = candidate_pivots(self.table, topo, num_stages, radius)
         self.num_actions = len(self.candidates)
         self.state_dim = 4 * len(self.candidates)
+        # stage boundary b: 0 is the first position, j+1 is one past
+        # candidate j, num_actions+1 is past the last position
+        cuts = [self.table.position[c] for c in self.candidates]
+        self._compute = self.table.running_sums(cuts, backward_multiplier)
+        params = np.cumsum([0, *self.table.param_bytes])
+        self._params_before = params[[0, *(c + 1 for c in cuts), len(params) - 1]]
+        # the first stage holds the unplaced bytes
+        self._params_before[1:] += self.table.unplaced_param_bytes
+        self._crossing = np.array([0.0, *(float(self.table.crossing[c]) for c in cuts)])
+        self._reset_state: np.ndarray | None = None
         self._applied: list[int] = []
         self._done = True
 
     def reset(self) -> np.ndarray:
         self._applied = []
         self._done = False
-        return self._state()
+        if self._reset_state is None:
+            self._reset_state = self._state()
+        return self._reset_state.copy()
 
     @property
     def done(self) -> bool:
@@ -352,24 +387,17 @@ class PipeTrainEnv:
 
     def action_mask(self) -> np.ndarray:
         mask = np.zeros(self.num_actions, dtype=bool)
-        if self._done:
-            return mask
-        remaining = (self.num_stages - 1) - len(self._applied)
-        last = self._applied[-1] if self._applied else -1
-        for i in range(self.num_actions):
-            if i <= last:
-                continue
+        if not self._done:
+            last = self._applied[-1] if self._applied else -1
             # keep room for the picks still owed after this one
-            if self.num_actions - 1 - i < remaining - 1:
-                continue
-            mask[i] = True
+            remaining = (self.num_stages - 1) - len(self._applied)
+            mask[last + 1 : self.num_actions - remaining + 1] = True
         return mask
 
     def step(self, action: int) -> StepResult:
         if self._done:
             raise EpisodeError("episode is over")
-        if not self.action_mask()[action]:
-            raise EpisodeError(f"action {action} is masked")
+        _check_action(self.action_mask(), action)
         self._applied.append(action)
         if len(self._applied) < self.num_stages - 1:
             return StepResult(self._state(), 0.0, False, {})
@@ -399,27 +427,35 @@ class PipeTrainEnv:
 
     def _state(self) -> np.ndarray:
         n = self.num_actions
-        reduces = np.zeros(n)
-        transfers = np.zeros(n)
-        balance = np.zeros(n)
-        mask = self.action_mask()
-        for i in np.flatnonzero(mask):
-            pivots = [self.candidates[j] for j in self._applied] + [self.candidates[i]]
-            metrics = self.table.stage_metrics(pivots, self.backward_multiplier)
-            cuts = proportional_device_cuts(metrics, self.topo)
-            _, stage_transfers, stage_reduces = length_terms(metrics, cuts, self.topo)
-            reduces[i] = max(stage_reduces)
-            transfers[i] = max(stage_transfers)
-            computes = [m.compute_ms for m in metrics]
-            top = max(computes)
-            balance[i] = min(computes) / top if top > 0 else 1.0
+        state = np.zeros(4 * n)
+        reduces, transfers, balance, onehot = state.reshape(4, n)
+        onehot[self._applied] = 1.0
+        allowed = np.flatnonzero(self.action_mask())
+        if allowed.size:
+            # one row per allowed candidate: the stage boundaries of the
+            # applied cuts, then those of the candidate and of the end
+            fixed = [0, *(a + 1 for a in self._applied)]
+            bounds = np.empty((allowed.size, len(fixed) + 2), dtype=np.int64)
+            bounds[:, : len(fixed)] = fixed
+            bounds[:, -2] = allowed + 1
+            bounds[:, -1] = n + 1
+            lo, hi = bounds[:, :-1], bounds[:, 1:]
+            compute = self._compute[lo, hi - 1]
+            params = (self._params_before[hi] - self._params_before[lo]).astype(np.float64)
+            counts = proportional_device_count_rows(compute, self.topo.num_devices)
+            transfers[allowed], reduces[allowed] = length_term_maxima(
+                self._crossing[hi[:, :-1]], params, counts, self.topo
+            )
+            top = compute.max(axis=1)
+            positive = top > 0
+            balance[allowed] = np.where(
+                positive, compute.min(axis=1) / np.where(positive, top, 1.0), 1.0
+            )
         for block in (reduces, transfers):
             top = block.max()
             if top > 0:
                 block /= top
-        onehot = np.zeros(n)
-        onehot[self._applied] = 1.0
-        return np.concatenate([reduces, transfers, balance, onehot])
+        return state
 
 
 def infer_search_bands(
@@ -587,8 +623,7 @@ class PipeInferEnv:
     def step(self, action: int) -> StepResult:
         if self._done:
             raise EpisodeError("episode is over")
-        if not self.action_mask()[action]:
-            raise EpisodeError(f"action {action} is masked")
+        _check_action(self.action_mask(), action)
         picks = self.num_stages - 1
         if action < GRANULARITY - 1:
             self._boundaries.append(action + 1)

@@ -10,8 +10,20 @@ slowest stage's allreduce shows up in the length.
 The costs of cutting a graph live in its ``CutCostTable``, built in one
 sweep of the forward order: compute per position, activation bytes crossing
 a cut after each position, and trainable bytes by first forward consumer.
-``stage_metrics``, ``candidate_pivots`` and ``PipeTrainEnv`` read stage
-costs off it; ``length_terms`` holds the terms of ``pipeline_length``.
+``stage_metrics`` and ``candidate_pivots`` read stage costs off it;
+``length_terms`` holds the terms of ``pipeline_length``.
+
+Stage compute is a forward-order running sum from the stage's first
+position.  A difference of two prefix sums gives the same real number but
+not always the same last bit, and that bit can decide a largest-remainder
+tie in ``proportional_device_counts`` and so a device count.
+``PipeTrainEnv`` scores many candidate cuts at once, so it keeps
+``CutCostTable.running_sums``: one ``np.cumsum`` per possible stage start,
+which adds in the same sequence as ``stage_metrics`` and so keeps its bits,
+read at the possible stage ends.  ``proportional_device_count_rows`` and
+``length_term_maxima`` are the row forms of the device allocation and of
+the communication terms, with the scalar code's float operations in the
+same order.
 """
 
 from __future__ import annotations
@@ -20,8 +32,14 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from autoplan.ir import HloGraph, forward_subgraph
 from autoplan.topology import DeviceTopology, allreduce_time, transfer_time
+
+
+# floats in one masked block of CutCostTable.running_sums
+_TABLE_BLOCK = 1 << 16
 
 
 class InfeasiblePlanError(Exception):
@@ -156,6 +174,33 @@ class CutCostTable:
             metrics.append(StageMetrics(compute * scale, activation, float(params)))
         return metrics
 
+    def running_sums(
+        self, cuts: Sequence[int], backward_multiplier: float = 2.0
+    ) -> np.ndarray:
+        """Stage compute between any two of the increasing cut positions.
+
+        Stage boundary 0 is the first position, boundary j+1 lies just past
+        ``cuts[j]`` and boundary ``len(cuts)+1`` past the last position.
+        Entry [a, b] is the compute of the stage from boundary a to boundary
+        b+1, in the bits of ``stage_metrics``; entries with b < a mean
+        nothing.  Row a is the running sum from its start, masked to zero
+        before it (adding zeros first leaves the sum's bits alone).
+        """
+        compute = np.asarray(self.compute)
+        starts = np.array([0, *(c + 1 for c in cuts)])
+        ends = np.array([*cuts, len(compute) - 1])
+        table = np.empty((len(starts), len(ends)))
+        # a block of rows shares one masked cumsum of at most _TABLE_BLOCK
+        # floats, from the block's first start on
+        rows = max(1, _TABLE_BLOCK // len(compute))
+        for lo in range(0, len(starts), rows):
+            first = starts[lo]
+            masked = np.where(
+                np.arange(first, len(compute)) >= starts[lo : lo + rows, None], compute[first:], 0.0
+            )
+            table[lo : lo + rows] = np.cumsum(masked, axis=1)[:, np.maximum(ends - first, 0)]
+        return table * (1.0 + backward_multiplier)
+
 
 def stage_metrics(
     graph: HloGraph, pivots: Sequence[int], backward_multiplier: float = 2.0
@@ -201,6 +246,23 @@ def pipeline_length(
         raise InfeasiblePlanError("metrics do not match the plan's stage count")
     times, transfers, reduces = length_terms(metrics, plan.device_cuts, topo)
     return (plan.micro_batches - 1) * max(times) + sum(times) + sum(transfers) + max(reduces)
+
+
+def length_breakdown(
+    plan: PipelinePlan, metrics: Sequence[StageMetrics], topo: DeviceTopology
+) -> dict:
+    """The terms of ``pipeline_length``, to show what a plan's length comes from.
+
+    Per stage ``time_s``, ``allreduce_s`` and, for all but the last stage,
+    ``transfer_s`` (the hop to the next stage); ``fill_drain_s`` is
+    ``(M-1)*max(time_s)``.  ``fill_drain_s + sum(time_s) + sum(transfer_s)
+    + max(allreduce_s)``, added in that order, is the length.
+    """
+    times, transfers, reduces = length_terms(metrics, plan.device_cuts, topo)
+    stages = [{"time_s": t, "allreduce_s": r} for t, r in zip(times, reduces)]
+    for stage, transfer in zip(stages, transfers):
+        stage["transfer_s"] = transfer
+    return {"stages": stages, "fill_drain_s": (plan.micro_batches - 1) * max(times)}
 
 
 def memory_feasible(
@@ -249,7 +311,11 @@ def proportional_device_counts(
     k = len(compute_ms)
     if k > num_devices:
         raise InfeasiblePlanError(f"{k} stages need more than {num_devices} devices")
-    total = sum(compute_ms)
+    # summed in sequence, as proportional_device_count_rows does (the
+    # built-in sum compensates rounding from Python 3.12 on)
+    total = 0.0
+    for c in compute_ms:
+        total += c
     if total <= 0:
         quotas = [num_devices / k] * k
     else:
@@ -270,6 +336,74 @@ def proportional_device_cuts(
     """Device cuts allocating devices proportionally to stage compute."""
     counts = proportional_device_counts([m.compute_ms for m in metrics], topo.num_devices)
     return tuple(itertools.accumulate(counts[:-1]))
+
+
+def proportional_device_count_rows(compute_ms: np.ndarray, num_devices: int) -> np.ndarray:
+    """``proportional_device_counts`` of every row of per-stage compute.
+
+    The float operations are the scalar ones in the same order, and ties
+    break the same way, so every row gets the counts the scalar function
+    gives it.
+    """
+    k = compute_ms.shape[1]
+    if k > num_devices:
+        raise InfeasiblePlanError(f"{k} stages need more than {num_devices} devices")
+    total = np.zeros((len(compute_ms), 1))
+    for s in range(k):
+        total[:, 0] += compute_ms[:, s]
+    positive = total > 0
+    # the discarded quotas divide by 1, so that no 0/0 is ever evaluated
+    shares = num_devices * compute_ms / np.where(positive, total, 1.0)
+    quotas = np.where(positive, shares, num_devices / k)
+    counts = quotas.astype(np.int64)
+    # largest remainder first, ties to the lower stage; counts - quotas is
+    # exactly -(quotas - counts)
+    order = np.argsort(counts - quotas, axis=1, kind="stable")
+    remainder = num_devices - counts.sum(axis=1)
+    counts += np.argsort(order, axis=1) < remainder[:, None]
+    # the scalar repair, one starved stage per pass: k <= D, so the richest
+    # stage holds at least two devices while a stage holds none
+    starved = np.flatnonzero((counts == 0).any(axis=1))
+    while starved.size:
+        rows = counts[starved]
+        poorest, richest = (rows == 0).argmax(axis=1), rows.argmax(axis=1)
+        counts[starved, richest] -= 1
+        counts[starved, poorest] = 1
+        starved = starved[(counts[starved] == 0).any(axis=1)]
+    return counts
+
+
+def length_term_maxima(
+    activation_bytes: np.ndarray,
+    param_bytes: np.ndarray,
+    device_counts: np.ndarray,
+    topo: DeviceTopology,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the slowest boundary transfer and allreduce of ``length_terms``.
+
+    Row r holds a plan of k stages: ``activation_bytes[r]`` the k-1 payloads
+    crossing its cuts, ``param_bytes[r]`` and ``device_counts[r]`` the k
+    stages' trainable bytes and contiguous device groups.  The values are
+    those of ``transfer_time`` and ``allreduce_time``.
+    """
+    g = topo.gpus_per_server
+    ends = np.cumsum(device_counts, axis=1)
+    # a stage hands over from its last device, ends - 1, to the next one's first
+    transfers = activation_bytes / np.where(ends[:, :-1] % g != 0, topo.intra_bw, topo.inter_bw)
+    if topo.inter_bw <= topo.intra_bw:
+        # a group that spans servers is bound by the network, others by the
+        # server links; a group of one device or no bytes costs 0
+        spans = (ends - device_counts) // g != (ends - 1) // g
+        min_bw = np.where(spans, topo.inter_bw, topo.intra_bw)
+        reduces = 2.0 * (device_counts - 1) / device_counts * param_bytes / min_bw
+    else:
+        reduces = np.array(
+            [
+                [allreduce_time(b, range(e - n, e), topo) for b, n, e in zip(*row)]
+                for row in zip(param_bytes.tolist(), device_counts.tolist(), ends.tolist())
+            ]
+        )
+    return transfers.max(axis=1), reduces.max(axis=1)
 
 
 def allowed_device_cuts(topo: DeviceTopology, radius: int) -> list[int]:

@@ -22,7 +22,7 @@ from autoplan.ir import (
     decision_dims,
     forward_subgraph,
 )
-from autoplan.pipecost import InfeasiblePlanError
+from autoplan.pipecost import InfeasiblePlanError, length_terms, proportional_device_cuts
 from autoplan.sharding import DimStatus, Outcome, ShardingSpec, propagate
 from autoplan.topology import DeviceTopology, allreduce_time, transfer_time
 from autoplan.dataproc import GRANULARITY
@@ -200,6 +200,36 @@ def reference_stage_metrics(
 
     scale = 1.0 + backward_multiplier
     return [(compute[s] * scale, activation[s], params[s]) for s in range(k)]
+
+
+def reference_pipe_train_state(env) -> np.ndarray:
+    """A ``PipeTrainEnv`` state by one stage decode per allowed candidate, as an oracle.
+
+    This is the body ``PipeTrainEnv._state`` had before it scored all
+    candidates in one numpy pass, kept verbatim with ``self`` renamed.
+    """
+    n = env.num_actions
+    reduces = np.zeros(n)
+    transfers = np.zeros(n)
+    balance = np.zeros(n)
+    mask = env.action_mask()
+    for i in np.flatnonzero(mask):
+        pivots = [env.candidates[j] for j in env._applied] + [env.candidates[i]]
+        metrics = env.table.stage_metrics(pivots, env.backward_multiplier)
+        cuts = proportional_device_cuts(metrics, env.topo)
+        _, stage_transfers, stage_reduces = length_terms(metrics, cuts, env.topo)
+        reduces[i] = max(stage_reduces)
+        transfers[i] = max(stage_transfers)
+        computes = [m.compute_ms for m in metrics]
+        top = max(computes)
+        balance[i] = min(computes) / top if top > 0 else 1.0
+    for block in (reduces, transfers):
+        top = block.max()
+        if top > 0:
+            block /= top
+    onehot = np.zeros(n)
+    onehot[env._applied] = 1.0
+    return np.concatenate([reduces, transfers, balance, onehot])
 
 
 def stepwise_outcome(

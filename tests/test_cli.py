@@ -2,12 +2,16 @@
 
 import csv
 import json
+import time
 
 import pytest
 
 from autoplan.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
-
-from autoplan.zoo import t5_block
+from autoplan.dataproc import build_environment_arrays
+from autoplan.envs import PipeInferEnv
+from autoplan.pipecost import PipelinePlan, length_breakdown, pipeline_length
+from autoplan.topology import load_topology
+from autoplan.zoo import bert48_profile, t5_block
 
 from helpers import linkage_chain_graph
 
@@ -236,3 +240,53 @@ def test_gen_data_task_is_gone(tmp_path):
 def test_more_stages_than_devices_is_infeasible(tmp_path):
     args = ["--task", "pp-train", "--graph", "uniform_chain", "--stages", "20", "--topology", "configa"]
     assert main(args + ["--episodes", "2", "--out", str(tmp_path / "plan.json")]) == EXIT_INFEASIBLE
+
+
+@pytest.mark.parametrize("task", sorted(SEARCH_ARGS))
+def test_summary_times_every_phase(tmp_path, task):
+    extra = ["--finetune"] if task == "opp" else []
+    started = time.monotonic()
+    code, _ = _search(tmp_path, task, *extra)
+    wall = time.monotonic() - started
+    assert code == EXIT_OK
+    phases = json.loads((tmp_path / "plan_summary.json").read_text())["phase_s"]
+    assert set(phases) == {"load_inputs", "build_env", "train", "finetune", "validate"}
+    assert all(seconds >= 0.0 for seconds in phases.values())
+    assert sum(phases.values()) <= wall
+    assert (phases["finetune"] > 0.0) == bool(extra)
+
+
+@pytest.mark.parametrize("task", ["pp-train", "pp-infer"])
+def test_length_terms_add_up_to_the_plan_length(tmp_path, task):
+    code, plan = _search(tmp_path, task)
+    assert code == EXIT_OK
+    length = json.loads(plan.read_text())["pipeline_length_s"]
+    terms = json.loads((tmp_path / "plan_summary.json").read_text())["length_terms"]
+    stages = terms["stages"]
+    assert "transfer_s" not in stages[-1]
+    recomputed = (
+        terms["fill_drain_s"]
+        + sum(s["time_s"] for s in stages)
+        + sum(s["transfer_s"] for s in stages[:-1])
+        + max(s["allreduce_s"] for s in stages)
+    )
+    assert recomputed == length
+
+
+def test_length_terms_show_an_activation_transfer():
+    env = PipeInferEnv(build_environment_arrays(bert48_profile()), load_topology("configc"), 4)
+    terms = {}
+    for boundaries in ((34, 66, 98), (34, 68, 98)):
+        plan = PipelinePlan(boundaries, (8, 16, 24), micro_batches=1)
+        metrics = env.decode_metrics(boundaries)
+        terms[boundaries] = length_breakdown(plan, metrics, env.topo_norm)
+        terms[boundaries]["length"] = pipeline_length(plan, metrics, env.topo_norm)
+    good, bad = terms[(34, 66, 98)], terms[(34, 68, 98)]
+    assert good["length"] == pytest.approx(0.8745)
+    assert bad["length"] == pytest.approx(10.1578, abs=1e-4)
+    # boundary 68 sits off an activation dip: the hop after stage 1 carries
+    # almost all of the rise
+    hops = zip(good["stages"][:-1], bad["stages"][:-1])
+    rise = [b["transfer_s"] - g["transfer_s"] for g, b in hops]
+    assert rise[1] == pytest.approx(9.256) and rise[0] == rise[2] == 0.0
+    assert rise[1] > 0.9 * (bad["length"] - good["length"])
