@@ -12,10 +12,12 @@ the seconds spent loading inputs, building the env (linkage included),
 training, fine-tuning (0 without ``--finetune``) and self-validating.
 Partition searches (opp, adp) also report ``propagations``, the propagation
 runs the search made (linkage extraction, env steps and self-validation),
-and ``linkage_cache``: ``hit`` or ``miss`` for a graph file, ``none`` for a
-bundled graph or a task without linkage.  Pipeline searches report the
-``length_terms`` of the plan, the per-stage terms its length adds up from;
-they stay out of the plan JSON, whose fields are those of earlier plans.
+``conflicts``, the episodes that ended in a conflict (fine-tuning ones
+included), and ``linkage_cache``: ``hit`` or ``miss`` for a graph file,
+``none`` for a bundled graph or a task without linkage.  Pipeline searches
+report the ``length_terms`` of the plan, the per-stage terms its length adds
+up from; they stay out of the plan JSON, whose fields are those of earlier
+plans.
 
 Exit codes: 0 ok, 2 configuration error, 3 infeasible (no valid plan),
 4 training divergence.
@@ -645,6 +647,7 @@ def _run_search(cfg: RunConfig) -> int:
         # linkage extraction, env steps and self-validation alike
         summary["propagations"] = PropagationEngine.runs - runs_before
         summary["linkage_cache"] = stats.get("linkage_cache", "none")
+        summary["conflicts"] = env.conflicts
     write_json(summary_path, summary)
     logger.info("wrote %s (%s %.6g, episode %d)", cfg.out, field, best.info[key], best.episode)
     return EXIT_OK

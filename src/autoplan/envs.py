@@ -90,7 +90,15 @@ class PartitionSearchEnv:
     propagating all decisions taken so far at once would.  Every candidate
     dim the step newly settles is rewarded at 0.4 (partitioned) or 0.1
     (replicated).  A contradiction ends the episode with reward -1, and its
-    ``info`` names the instruction that met it in ``conflict_site``.
+    ``info`` names the instruction that met it in ``conflict_site``;
+    ``conflicts`` counts the episodes that ended so.
+
+    A step costs what its seed touches, not the candidate count: the dims
+    it settles are read off the tensors the propagation changed, and the
+    count of undecided candidates and the state vector are updated as dims
+    settle.  The first step of an episode also settles the dims its start
+    state had already decided (the base state's, or the propagated ones
+    after ``finetune_reset``), as a scan of every undecided dim would.
     """
 
     def __init__(
@@ -109,11 +117,16 @@ class PartitionSearchEnv:
         self.num_actions = 2
         self.state_dim = len(self.dims) + 1
         self.engine = PropagationEngine(graph, self.dims)
+        self.conflicts = 0
         self._feasibility: dict[Trigger, bool] = {}
         self._rows: dict[int, list[int]] = {}  # the engine's state of the episode
         self._seeds: dict[DimIndex, DimStatus] = {}
         self._decided: dict[DimIndex, DimStatus] = {}
-        self._undecided: list[DimIndex] = []  # the candidate dims not in _decided
+        # _decided as a state vector, without the position entry
+        self._vec = np.full(self.state_dim, float(DimStatus.UNDECIDED))
+        # dims decided in _rows but not yet in _decided; the next step settles them
+        self._pending: list[DimIndex] = []
+        self._open = 0  # the candidate dims undecided in _rows
         self._cursor = 0  # every dim in order[:_cursor] is decided
         self._done = True
         self._position: DimIndex | None = None
@@ -122,12 +135,8 @@ class PartitionSearchEnv:
 
     def reset(self) -> np.ndarray:
         self._rows = self.engine.base()
-        self._seeds = {}
-        self._decided = {}
-        self._undecided = list(self.dims)
-        self._cursor = 0
+        self._start({}, [self.dims[i] for i in self.engine.base_decided])
         self._done = False
-        self._position = self._next_position()
         return self._state()
 
     def finetune_reset(self, strategy: Mapping[DimIndex, DimStatus]) -> np.ndarray:
@@ -151,13 +160,21 @@ class PartitionSearchEnv:
         if result.outcome is Outcome.CONFLICT:
             raise ValueError("finetune needs a conflict-free strategy")
         self._rows = result.rows
-        self._seeds = seeds
-        self._decided = dict(seeds)
-        self._undecided = [d for d in self.dims if d not in seeds]
-        self._cursor = 0
-        self._position = self._next_position()
+        self._start(seeds, [d for d, _ in result.newly_decided])
         self._done = self._position is None
         return self._state()
+
+    def _start(self, seeds: dict[DimIndex, DimStatus], pending: list[DimIndex]) -> None:
+        """Begin an episode on ``_rows``, which decide the seeds and ``pending``."""
+        self._seeds = seeds
+        self._decided = dict(seeds)
+        self._vec.fill(float(DimStatus.UNDECIDED))
+        for d, status in seeds.items():
+            self._vec[d.flat_index] = float(status)
+        self._pending = pending
+        self._open = len(self.dims) - len(seeds) - len(pending)
+        self._cursor = 0
+        self._position = self._next_position()
 
     def step(self, action: int) -> StepResult:
         if self._done:
@@ -170,25 +187,34 @@ class PartitionSearchEnv:
             raise EpisodeError(f"unknown action {action}")
         dim = self._position
         assert dim is not None
-        result = self.engine.run({dim: status}, start=self._rows)
-        if result.outcome is Outcome.CONFLICT:
+        rows = self._rows
+        site, changed = self.engine.advance(rows, {dim: status})
+        if site is not None:
             self._done = True
-            site = self.graph.instruction(result.conflict_site).name
-            return StepResult(self._state(), -1.0, True, {"conflict": True, "conflict_site": site})
+            self.conflicts += 1
+            return StepResult(
+                self._state(), -1.0, True,
+                {"conflict": True, "conflict_site": self.graph.instruction(site).name},
+            )
 
         self._seeds[dim] = status
-        # only dims undecided so far can have been settled by this step
-        undecided: list[DimIndex] = []
-        newly: list[tuple[DimIndex, DimStatus]] = []
-        for d in self._undecided:
-            value = self._rows[d.instruction_id][d.dim]
-            if value == DimStatus.UNDECIDED:
-                undecided.append(d)
-            else:
-                newly.append((d, DimStatus(value)))
-        self._undecided = undecided
-        self._decided.update(newly)
-        partitioned = sum(s == DimStatus.PARTITIONED for _, s in newly)
+        # a dim this step settles is pending or sits in a tensor it changed
+        dims, decided = self.dims, self._decided
+        newly = {
+            d
+            for t in changed
+            for d in map(dims.__getitem__, self.engine.by_tensor.get(t, ()))
+            if d not in decided and rows[t][d.dim] != DimStatus.UNDECIDED
+        }
+        newly.update(self._pending)
+        self._open -= len(newly) - len(self._pending)
+        self._pending = []
+        partitioned = 0
+        for d in sorted(newly, key=lambda d: d.flat_index):
+            value = DimStatus(rows[d.instruction_id][d.dim])
+            decided[d] = value
+            self._vec[d.flat_index] = float(value)
+            partitioned += value == DimStatus.PARTITIONED
         replicated = len(newly) - partitioned
         reward = 0.4 * partitioned + 0.1 * replicated
         info = {
@@ -196,7 +222,7 @@ class PartitionSearchEnv:
             "newly_partitioned": partitioned,
             "newly_replicated": replicated,
         }
-        if result.outcome is Outcome.COMPLETE:
+        if self._open == 0:
             self._done = True
             self._position = None
             info["partition_count"] = self.partition_count
@@ -249,9 +275,7 @@ class PartitionSearchEnv:
         return order[self._cursor] if self._cursor < len(order) else None
 
     def _state(self) -> np.ndarray:
-        vec = np.full(self.state_dim, float(DimStatus.UNDECIDED), dtype=np.float64)
-        for d, status in self._decided.items():
-            vec[d.flat_index] = float(status)
+        vec = self._vec.copy()
         if self._position is None:
             vec[-1] = 1.0
         else:
@@ -263,7 +287,7 @@ class PartitionSearchEnv:
         if trigger in self.groups:
             return not self.groups[trigger].infeasible
         if trigger not in self._feasibility:
-            result = self.engine.run({dim: DimStatus.PARTITIONED}, start=self.engine.base())
+            result = self.engine.trial({dim: DimStatus.PARTITIONED})
             self._feasibility[trigger] = result.outcome is not Outcome.CONFLICT
         return self._feasibility[trigger]
 

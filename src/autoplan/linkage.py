@@ -6,6 +6,12 @@ and propagated.  The candidate dims that come out decided form the dim's
 linkage group for that decision.  Group sizes drive the decision order
 during search: dims whose decisions settle many other dims are decided
 first, which shortens episodes considerably.
+
+Each trigger is a ``PropagationEngine.trial``: it seeds onto the engine's
+one working copy of the base state in place and then restores only the
+rows it changed, conflict or not.  Extraction therefore costs the rows the
+triggers touch, not a copy of the whole state per trigger, and grows
+linearly with the graph when the groups stay small.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ def extract_linkage_groups(
     for di in dims:
         for status in (DimStatus.PARTITIONED, DimStatus.REPLICATED):
             trigger = (di, status)
-            result = engine.run({di: status}, start=engine.base())
+            result = engine.trial({di: status})
             if result.outcome is Outcome.CONFLICT:
                 groups[trigger] = LinkageGroup(trigger=trigger, implied=(), infeasible=True)
             else:
@@ -94,9 +100,9 @@ def save_cache(path: str, graph: HloGraph, groups: Mapping[Trigger, LinkageGroup
             for g in groups.values()
         ],
     }
+    # json.dumps takes the C encoder, which json.dump's chunked writes do not
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def load_cache(path: str, graph: HloGraph) -> dict[Trigger, LinkageGroup] | None:

@@ -440,16 +440,17 @@ def candidate_pivots(
     if len(table.order) < 2:
         raise InfeasiblePlanError("graph is too small to cut")
 
-    prefix = list(itertools.accumulate(table.compute))
+    prefix = np.array(list(itertools.accumulate(table.compute)))
     # every tensor holds at least one byte, so bytes tell whether a side holds a variable
     params = list(itertools.accumulate(table.param_bytes))
-    allowed = set(allowed_device_cuts(topo, radius))
+    # the device cut of a two-way split is the first side's device count
+    splits = np.column_stack([prefix[:-1], prefix[-1] - prefix[:-1]])
+    cuts = proportional_device_count_rows(splits, topo.num_devices)[:, 0]
+    fits = np.isin(cuts, allowed_device_cuts(topo, radius)).tolist()
     kept = [
         table.order[i]
         for i in range(len(table.order) - 1)
-        # the device cut of a two-way split is the first side's device count
-        if proportional_device_counts([prefix[i], prefix[-1] - prefix[i]], topo.num_devices)[0] in allowed
-        and (not params[-1] or 0 < params[i] < params[-1])
+        if fits[i] and (not params[-1] or 0 < params[i] < params[-1])
     ]
     if len(kept) < num_stages - 1:
         raise InfeasiblePlanError(

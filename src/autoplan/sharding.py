@@ -29,10 +29,18 @@ worklist.
 The rules are monotone implications, so the fixed point of a seed set does
 not depend on the order in which the seeds arrive, and a conflict is found
 whatever the order.  A run may therefore start from an earlier fixed point:
-an engine keeps the fixed point of its pins alone (the base state), linkage
-extraction seeds each trigger onto a copy of it, and a search seeds one
-decision per step onto the state its previous step left.  Seeding dims one
-at a time decides and classifies exactly as seeding them all at once does.
+an engine keeps the fixed point of its pins alone (the base state), and a
+search seeds one decision per step onto the state its previous step left.
+Seeding dims one at a time decides and classifies exactly as seeding them
+all at once does.
+
+Every run reports the tensors whose rows it changed, also when it ends in a
+conflict, so work proportional to what a decision touches can follow it.  A
+search step (``advance``) reads the dims it settled off those tensors.  A
+trial (linkage extraction, the finetune feasibility check) seeds onto one
+working copy of the base state that the engine keeps, reads its outcome,
+then restores just the changed rows from the base: no trial copies the
+whole state.
 """
 
 from __future__ import annotations
@@ -123,22 +131,27 @@ class PropagationResult:
 
     ``rows`` holds the raw status row of every instruction, keyed by id; on
     a conflict it is the state at the contradiction, and ``conflict_site``
-    the instruction whose rule or seed met it.  ``newly_decided`` lists
-    the candidate dims decided beyond the seeds themselves, in candidate
-    order; from a later search state than ``base()`` it keeps only those
-    the base state decides or the run's changed tensors hold.
-    ``assignments`` builds a ``ShardingSpec`` per instruction from the rows
-    when it is first read.
+    the instruction whose rule or seed met it.  A trial's result has no
+    rows (None): they were restored to the base state.  ``changed`` names
+    the instructions whose rows the run changed, on a conflict too.
+    ``newly_decided`` lists the candidate dims decided beyond the seeds
+    themselves, in candidate order; from a later search state than
+    ``base()`` it keeps only those the base state decides or the run's
+    changed tensors hold.  ``assignments`` builds a ``ShardingSpec`` per
+    instruction from the rows when it is first read.
     """
 
     outcome: Outcome
-    rows: Rows
+    rows: Rows | None
     conflict_site: int | None
     newly_decided: tuple[tuple[DimIndex, DimStatus], ...]
+    changed: frozenset[int]
     graph: HloGraph = field(repr=False, compare=False)
 
     @cached_property
     def assignments(self) -> dict[int, ShardingSpec]:
+        if self.rows is None:
+            raise ValueError("a trial keeps no rows")
         return {
             ins.id: ShardingSpec(statuses=tuple(self.rows[ins.id]), dims=ins.shape.dims)
             for ins in self.graph.instructions
@@ -291,32 +304,41 @@ def _rule(
 
 
 def _drain(
-    rows: Rows, dirty: list[int], plans: Sequence[Plan], touching: Mapping[int, Sequence[int]]
-) -> set[int]:
+    rows: Rows,
+    dirty: list[int],
+    plans: Sequence[Plan],
+    touching: Mapping[int, Sequence[int]],
+    changed: set[int],
+) -> None:
     """Fire the plans touching each changed tensor until none changes a row.
 
     ``dirty`` lists the tensors changed since ``rows`` was last a fixed
     point; ``touching`` maps a tensor to the indices of the plans over it.
-    Returns every tensor changed, ``dirty`` included.  Raises ``_Conflict``
-    at the first contradiction.
+    Adds every tensor changed, ``dirty`` included, to ``changed``; it does
+    so also when it raises ``_Conflict`` at the first contradiction, so the
+    caller can undo a conflicting run.
     """
     queue: deque[int] = deque()
     queued: set[int] = set()
-    changed: set[int] = set()
-    while True:
+    try:
+        while True:
+            if dirty:
+                changed.update(dirty)
+                for tid in dirty:
+                    for p in touching.get(tid, ()):
+                        if p not in queued:
+                            queued.add(p)
+                            queue.append(p)
+                dirty.clear()
+            if not queue:
+                return
+            p = queue.popleft()
+            queued.discard(p)
+            fire, args = plans[p]
+            fire(rows, dirty, *args)
+    finally:
+        # the tensors of the firing that met a contradiction
         changed.update(dirty)
-        for tid in dirty:
-            for p in touching.get(tid, ()):
-                if p not in queued:
-                    queued.add(p)
-                    queue.append(p)
-        dirty.clear()
-        if not queue:
-            return changed
-        p = queue.popleft()
-        queued.discard(p)
-        fire, args = plans[p]
-        fire(rows, dirty, *args)
 
 
 class PropagationEngine:
@@ -326,12 +348,15 @@ class PropagationEngine:
     dims are not among the candidates are pinned to full replication on
     every run.  With ``candidates`` given, ``base()`` keeps the fixed point
     of those pins (the base state), and runs that start from a copy of it
-    skip re-deriving what the pins force.  With ``candidates=None`` the
-    candidates are all dims of the seeded tensors, so every parameter that
-    is not seeded is replicated and the pins are derived per run.
+    skip re-deriving what the pins force; ``trial`` runs from one working
+    copy of it and undoes the rows it changed.  With ``candidates=None``
+    the candidates are all dims of the seeded tensors, so every parameter
+    that is not seeded is replicated and the pins are derived per run.
 
+    ``by_tensor`` maps each candidate tensor to its candidates' positions,
+    and ``base_decided`` lists the positions the base state decides.
     ``PropagationEngine.runs`` counts the runs of every engine in the
-    process.
+    process: a ``run``, a ``trial`` or an ``advance`` is one run each.
     """
 
     runs = 0
@@ -361,11 +386,12 @@ class PropagationEngine:
                 self._plans.append(plan)
             self._forced.extend(forced)
         self._touching = {tid: tuple(ps) for tid, ps in touching.items()}
-        self._by_tensor: dict[int, list[int]] = {}  # candidate positions per tensor
+        self.by_tensor: dict[int, list[int]] = {}
         for i, di in enumerate(self.candidates or ()):
-            self._by_tensor.setdefault(di.instruction_id, []).append(i)
-        self._base: Rows | None = None
-        self._base_decided: list[int] = []  # candidate positions the base state decides
+            self.by_tensor.setdefault(di.instruction_id, []).append(i)
+        self._base: Rows | None = None  # never seeded onto
+        self._work: Rows | None = None  # the trials' copy of the base state
+        self.base_decided: list[int] = []  # set by the first base(): the positions it decides
 
     def base(self) -> Rows:
         """A copy of the base state: the fixed point of the pins alone.
@@ -377,8 +403,8 @@ class PropagationEngine:
                 raise ValueError("an engine without candidates has no fixed base state")
             # pins hold only replicated statuses, which cannot conflict
             self._base, dirty = self._pinned(self.candidates)
-            _drain(self._base, dirty, self._plans, self._touching)
-            self._base_decided = [
+            _drain(self._base, dirty, self._plans, self._touching, set())
+            self.base_decided = [
                 i for i, di in enumerate(self.candidates) if self._base[di.instruction_id][di.dim] != _U
             ]
         return {tid: row[:] for tid, row in self._base.items()}
@@ -404,6 +430,30 @@ class PropagationEngine:
         names = {self.graph.instruction(di.instruction_id).name for di in seeds}
         return decision_dims(self.graph, names)
 
+    def advance(
+        self, rows: Rows, seeds: Mapping[DimIndex, DimStatus], dirty: list[int] | None = None
+    ) -> tuple[int | None, set[int]]:
+        """Seed onto ``rows`` in place, in the mapping's order, and drain.
+
+        The core of every run: ``rows`` must be a fixed point of this engine
+        apart from the tensors in ``dirty``.  Returns the instruction that
+        met a contradiction (None without one) and every tensor whose row
+        changed, on a conflict too.  It neither checks the seeds nor scans
+        the candidates, so a search step costs what its seed touches.
+        """
+        PropagationEngine.runs += 1
+        dirty = [] if dirty is None else dirty
+        changed: set[int] = set()
+        try:
+            for di, status in seeds.items():
+                _set(rows, di.instruction_id, di.dim, int(status), di.instruction_id, dirty)
+            _drain(rows, dirty, self._plans, self._touching, changed)
+        except _Conflict as c:
+            # a seed that conflicts leaves the seeds set before it in dirty
+            changed.update(dirty)
+            return c.site, changed
+        return None, changed
+
     def run(
         self, seeds: Mapping[DimIndex, DimStatus], start: Rows | None = None
     ) -> PropagationResult:
@@ -416,7 +466,6 @@ class PropagationEngine:
         previous step left.  Only an engine with candidates takes a
         ``start``.
         """
-        PropagationEngine.runs += 1
         order = sorted(seeds, key=lambda d: (d.instruction_id, d.dim))
         for di in order:
             if di.instruction_id not in self.graph:
@@ -427,20 +476,17 @@ class PropagationEngine:
                 )
         candidates = self._candidate_dims(seeds)
         rows, dirty = self._pinned(candidates) if start is None else (start, [])
-        try:
-            for di in order:
-                _set(rows, di.instruction_id, di.dim, int(seeds[di]), di.instruction_id, dirty)
-            changed = _drain(rows, dirty, self._plans, self._touching)
-        except _Conflict as c:
-            return PropagationResult(Outcome.CONFLICT, rows, c.site, (), self.graph)
+        site, changed = self.advance(rows, {di: seeds[di] for di in order}, dirty)
+        if site is not None:
+            return PropagationResult(Outcome.CONFLICT, rows, site, (), frozenset(changed), self.graph)
         if start is None:
             positions: Sequence[int] = range(len(candidates))
         else:
             # a start holds the base state, and only the changed tensors moved on from it
             if self._base is None:
                 self.base()
-            by_tensor = self._by_tensor
-            positions = sorted({*self._base_decided, *(i for t in changed for i in by_tensor.get(t, ()))})
+            by_tensor = self.by_tensor
+            positions = sorted({*self.base_decided, *(i for t in changed for i in by_tensor.get(t, ()))})
         seeded = {(di.instruction_id, di.dim) for di in order}
         newly = tuple(
             (di, _STATUS[rows[di.instruction_id][di.dim]])
@@ -449,7 +495,23 @@ class PropagationEngine:
         )
         complete = all(rows[di.instruction_id][di.dim] != _U for di in candidates)
         outcome = Outcome.COMPLETE if complete else Outcome.INCOMPLETE
-        return PropagationResult(outcome, rows, None, newly, self.graph)
+        return PropagationResult(outcome, rows, None, newly, frozenset(changed), self.graph)
+
+    def trial(self, seeds: Mapping[DimIndex, DimStatus]) -> PropagationResult:
+        """``run(seeds, start=self.base())`` without copying the base state.
+
+        The seeds go onto the engine's working copy of the base state, and
+        the rows the run changed are then restored from the base, conflict
+        or not.  The result has the run's outcome, ``conflict_site``,
+        ``newly_decided`` and ``changed``, but no rows.
+        """
+        if self._work is None:
+            self._work = self.base()
+        r = self.run(seeds, start=self._work)
+        work, base = self._work, self._base
+        for tid in r.changed:
+            work[tid][:] = base[tid]
+        return PropagationResult(r.outcome, None, r.conflict_site, r.newly_decided, r.changed, self.graph)
 
 
 def propagate(
@@ -498,7 +560,7 @@ def rule_for(
     try:
         for tid, dim in forced:
             _set(rows, tid, dim, _R, tid, dirty)
-        _drain(rows, dirty, plans, touching)
+        _drain(rows, dirty, plans, touching, set())
     except _Conflict:
         return None
     new_operands = tuple(

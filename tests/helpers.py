@@ -22,7 +22,14 @@ from autoplan.ir import (
     decision_dims,
     forward_subgraph,
 )
-from autoplan.pipecost import InfeasiblePlanError, length_terms, proportional_device_cuts
+from autoplan.pipecost import (
+    CutCostTable,
+    InfeasiblePlanError,
+    allowed_device_cuts,
+    length_terms,
+    proportional_device_counts,
+    proportional_device_cuts,
+)
 from autoplan.sharding import DimStatus, Outcome, ShardingSpec, propagate
 from autoplan.topology import DeviceTopology, allreduce_time, transfer_time
 from autoplan.dataproc import GRANULARITY
@@ -200,6 +207,23 @@ def reference_stage_metrics(
 
     scale = 1.0 + backward_multiplier
     return [(compute[s] * scale, activation[s], params[s]) for s in range(k)]
+
+
+def reference_candidate_pivots(table: CutCostTable, topo: DeviceTopology, radius: int) -> list[int]:
+    """The pivots ``candidate_pivots`` keeps, one scalar split at a time.
+
+    The filter ``candidate_pivots`` ran before it scored every split in one
+    ``proportional_device_count_rows`` call, without its raises.
+    """
+    prefix = list(itertools.accumulate(table.compute))
+    params = list(itertools.accumulate(table.param_bytes))
+    allowed = set(allowed_device_cuts(topo, radius))
+    return [
+        table.order[i]
+        for i in range(len(table.order) - 1)
+        if proportional_device_counts([prefix[i], prefix[-1] - prefix[i]], topo.num_devices)[0] in allowed
+        and (not params[-1] or 0 < params[i] < params[-1])
+    ]
 
 
 def reference_pipe_train_state(env) -> np.ndarray:

@@ -216,6 +216,18 @@ def test_partition_summary_counts_propagations_and_linkage_cache(tmp_path):
     assert seen == [("miss", 36 + 12 + 1), ("hit", 12 + 1)]
 
 
+@pytest.mark.parametrize("task", ["opp", "adp"])
+def test_partition_summary_counts_conflicts(tmp_path, task):
+    log = tmp_path / "episodes.jsonl"
+    args = ["--task", task, "--graph", "vgg_classifier", "--episodes", "50", "--seed", "3"]
+    assert main(args + ["--out", str(tmp_path / "plan.json"), "--log", str(log)]) == EXIT_OK
+    summary = json.loads((tmp_path / "plan_summary.json").read_text())
+    records = [json.loads(line) for line in log.read_text().splitlines()]
+    assert summary["conflicts"] == sum("conflict_site" in r for r in records)
+    # opp offers the w1 dims that the base state already replicates; partitioning one conflicts
+    assert (summary["conflicts"] > 0) == (task == "opp")
+
+
 def test_opp_finetune(tmp_path):
     code, plan = _search(tmp_path, "opp", "--finetune")
     assert code == EXIT_OK

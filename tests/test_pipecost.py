@@ -5,11 +5,11 @@ import pytest
 
 from autoplan.envs import PipeTrainEnv
 from autoplan.ir import HloGraph, forward_subgraph
-from autoplan.pipecost import CutCostTable, InfeasiblePlanError, stage_metrics
+from autoplan.pipecost import CutCostTable, InfeasiblePlanError, candidate_pivots, stage_metrics
 from autoplan.topology import load_topology
 from autoplan.zoo import GRAPHS, uniform_chain
 
-from helpers import GraphBuilder, reference_stage_metrics
+from helpers import GraphBuilder, reference_candidate_pivots, reference_stage_metrics
 
 
 def _bits(metrics):
@@ -161,3 +161,24 @@ def test_candidate_pivots_are_pinned(name, topology, radius):
 def test_vgg_classifier_has_no_candidates(topology):
     with pytest.raises(InfeasiblePlanError, match="only 0 candidate pivots"):
         PipeTrainEnv(GRAPHS["vgg_classifier"](), load_topology(topology), num_stages=2, radius=3)
+
+
+PIVOT_CASES = {
+    **CASES,
+    "uniform_chain2048": lambda: uniform_chain(2048),
+    "zero_compute_chain": lambda: uniform_chain(64, cost=0.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PIVOT_CASES))
+def test_candidate_pivots_match_scalar_splits(name):
+    table = CutCostTable.build(PIVOT_CASES[name]())
+    for topology in ("configa", "configb", "configc"):
+        topo = load_topology(topology)
+        for radius in range(4):
+            expected = reference_candidate_pivots(table, topo, radius)
+            if expected:
+                assert candidate_pivots(table, topo, 2, radius) == expected
+            else:
+                with pytest.raises(InfeasiblePlanError):
+                    candidate_pivots(table, topo, 2, radius)

@@ -7,6 +7,7 @@ state and decisions seeded one at a time must all reach its fixed point.
 """
 
 import functools
+import itertools
 import sys
 from pathlib import Path
 
@@ -103,6 +104,54 @@ def test_linkage_matches_sweep_extraction(name):
     ref = reference_linkage_groups(graph, dims)
     assert list(groups) == list(ref)
     assert {t: (g.implied, g.infeasible) for t, g in groups.items()} == ref
+
+
+@functools.lru_cache(maxsize=None)
+def _engine(name, kind):
+    """One engine per case, so trials accumulate on its one working copy."""
+    graph = _graph(name)
+    return PropagationEngine(graph, candidates=_candidates(graph, kind))
+
+
+@pytest.mark.parametrize("name, kind", CASES)
+def test_trials_leave_the_base_state_as_built(name, kind):
+    """Every trigger, and every pair of seeds, is undone, conflict or not."""
+    graph = _graph(name)
+    dims = _candidates(graph, kind)
+    engine = PropagationEngine(graph, candidates=dims)
+    fresh = PropagationEngine(graph, candidates=dims).base()
+    triggers = [{di: status} for di in dims for status in (P, R)]
+    # pairs among the first dims only, to keep mlp25's count small
+    pairs = [
+        {a: sa, b: sb}
+        for a, b in itertools.combinations(dims[:12], 2)
+        for sa, sb in itertools.product((P, R), repeat=2)
+    ]
+    conflicts = 0
+    for seeds in triggers + pairs:
+        result = engine.trial(seeds)
+        conflicts += result.outcome is Outcome.CONFLICT and bool(result.changed)
+        assert engine._work == fresh
+    assert engine.base() == fresh
+    if (name, kind) in (("t5_block", "opp"), ("vgg_classifier", "adp")):
+        # these met contradictions after the seeds had changed rows
+        assert conflicts
+
+
+@pytest.mark.parametrize("name, kind", CASES)
+@settings(max_examples=25)
+@given(data=st.data())
+def test_trial_matches_run_from_a_base_copy(name, kind, data):
+    engine = _engine(name, kind)
+    dims = engine.candidates
+    picks = data.draw(st.lists(st.integers(0, len(dims) - 1), min_size=1, max_size=2, unique=True))
+    seeds = {dims[i]: data.draw(st.sampled_from([P, R])) for i in picks}
+    trial = engine.trial(seeds)
+    ref = engine.run(seeds, start=engine.base())
+    assert trial.rows is None
+    assert (trial.outcome, trial.conflict_site, trial.newly_decided, trial.changed) == (
+        ref.outcome, ref.conflict_site, ref.newly_decided, ref.changed,
+    )
 
 
 @functools.lru_cache(maxsize=None)
