@@ -24,15 +24,10 @@ Q values and, through them, of the losses and the learned plans.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-
-
-class CheckpointError(Exception):
-    """A checkpoint file does not match the expected layout."""
 
 
 class DivergenceError(Exception):
@@ -166,11 +161,6 @@ class QNetwork:
 
     def clone(self) -> "QNetwork":
         return QNetwork(self.state_dim, self.num_actions, self.hidden, flat=self.flat.copy())
-
-
-def sync_target(net: QNetwork, target_net: QNetwork) -> None:
-    """Hard-copy the online parameters into the target network."""
-    target_net.copy_from(net)
 
 
 def masked_argmax(q: np.ndarray, mask: np.ndarray) -> int:
@@ -381,9 +371,8 @@ class DqnAgent:
     def epsilon(self) -> float:
         return epsilon_at(self.train_steps, self.config)
 
-    def act(self, state: np.ndarray, mask: np.ndarray, greedy: bool = False) -> int:
-        eps = 0.0 if greedy else self.epsilon
-        return act(self.net, state, mask, eps, self.rng)
+    def act(self, state: np.ndarray, mask: np.ndarray) -> int:
+        return act(self.net, state, mask, self.epsilon, self.rng)
 
     def observe(self, transition: Transition) -> None:
         self.buffer.push(transition)
@@ -399,65 +388,5 @@ class DqnAgent:
             raise DivergenceError(f"training loss diverged to {loss}")
         self.train_steps += 1
         if self.train_steps % self.config.target_sync_every == 0:
-            sync_target(self.net, self.target)
+            self.target.copy_from(self.net)
         return loss
-
-    # -- checkpointing ----------------------------------------------------
-
-    def _checkpoint_tensors(self) -> tuple[tuple[str, dict[str, np.ndarray]], ...]:
-        """(scope, per-tensor views) of the arrays a checkpoint holds."""
-        return (
-            ("net", self.net.params),
-            ("target", self.target.params),
-            ("adam.m", self.net.views(self.optimizer.m)),
-            ("adam.v", self.net.views(self.optimizer.v)),
-        )
-
-    def save(self, path: str) -> None:
-        """Write config, parameters, iteration count and RNG state."""
-        arrays = {
-            f"{scope}.{key}": view
-            for scope, views in self._checkpoint_tensors()
-            for key, view in views.items()
-        }
-        header = {
-            "version": 1,
-            "config": asdict(self.config),
-            "state_dim": self.net.state_dim,
-            "num_actions": self.net.num_actions,
-            "train_steps": self.train_steps,
-            "adam_t": self.optimizer.t,
-            "rng_state": self.rng.bit_generator.state,
-        }
-        with open(path, "wb") as fh:
-            np.savez(fh, header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8), **arrays)
-
-    @classmethod
-    def load(cls, path: str) -> "DqnAgent":
-        try:
-            with np.load(path) as blob:
-                header = json.loads(bytes(blob["header"]).decode())
-                arrays = {k: blob[k] for k in blob.files if k != "header"}
-        except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
-            raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-        if header.get("version") != 1:
-            raise CheckpointError(f"unsupported checkpoint version {header.get('version')}")
-        raw = dict(header["config"])
-        raw["hidden"] = tuple(raw["hidden"])
-        config = AgentConfig(**raw)
-        agent = cls(config, header["state_dim"], header["num_actions"])
-        # write into the views, so that the flat vectors see the stored values
-        for scope, views in agent._checkpoint_tensors():
-            for key, view in views.items():
-                stored = arrays.get(f"{scope}.{key}")
-                if stored is None or stored.shape != view.shape:
-                    raise CheckpointError(
-                        f"checkpoint array {scope}.{key} is missing or has the wrong shape"
-                    )
-                view[...] = stored
-        agent.train_steps = int(header["train_steps"])
-        agent.optimizer.t = int(header["adam_t"])
-        state = header["rng_state"]
-        agent.rng = np.random.default_rng()
-        agent.rng.bit_generator.state = state
-        return agent

@@ -13,11 +13,9 @@ training, fine-tuning (0 without ``--finetune``) and self-validating.
 Partition searches (opp, adp) also report ``propagations``, the propagation
 runs the search made (linkage extraction, env steps and self-validation),
 ``conflicts``, the episodes that ended in a conflict (fine-tuning ones
-included), and ``linkage_cache``: ``hit`` or ``miss`` for a graph file,
-``none`` for a bundled graph or a task without linkage.  Pipeline searches
-report the ``length_terms`` of the plan, the per-stage terms its length adds
-up from; they stay out of the plan JSON, whose fields are those of earlier
-plans.
+included).  Pipeline searches report the ``length_terms`` of the plan, the
+per-stage terms its length adds up from; they stay out of the plan JSON,
+whose fields are those of earlier plans.
 
 Exit codes: 0 ok, 2 configuration error, 3 infeasible (no valid plan),
 4 training divergence.
@@ -57,7 +55,7 @@ from autoplan.envs import (
     infer_search_bands,
 )
 from autoplan.ir import DimIndex, GraphError, HloGraph, decision_dims, load_graph
-from autoplan.linkage import extract_linkage_groups, load_cache, save_cache
+from autoplan.linkage import extract_linkage_groups
 from autoplan.pipecost import (
     InfeasiblePlanError,
     PipelinePlan,
@@ -304,25 +302,6 @@ def resolve_inputs(cfg: RunConfig, names: Sequence[str]) -> dict:
     return {name: loaders[name]() for name in names}
 
 
-def _linkage_for(graph: HloGraph, graph_spec: str | None):
-    """Linkage groups, cached next to on-disk graphs keyed by content hash.
-
-    Returns the groups and how the cache served them: ``hit``, ``miss``
-    (extracted and written), or ``none`` for a bundled graph, which has no
-    file to cache next to.
-    """
-    dims = decision_dims(graph, graph.trainable_variables)
-    if graph_spec is None or not os.path.exists(graph_spec):
-        return extract_linkage_groups(graph, dims), "none"
-    cache_path = graph_spec + ".linkage.json"
-    cached = load_cache(cache_path, graph)
-    if cached is not None:
-        return cached, "hit"
-    groups = extract_linkage_groups(graph, dims)
-    save_cache(cache_path, graph, groups)
-    return groups, "miss"
-
-
 # -- plan payloads and validation -------------------------------------------
 
 
@@ -433,17 +412,17 @@ def validate_payload(
 # -- search tasks ------------------------------------------------------------
 
 
-def _opp_env(cfg: RunConfig, inputs: dict, stats: dict) -> SearchEnv:
+def _opp_env(cfg: RunConfig, inputs: dict) -> SearchEnv:
     graph = inputs["graph"]
-    groups, stats["linkage_cache"] = _linkage_for(graph, cfg.graph)
+    groups = extract_linkage_groups(graph, decision_dims(graph, graph.trainable_variables))
     return OppEnv(graph, groups=groups)
 
 
-def _adp_env(cfg: RunConfig, inputs: dict, stats: dict) -> SearchEnv:
+def _adp_env(cfg: RunConfig, inputs: dict) -> SearchEnv:
     return AdpEnv(inputs["graph"])
 
 
-def _pp_train_env(cfg: RunConfig, inputs: dict, stats: dict) -> SearchEnv:
+def _pp_train_env(cfg: RunConfig, inputs: dict) -> SearchEnv:
     return PipeTrainEnv(
         inputs["graph"],
         inputs["topo"],
@@ -456,7 +435,7 @@ def _pp_train_env(cfg: RunConfig, inputs: dict, stats: dict) -> SearchEnv:
     )
 
 
-def _pp_infer_env(cfg: RunConfig, inputs: dict, stats: dict) -> SearchEnv:
+def _pp_infer_env(cfg: RunConfig, inputs: dict) -> SearchEnv:
     arrays, topo = inputs["arrays"], inputs["topo"]
     boundary_bands, cut_bands = infer_search_bands(arrays, topo, cfg.stages, cfg.radius)
     return PipeInferEnv(
@@ -526,8 +505,8 @@ class SearchTask:
 
     # resolve_inputs names; the loaded inputs are validate_payload's keywords
     inputs: tuple[str, ...]
-    # builds the env from the config and inputs; may note run facts in stats
-    env: Callable[[RunConfig, dict, dict], SearchEnv]
+    # builds the env from the config and inputs
+    env: Callable[[RunConfig, dict], SearchEnv]
     rank: Callable[[dict, float], tuple | float | None]
     # plan fields beyond task, graph, seed and episodes
     payload: Callable[[RunConfig, dict, Best], dict]
@@ -585,8 +564,7 @@ def _run_search(cfg: RunConfig) -> int:
     inputs = resolve_inputs(cfg, task.inputs)
     clock = _lap(phases, "load_inputs", clock)
     runs_before = PropagationEngine.runs
-    stats: dict = {}
-    env = task.env(cfg, inputs, stats)
+    env = task.env(cfg, inputs)
     clock = _lap(phases, "build_env", clock)
     agent = DqnAgent(agent_config_for(cfg), env.state_dim, env.num_actions, cfg.seed)
     curve_path, summary_path = _artifact_paths(cfg.out)
@@ -646,7 +624,6 @@ def _run_search(cfg: RunConfig) -> int:
     if isinstance(env, PartitionSearchEnv):
         # linkage extraction, env steps and self-validation alike
         summary["propagations"] = PropagationEngine.runs - runs_before
-        summary["linkage_cache"] = stats.get("linkage_cache", "none")
         summary["conflicts"] = env.conflicts
     write_json(summary_path, summary)
     logger.info("wrote %s (%s %.6g, episode %d)", cfg.out, field, best.info[key], best.episode)

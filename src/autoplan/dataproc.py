@@ -61,7 +61,6 @@ class CoarsenedArrays:
     c: np.ndarray
     a: np.ndarray
     w: np.ndarray
-    source_length: int
 
     @property
     def granularity(self) -> int:
@@ -117,7 +116,7 @@ def build_environment_arrays(
     a_star = coarsen(np.asarray(profile.a, dtype=np.float64), granularity)
     w_star = coarsen(prefix_sum(profile.w), granularity)
     c_star, a_star, w_star = normalize_joint(c_star, a_star, w_star)
-    return CoarsenedArrays(c=c_star, a=a_star, w=w_star, source_length=len(profile.c))
+    return CoarsenedArrays(c=c_star, a=a_star, w=w_star)
 
 
 def generate_environment(

@@ -105,20 +105,18 @@ class PartitionSearchEnv:
         self,
         graph: HloGraph,
         dims: Sequence[DimIndex],
-        groups: Mapping[Trigger, LinkageGroup],
         order: Sequence[DimIndex],
     ):
         if not dims:
             raise ValueError("the environment needs at least one candidate dim")
         self.graph = graph
         self.dims = list(dims)
-        self.groups = dict(groups)
         self.order = list(order)
         self.num_actions = 2
         self.state_dim = len(self.dims) + 1
         self.engine = PropagationEngine(graph, self.dims)
         self.conflicts = 0
-        self._feasibility: dict[Trigger, bool] = {}
+        self._feasibility: dict[DimIndex, bool] = {}
         self._rows: dict[int, list[int]] = {}  # the engine's state of the episode
         self._seeds: dict[DimIndex, DimStatus] = {}
         self._decided: dict[DimIndex, DimStatus] = {}
@@ -283,17 +281,18 @@ class PartitionSearchEnv:
         return vec
 
     def _partition_feasible(self, dim: DimIndex) -> bool:
-        trigger = (dim, DimStatus.PARTITIONED)
-        if trigger in self.groups:
-            return not self.groups[trigger].infeasible
-        if trigger not in self._feasibility:
+        if dim not in self._feasibility:
             result = self.engine.trial({dim: DimStatus.PARTITIONED})
-            self._feasibility[trigger] = result.outcome is not Outcome.CONFLICT
-        return self._feasibility[trigger]
+            self._feasibility[dim] = result.outcome is not Outcome.CONFLICT
+        return self._feasibility[dim]
 
 
 class OppEnv(PartitionSearchEnv):
-    """Operator partitioning over the trainable variable dims."""
+    """Operator partitioning over the trainable variable dims.
+
+    The linkage groups (extracted here unless given) set the decision order
+    and nothing else.
+    """
 
     def __init__(
         self,
@@ -305,8 +304,7 @@ class OppEnv(PartitionSearchEnv):
         dims = decision_dims(graph, graph.trainable_variables)
         if groups is None:
             groups = extract_linkage_groups(graph, dims)
-        order = sorted_decision_order(groups)
-        super().__init__(graph, dims, groups, order)
+        super().__init__(graph, dims, sorted_decision_order(groups))
 
 
 def adp_candidates(graph: HloGraph) -> list[int]:
@@ -331,7 +329,7 @@ class AdpEnv(PartitionSearchEnv):
             raise ValueError("the graph has no candidate input tensors")
         names = [graph.instruction(i).name for i in ids]
         dims = decision_dims(graph, names)
-        super().__init__(graph, dims, groups={}, order=list(dims))
+        super().__init__(graph, dims, order=list(dims))
 
 
 class PipeTrainEnv:
@@ -487,7 +485,6 @@ def infer_search_bands(
     topo: DeviceTopology,
     num_stages: int,
     radius: int,
-    cut_radius: int = 0,
 ) -> tuple[list[set[int]], list[set[int]]]:
     """Per-slot bands around the center solution.
 
@@ -495,11 +492,10 @@ def infer_search_bands(
     the center cuts split the device list evenly and then snap to the
     nearest server boundary, where stage groups avoid the slow inter-server
     ring links.  Boundary bands keep their center plus ``radius`` positions
-    either side; cut bands stay pinned to the center solution unless
-    ``cut_radius`` widens them.  Radius 0 degenerates to the center
-    solution itself.
+    either side, so radius 0 degenerates to the center solution itself.
+    Cut bands are the pinned center cuts.
     """
-    if radius < 0 or cut_radius < 0:
+    if radius < 0:
         raise ValueError("radius must be >= 0")
     picks = num_stages - 1
     d = topo.num_devices
@@ -531,10 +527,7 @@ def infer_search_bands(
         {b for b in range(c - radius, c + radius + 1) if 1 <= b <= GRANULARITY - 1}
         for c in boundary_centers
     ]
-    cuts = [
-        {c for c in range(c0 - cut_radius, c0 + cut_radius + 1) if 1 <= c <= d - 1}
-        for c0 in cut_centers
-    ]
+    cuts = [{c} if 1 <= c <= d - 1 else set() for c in cut_centers]
     return boundaries, cuts
 
 

@@ -9,7 +9,6 @@ topological ties are broken by ascending id.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import json
 import math
@@ -408,10 +407,6 @@ class HloGraph:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
-
-    def content_hash(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True).encode("utf-8")
-        return hashlib.sha256(blob).hexdigest()
 
 
 def graph_from_dict(data: Mapping) -> HloGraph:

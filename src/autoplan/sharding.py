@@ -64,11 +64,6 @@ from autoplan.ir import (
 )
 
 
-# Bump whenever a rule change alters what a seed set derives; results stored
-# under another version (linkage caches) are then recomputed.
-RULE_VERSION = 2
-
-
 class DimStatus(IntEnum):
     """Sharding status of one tensor dimension."""
 

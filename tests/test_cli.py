@@ -11,7 +11,7 @@ from autoplan.dataproc import build_environment_arrays
 from autoplan.envs import PipeInferEnv
 from autoplan.pipecost import PipelinePlan, length_breakdown, pipeline_length
 from autoplan.topology import load_topology
-from autoplan.zoo import bert48_profile, t5_block
+from autoplan.zoo import bert48_profile, t5_block, zoo_graph
 
 from helpers import linkage_chain_graph
 
@@ -201,19 +201,37 @@ def test_summary_counts_learn_steps(tmp_path, args, learn_steps):
     assert json.loads((tmp_path / "plan_summary.json").read_text())["learn_steps"] == learn_steps
 
 
-def test_partition_summary_counts_propagations_and_linkage_cache(tmp_path):
-    graph = tmp_path / "t5.json"
+def test_partition_runs_derive_linkage_afresh(tmp_path):
+    graphs = tmp_path / "graphs"
+    graphs.mkdir()
+    graph = graphs / "t5.json"
     t5_block().save(str(graph))
-    args = ["--task", "opp", "--graph", str(graph), "--episodes", "4", "--out", str(tmp_path / "plan.json")]
-    seen = []
-    for _ in range(2):
-        assert main(args) == EXIT_OK
-        summary = json.loads((tmp_path / "plan_summary.json").read_text())
-        seen.append((summary["linkage_cache"], summary["propagations"]))
-    # 18 candidate dims give 36 linkage triggers, the 4 episodes take 12
-    # steps and self-validation propagates once; the second run reads the
-    # groups from the cache the first one wrote
-    assert seen == [("miss", 36 + 12 + 1), ("hit", 12 + 1)]
+    plans = []
+    for run in ("a", "b"):
+        out = tmp_path / run / "plan.json"
+        out.parent.mkdir()
+        assert main(["--task", "opp", "--graph", str(graph), "--episodes", "4", "--out", str(out)]) == EXIT_OK
+        summary = json.loads((tmp_path / run / "plan_summary.json").read_text())
+        # 18 candidate dims give 36 linkage triggers, the 4 episodes take 12
+        # steps and self-validation propagates once, in every run
+        assert summary["propagations"] == 36 + 12 + 1
+        plans.append(out.read_bytes())
+    assert plans[0] == plans[1]
+    assert [p.name for p in graphs.iterdir()] == ["t5.json"]
+
+
+@pytest.mark.parametrize("task", ["adp", "pp-train"])
+def test_search_writes_nothing_beside_its_graph_file(tmp_path, task):
+    # opp is checked, with its linkage, above
+    args = list(SEARCH_ARGS[task])
+    at = args.index("--graph") + 1
+    graphs = tmp_path / "graphs"
+    graphs.mkdir()
+    graph = graphs / "g.json"
+    zoo_graph(args[at]).save(str(graph))
+    args[at] = str(graph)
+    assert main(args + ["--out", str(tmp_path / "plan.json")]) == EXIT_OK
+    assert [p.name for p in graphs.iterdir()] == ["g.json"]
 
 
 @pytest.mark.parametrize("task", ["opp", "adp"])
@@ -234,6 +252,35 @@ def test_opp_finetune(tmp_path):
     assert main(["--task", "validate", "--plan", str(plan)]) == EXIT_OK
     # the backtrace stage continues the episode numbering of the first stage
     assert len(_curve(tmp_path)) > 4
+
+
+T5_FINETUNED = {
+    "b1": 0, "b2": -1, "ln1_bias": -1, "ln1_scale": -1, "ln2_bias": -1, "ln2_scale": -1,
+    "w1": 1, "w2": 0, "wk": 1, "wo": 0, "wq": 1, "wv": 1,
+}
+ATTENTION_FINETUNED = {"ln1_bias": -1, "ln1_scale": -1, "wk": 1, "wo": 0, "wq": 1, "wv": 1}
+
+
+@pytest.mark.parametrize(
+    "graph, seed, found_at, reward, partitions, strategy, curve_rows",
+    [
+        # the backtrace stage undoes replications and finds the best plan
+        ("t5_block", 2, 10, 0.8, 7, T5_FINETUNED, 20),
+        ("attention_block", 5, 10, 0.8, 4, ATTENTION_FINETUNED, 20),
+        # partitioning w1 conflicts, so the backtrace stage has nothing to undo
+        ("vgg_classifier", 3, 1, 0.2, 0, {"w1": -1}, 10),
+    ],
+)
+def test_opp_finetune_plans_are_unchanged(
+    tmp_path, graph, seed, found_at, reward, partitions, strategy, curve_rows
+):
+    out = tmp_path / "plan.json"
+    args = ["--task", "opp", "--graph", graph, "--episodes", "10", "--seed", str(seed), "--finetune"]
+    assert main(args + ["--out", str(out)]) == EXIT_OK
+    plan = json.loads(out.read_text())
+    assert (plan["found_at_episode"], plan["episode_reward"]) == (found_at, reward)
+    assert (plan["partition_count"], plan["strategy"]) == (partitions, strategy)
+    assert len(_curve(tmp_path)) == curve_rows
 
 
 @pytest.mark.parametrize("task", sorted(SEARCH_ARGS))

@@ -8,7 +8,14 @@ import pytest
 
 from autoplan.cli import EXIT_OK, main
 from autoplan.dataproc import GRANULARITY, build_environment_arrays, generate_environment
-from autoplan.envs import ACTION_PARTITION, EpisodeError, OppEnv, PipeInferEnv, PipeTrainEnv
+from autoplan.envs import (
+    ACTION_PARTITION,
+    EpisodeError,
+    OppEnv,
+    PipeInferEnv,
+    PipeTrainEnv,
+    infer_search_bands,
+)
 from autoplan.pipecost import (
     InfeasiblePlanError,
     proportional_device_count_rows,
@@ -95,6 +102,18 @@ def test_conflict_names_its_instruction(tmp_path):
     records = [json.loads(line) for line in log.read_text().splitlines()]
     sites = {(r["outcome"], r.get("conflict_site")) for r in records}
     assert sites == {("conflict", "w1"), ("complete", None)}
+
+
+@pytest.mark.parametrize("config", ["configa", "configb", "configc"])
+def test_cut_bands_are_the_pinned_center_cuts(config):
+    arrays, topo = build_environment_arrays(bert48_profile()), load_topology(config)
+    for stages in (2, 4, 8):
+        _, cut_bands = infer_search_bands(arrays, topo, stages, 0)
+        # the radius widens the boundary bands only
+        assert infer_search_bands(arrays, topo, stages, 3)[1] == cut_bands
+        cuts = [c for band in cut_bands for c in band]
+        assert len(cuts) == stages - 1
+        assert cuts == sorted(set(cuts)) and 1 <= cuts[0] and cuts[-1] < topo.num_devices
 
 
 def test_infer_step_refuses_actions_outside_the_space():
