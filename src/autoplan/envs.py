@@ -281,6 +281,8 @@ class PartitionSearchEnv:
         return vec
 
     def _partition_feasible(self, dim: DimIndex) -> bool:
+        # OppEnv holds every answer from its linkage groups; AdpEnv has no
+        # groups and runs a dim's trial the first time it is asked
         if dim not in self._feasibility:
             result = self.engine.trial({dim: DimStatus.PARTITIONED})
             self._feasibility[dim] = result.outcome is not Outcome.CONFLICT
@@ -290,8 +292,9 @@ class PartitionSearchEnv:
 class OppEnv(PartitionSearchEnv):
     """Operator partitioning over the trainable variable dims.
 
-    The linkage groups (extracted here unless given) set the decision order
-    and nothing else.
+    The linkage groups (extracted here unless given) set the decision order,
+    and their partition triggers tell ``finetune_reset`` which dims may be
+    partitioned alone, so it runs no trial of its own.
     """
 
     def __init__(
@@ -305,6 +308,11 @@ class OppEnv(PartitionSearchEnv):
         if groups is None:
             groups = extract_linkage_groups(graph, dims)
         super().__init__(graph, dims, sorted_decision_order(groups))
+        self._feasibility = {
+            d: not group.infeasible
+            for (d, status), group in groups.items()
+            if status == DimStatus.PARTITIONED
+        }
 
 
 def adp_candidates(graph: HloGraph) -> list[int]:
@@ -672,9 +680,14 @@ class PipeInferEnv:
         activation payload of a stage is the A* entry at its boundary.
         Compute is scaled to milliseconds so that the pipeline length
         arithmetic (which divides by 1000) recovers the normalized units.
-        It stays apart from ``CutCostTable.stage_metrics``, which keeps a
-        running sum per stage: prefix differences would change the last bit
-        of stage compute there, and with it the device-count tie-breaks.
+        It stays apart from ``CutCostTable.stage_metrics`` because these
+        prefix-difference bits are what pp-infer plan files and the
+        benchmark oracle pin.  Running sums of the per-point differences of
+        C* and W* change the stage bits of every one of the 343 band plans
+        on ``bert48_profile`` (K=4, configc), and the optimum's length from
+        0x1.bfbe76c8b4418p-1 to 0x1.bfbe76c8b4417p-1; scaling by 1000 after
+        the sum keeps that profile bit-equal but not 25 of the 30 generated
+        profiles of seeds 0-9, one of whose optima changes.
         """
         edges = [0] + list(boundaries) + [GRANULARITY]
         if any(b <= a for a, b in zip(edges, edges[1:])):

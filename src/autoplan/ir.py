@@ -1,10 +1,8 @@
 """HLO-like computation graphs loaded from JSON.
 
-A graph is a DAG of instructions over a small opcode vocabulary.  Nodes with
-no inputs are sources (graph inputs and constants), nodes with no consumers
-are sinks, everything else is a compute node.  All orderings exposed by this
-module are deterministic: instructions are kept sorted by ascending id and
-topological ties are broken by ascending id.
+A graph is a DAG of instructions over a small opcode vocabulary.  All
+orderings exposed by this module are deterministic: instructions are kept
+sorted by ascending id and topological ties are broken by ascending id.
 """
 
 from __future__ import annotations
@@ -240,28 +238,6 @@ class HloGraph:
 
     def consumers(self, instruction_id: int) -> tuple[int, ...]:
         return self._consumers.get(instruction_id, ())
-
-    @property
-    def source_ids(self) -> tuple[int, ...]:
-        """Ids of nodes with no inputs."""
-        return tuple(i for i, ins in self._instructions.items() if not ins.operand_ids)
-
-    @property
-    def sink_ids(self) -> tuple[int, ...]:
-        """Ids of nodes with no consumers.
-
-        An isolated node counts as both source and sink, so for degenerate
-        graphs the source and sink sets may overlap.
-        """
-        return tuple(i for i in self._instructions if not self._consumers.get(i))
-
-    @property
-    def compute_ids(self) -> tuple[int, ...]:
-        return tuple(
-            i
-            for i, ins in self._instructions.items()
-            if ins.operand_ids and self._consumers.get(i)
-        )
 
     @property
     def topological_order(self) -> tuple[int, ...]:

@@ -29,11 +29,11 @@ Trigger = tuple[DimIndex, DimStatus]
 class LinkageGroup:
     """Candidate dims decided as a consequence of one trigger decision.
 
-    The trigger itself is not part of ``implied``.  ``infeasible`` marks
-    triggers whose lone seed already conflicts; their group is empty.
+    Groups are keyed by their trigger, which is not part of ``implied``.
+    ``infeasible`` marks triggers whose lone seed already conflicts; their
+    group is empty.
     """
 
-    trigger: Trigger
     implied: tuple[tuple[DimIndex, DimStatus], ...]
     infeasible: bool = False
 
@@ -53,9 +53,9 @@ def extract_linkage_groups(
             trigger = (di, status)
             result = engine.trial({di: status})
             if result.outcome is Outcome.CONFLICT:
-                groups[trigger] = LinkageGroup(trigger=trigger, implied=(), infeasible=True)
+                groups[trigger] = LinkageGroup(implied=(), infeasible=True)
             else:
-                groups[trigger] = LinkageGroup(trigger=trigger, implied=result.newly_decided)
+                groups[trigger] = LinkageGroup(implied=result.newly_decided)
     return groups
 
 

@@ -24,6 +24,11 @@ read at the possible stage ends.  ``proportional_device_count_rows`` and
 ``length_term_maxima`` are the row forms of the device allocation and of
 the communication terms, with the scalar code's float operations in the
 same order.
+
+``PipeInferEnv.decode_metrics`` costs pp-infer stages by prefix differences
+on the coarsened arrays instead.  Those bits are what pp-infer plan files
+and the benchmark oracle pin, and running sums of the per-point
+differences do not reproduce them (its docstring has the measurement).
 """
 
 from __future__ import annotations

@@ -60,7 +60,6 @@ from autoplan.ir import (
     _pair_broadcast,
     _pair_reduce,
     _pair_reshape,
-    decision_dims,
 )
 
 
@@ -102,18 +101,6 @@ class ShardingSpec:
     @property
     def rank(self) -> int:
         return len(self.statuses)
-
-    @property
-    def partition_dim(self) -> int | None:
-        """Index of the partitioned dim, or None when fully replicated/undecided."""
-        for d, s in enumerate(self.statuses):
-            if s == DimStatus.PARTITIONED:
-                return d
-        return None
-
-    @property
-    def is_fully_decided(self) -> bool:
-        return all(s != DimStatus.UNDECIDED for s in self.statuses)
 
 
 # the status row of every instruction, keyed by instruction id
@@ -341,12 +328,10 @@ class PropagationEngine:
 
     The rule plans are built and indexed by tensor once.  Parameters whose
     dims are not among the candidates are pinned to full replication on
-    every run.  With ``candidates`` given, ``base()`` keeps the fixed point
-    of those pins (the base state), and runs that start from a copy of it
-    skip re-deriving what the pins force; ``trial`` runs from one working
-    copy of it and undoes the rows it changed.  With ``candidates=None``
-    the candidates are all dims of the seeded tensors, so every parameter
-    that is not seeded is replicated and the pins are derived per run.
+    every run.  ``base()`` keeps the fixed point of those pins (the base
+    state), and runs that start from a copy of it skip re-deriving what the
+    pins force; ``trial`` runs from one working copy of it and undoes the
+    rows it changed.
 
     ``by_tensor`` maps each candidate tensor to its candidates' positions,
     and ``base_decided`` lists the positions the base state decides.
@@ -356,9 +341,9 @@ class PropagationEngine:
 
     runs = 0
 
-    def __init__(self, graph: HloGraph, candidates: Sequence[DimIndex] | None = None):
+    def __init__(self, graph: HloGraph, candidates: Sequence[DimIndex]):
         self.graph = graph
-        self.candidates = list(candidates) if candidates is not None else None
+        self.candidates = list(candidates)
         self._plans: list[Plan] = []
         touching: dict[int, list[int]] = {}
         self._forced: list[tuple[int, int]] = []
@@ -382,7 +367,7 @@ class PropagationEngine:
             self._forced.extend(forced)
         self._touching = {tid: tuple(ps) for tid, ps in touching.items()}
         self.by_tensor: dict[int, list[int]] = {}
-        for i, di in enumerate(self.candidates or ()):
+        for i, di in enumerate(self.candidates):
             self.by_tensor.setdefault(di.instruction_id, []).append(i)
         self._base: Rows | None = None  # never seeded onto
         self._work: Rows | None = None  # the trials' copy of the base state
@@ -394,21 +379,19 @@ class PropagationEngine:
         It is computed on the first call and kept for the next ones.
         """
         if self._base is None:
-            if self.candidates is None:
-                raise ValueError("an engine without candidates has no fixed base state")
             # pins hold only replicated statuses, which cannot conflict
-            self._base, dirty = self._pinned(self.candidates)
+            self._base, dirty = self._pinned()
             _drain(self._base, dirty, self._plans, self._touching, set())
             self.base_decided = [
                 i for i, di in enumerate(self.candidates) if self._base[di.instruction_id][di.dim] != _U
             ]
         return {tid: row[:] for tid, row in self._base.items()}
 
-    def _pinned(self, candidates: Sequence[DimIndex]) -> tuple[Rows, list[int]]:
+    def _pinned(self) -> tuple[Rows, list[int]]:
         """Rows with only the pins set, and the tensors they changed."""
         rows = {ins.id: [_U] * ins.shape.rank for ins in self.graph.instructions}
         dirty: list[int] = []
-        chosen = {di.instruction_id for di in candidates}
+        chosen = {di.instruction_id for di in self.candidates}
         inputs = [
             (ins.id, d)
             for ins in self.graph.instructions
@@ -418,12 +401,6 @@ class PropagationEngine:
         for tid, dim in self._forced + inputs:
             _set(rows, tid, dim, _R, tid, dirty)
         return rows, dirty
-
-    def _candidate_dims(self, seeds: Mapping[DimIndex, DimStatus]) -> list[DimIndex]:
-        if self.candidates is not None:
-            return self.candidates
-        names = {self.graph.instruction(di.instruction_id).name for di in seeds}
-        return decision_dims(self.graph, names)
 
     def advance(
         self, rows: Rows, seeds: Mapping[DimIndex, DimStatus], dirty: list[int] | None = None
@@ -458,8 +435,7 @@ class PropagationEngine:
         must be a fixed point of this engine, such as ``base()`` or the rows
         of an earlier conflict-free result; the seeds go onto it in place,
         so a search can seed one decision per step onto the state the
-        previous step left.  Only an engine with candidates takes a
-        ``start``.
+        previous step left.
         """
         order = sorted(seeds, key=lambda d: (d.instruction_id, d.dim))
         for di in order:
@@ -469,8 +445,8 @@ class PropagationEngine:
                 raise GraphValidationError(
                     f"seed dim {di.dim} out of range for instruction {di.instruction_id}"
                 )
-        candidates = self._candidate_dims(seeds)
-        rows, dirty = self._pinned(candidates) if start is None else (start, [])
+        candidates = self.candidates
+        rows, dirty = self._pinned() if start is None else (start, [])
         site, changed = self.advance(rows, {di: seeds[di] for di in order}, dirty)
         if site is not None:
             return PropagationResult(Outcome.CONFLICT, rows, site, (), frozenset(changed), self.graph)
@@ -512,12 +488,12 @@ class PropagationEngine:
 def propagate(
     graph: HloGraph,
     seeds: Mapping[DimIndex, DimStatus],
-    candidates: Sequence[DimIndex] | None = None,
+    candidates: Sequence[DimIndex],
 ) -> PropagationResult:
     """One-shot propagation of a seed set over a graph.
 
     ``candidates`` names the dims up for decision; parameters outside it are
-    replicated.  None takes every dim of the seeded tensors as candidates.
+    replicated.
     """
     return PropagationEngine(graph, candidates).run(seeds)
 

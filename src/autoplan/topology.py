@@ -10,10 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
-
-import numpy as np
 
 # 130 GB/s NVLink-class links inside a server, 25 Gbit/s Ethernet between.
 DEFAULT_INTRA_BW = 130e9
@@ -54,14 +51,6 @@ class DeviceTopology:
             self.server_of(a)
             return float("inf")
         return self.intra_bw if self.server_of(a) == self.server_of(b) else self.inter_bw
-
-    @cached_property
-    def bandwidth_matrix(self) -> np.ndarray:
-        d = self.num_devices
-        servers = np.arange(d) // self.gpus_per_server
-        mat = np.where(servers[:, None] == servers[None, :], self.intra_bw, self.inter_bw)
-        np.fill_diagonal(mat, np.inf)
-        return mat
 
     def normalized(self) -> "DeviceTopology":
         """Same layout with the fast link scaled to 1.0.

@@ -242,15 +242,6 @@ class TestOrdering:
         ])
         assert g.topological_order == (1, 2, 0)
 
-    def test_node_classes(self):
-        g = linkage_chain_graph()
-        srcs = {g.instruction(i).name for i in g.source_ids}
-        assert srcs == {"x", "w", "bias", "scale"}
-        sinks = {g.instruction(i).name for i in g.sink_ids}
-        assert sinks == {"out"}
-        computes = {g.instruction(i).name for i in g.compute_ids}
-        assert "mm" in computes and "out" not in computes and "x" not in computes
-
     def test_consumers_sorted(self):
         g = HloGraph([
             _ins(0, "a", "parameter", dims=(2,)),

@@ -5,10 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from autoplan.envs import OppEnv
+from autoplan.envs import ACTION_REPLICATE, OppEnv
 from autoplan.ir import decision_dims, graph_from_dict
 from autoplan.linkage import extract_linkage_groups
-from autoplan.sharding import DimStatus, PropagationEngine
+from autoplan.sharding import DimStatus, Outcome, PropagationEngine
 from autoplan.zoo import GRAPHS, zoo_graph
 
 from helpers import label_map, linkage_chain_graph, trainable_dims
@@ -44,12 +44,28 @@ def _opp_graphs():
 @pytest.mark.parametrize("name", sorted(_opp_graphs()))
 def test_finetune_feasibility_matches_the_linkage_groups(name):
     # finetune undoes a replication when partitioning the dim alone does not
-    # conflict, which the trigger's linkage group records as well
+    # conflict; the env reads that off the trigger's linkage group, which
+    # must agree with running the trial
     graph = _opp_graphs()[name]
     env = OppEnv(graph)
     groups = extract_linkage_groups(graph, env.dims)
-    expected = [not groups[(d, P)].infeasible for d in env.dims]
+    expected = [env.engine.trial({d: P}).outcome is not Outcome.CONFLICT for d in env.dims]
+    assert [not groups[(d, P)].infeasible for d in env.dims] == expected
     assert [env._partition_feasible(d) for d in env.dims] == expected
+
+
+@pytest.mark.parametrize("name", sorted(_opp_graphs()))
+def test_finetune_reset_runs_one_propagation(name):
+    # the feasibility of every replicated dim comes from the linkage groups,
+    # so restarting from a strategy propagates its seeds once and no more
+    env = OppEnv(_opp_graphs()[name])
+    env.reset()
+    while not env.done:
+        assert not env.step(ACTION_REPLICATE).info["conflict"]
+    strategy = env.strategy()
+    before = PropagationEngine.runs
+    env.finetune_reset(strategy)
+    assert PropagationEngine.runs - before == 1
 
 
 def test_extraction_copies_the_base_state_once(monkeypatch):

@@ -74,7 +74,7 @@ def test_one_shot_runs_match_sweep_engine(name, kind):
         ref = reference_propagate(graph, seeds, dims)
         _assert_same_fixed_point(engine.run(seeds), ref)
         _assert_same_fixed_point(engine.run(seeds, start=engine.base()), ref)
-        _assert_same_fixed_point(propagate(graph, seeds), reference_propagate(graph, seeds))
+        _assert_same_fixed_point(propagate(graph, seeds, dims), ref)
 
 
 @pytest.mark.parametrize("name, kind", CASES)

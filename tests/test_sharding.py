@@ -40,14 +40,9 @@ class TestShardingSpec:
         with pytest.raises(ValueError, match="at most one"):
             ShardingSpec(statuses=(int(P), int(P)))
 
-    def test_partition_dim(self):
-        assert ShardingSpec(statuses=(int(R), int(P))).partition_dim == 1
-        assert ShardingSpec(statuses=(int(R), int(R))).partition_dim is None
-
     def test_undecided_factory(self):
         spec = ShardingSpec.undecided(3)
         assert spec.rank == 3
-        assert not spec.is_fully_decided
 
     def test_dims_length_checked(self):
         with pytest.raises(ValueError, match="equal length"):
@@ -229,15 +224,6 @@ class TestNonCandidateInputs:
         result = propagate(g, {lk["w.d1"]: P}, dims)
         assert result.outcome is Outcome.COMPLETE
         assert result.assignments[g.by_name("x").id].statuses == (int(R), int(R))
-
-    def test_unseeded_parameters_replicated_without_candidates(self):
-        # candidates=None takes the seeded tensors only, so bias and scale
-        # are replicated and cannot follow w.d1
-        g = linkage_chain_graph()
-        lk = by_label(g, trainable_dims(g))
-        assert propagate(g, {lk["w.d1"]: R}).outcome is Outcome.COMPLETE
-        result = propagate(g, {lk["w.d1"]: P})
-        assert result.outcome is Outcome.CONFLICT
 
     def test_adp_replicates_weights(self):
         g = vgg_classifier()
