@@ -121,18 +121,18 @@ class RunConfig:
 
 
 def agent_config_for(cfg: RunConfig) -> AgentConfig:
+    """Flags override the task's ``TASK_DEFAULTS``, which override ``AgentConfig``'s."""
     defaults = TASK_DEFAULTS.get(cfg.task, {})
-    return AgentConfig(
-        gamma=cfg.gamma if cfg.gamma is not None else 0.6,
-        lr=cfg.lr if cfg.lr is not None else float(defaults.get("lr", 0.001)),
-        batch_size=cfg.batch_size if cfg.batch_size is not None else 64,
-        buffer_capacity=cfg.buffer if cfg.buffer is not None else 2000,
-        epsilon_decay_iters=(
-            cfg.epsilon_decay
-            if cfg.epsilon_decay is not None
-            else int(defaults.get("epsilon_decay_iters", 2000))
-        ),
-    )
+    overrides = {key: defaults[key] for key in ("lr", "epsilon_decay_iters") if key in defaults}
+    flags = {
+        "gamma": cfg.gamma,
+        "lr": cfg.lr,
+        "batch_size": cfg.batch_size,
+        "buffer_capacity": cfg.buffer,
+        "epsilon_decay_iters": cfg.epsilon_decay,
+    }
+    overrides.update((key, value) for key, value in flags.items() if value is not None)
+    return AgentConfig(**overrides)
 
 
 # -- artifact writers -------------------------------------------------------

@@ -378,7 +378,7 @@ def trainable_dims(graph: HloGraph) -> list[DimIndex]:
 class ReferenceQNetwork:
     """Dueling MLP: shared ReLU trunk, value head and advantage head."""
 
-    def __init__(self, state_dim, num_actions, hidden=(256, 256), rng=None):
+    def __init__(self, state_dim, num_actions, hidden, rng=None):
         rng = rng or np.random.default_rng(0)
         self.state_dim = state_dim
         self.num_actions = num_actions

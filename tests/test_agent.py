@@ -79,3 +79,9 @@ def test_training_matches_the_reference_learner_bit_for_bit():
                 for key, value in expected.items():
                     assert np.array_equal(tensors[key], value), f"{scope}.{key}"
     assert (agent.train_steps, agent.optimizer.t) == (reference.train_steps, reference.optimizer.t)
+
+
+def test_default_trunk_stays_small_on_a_wide_state():
+    # 6,667 inputs is the opp state of a 10,001-node MLP; a (256, 256) trunk holds 1,773,571
+    agent = DqnAgent(AgentConfig(), 6667, 2)
+    assert agent.net.flat.size < 500_000

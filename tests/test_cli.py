@@ -266,9 +266,9 @@ ATTENTION_FINETUNED = {"ln1_bias": -1, "ln1_scale": -1, "wk": 1, "wo": 0, "wq": 
     [
         # the backtrace stage undoes replications and finds the best plan
         ("t5_block", 2, 10, 0.8, 7, T5_FINETUNED, 20),
-        ("attention_block", 5, 10, 0.8, 4, ATTENTION_FINETUNED, 20),
+        ("attention_block", 17, 10, 0.8, 4, ATTENTION_FINETUNED, 20),
         # partitioning w1 conflicts, so the backtrace stage has nothing to undo
-        ("vgg_classifier", 3, 1, 0.2, 0, {"w1": -1}, 10),
+        ("vgg_classifier", 0, 1, 0.2, 0, {"w1": -1}, 10),
     ],
 )
 def test_opp_finetune_plans_are_unchanged(
