@@ -8,13 +8,19 @@ importance-sampling correction.  Everything runs in double precision with
 explicit analytic gradients so the backward pass can be checked against
 finite differences.
 
-The trunk is (64, 64) for every task, since the learn step is most of every
-planning run: at batch 64 and 2 actions one learn takes 0.96, 3.8 and 12.6 ms
+The learner trains once per ``LEARN_EVERY`` observed transitions, DQN's
+replay ratio, from the first transition that fills a batch.  The
+exploration rate counts decisions, not updates: it is the rate the schedule
+would reach with one update per transition, so thinning the updates leaves
+exploration as it was.  Learning is still the largest part of a planning
+run, about half to two thirds of each benchmark workload, against four
+fifths or more with an update per decision.  The trunk is (64, 64) for
+every task: at batch 64 and 2 actions one learn takes 0.66, 3.0 and 9.1 ms
 at 201, 2,001 and 6,667 inputs, against 3.9, 16 and 56 ms at (256, 256) (2
 vCPUs, OpenBLAS with 2 threads).  Over ten seeds per benchmark workload the
 median plan quality of the two widths differs by less than 0.001.
 
-The learner allocates almost nothing per step.  A network keeps all its
+The learner keeps its large arrays across steps.  A network keeps all its
 parameters in one flat float64 vector (``QNetwork.flat``), and ``params``
 maps each tensor name to a reshaped view into it, in the order the tensors
 are drawn at initialization; ``backward`` writes into a gradient vector of
@@ -22,7 +28,8 @@ the same layout.  Adam updates the flat vector in place, over two scratch
 buffers, with the per-tensor operations in their original order, so the
 results are bit-for-bit those of one update per tensor.  The replay buffer
 stores each transition field in a preallocated array and gathers a batch by
-index.  The online network scores ``next_states`` and ``states`` in two
+index into arrays it also keeps, so a wide state costs no fresh pages per
+step.  The online network scores ``next_states`` and ``states`` in two
 forward passes, not one stacked pass: a 128-row matrix product may sum in a
 different order than two 64-row ones, which changes the last bits of the
 Q values and, through them, of the losses and the learned plans.
@@ -36,13 +43,18 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 
+# one update per this many observed transitions
+LEARN_EVERY = 4
+
+
 class DivergenceError(Exception):
     """Training produced a non-finite loss or parameter."""
 
 
 @dataclass(frozen=True)
 class AgentConfig:
-    """Hyper-parameters of the DQN agent; ``hidden`` is the trunk (see above)."""
+    """Hyper-parameters of the DQN agent; ``hidden`` is the trunk, and
+    ``epsilon_decay_iters`` counts decisions, not updates (see above)."""
 
     gamma: float = 0.6
     lr: float = 0.001
@@ -61,11 +73,11 @@ class AgentConfig:
     adam_eps: float = 1e-8
 
 
-def epsilon_at(iteration: int, config: AgentConfig) -> float:
-    """Linearly decayed exploration rate at a training iteration."""
+def epsilon_at(decisions: int, config: AgentConfig) -> float:
+    """Linearly decayed exploration rate after ``decisions`` decisions past the first batch."""
     if config.epsilon_decay_iters <= 0:
         return config.epsilon_final
-    frac = min(1.0, max(0.0, iteration / config.epsilon_decay_iters))
+    frac = min(1.0, max(0.0, decisions / config.epsilon_decay_iters))
     return config.epsilon_start + (config.epsilon_final - config.epsilon_start) * frac
 
 
@@ -212,7 +224,8 @@ class PrioritizedReplayBuffer:
     """Ring buffer with proportional prioritized sampling.
 
     Each transition field lives in its own array, allocated on the first
-    push once the state and mask sizes are known.
+    push once the state and mask sizes are known.  ``sample`` gathers into
+    batch arrays allocated on the first sample and overwritten by the next.
     """
 
     def __init__(self, capacity: int = 2000):
@@ -220,6 +233,7 @@ class PrioritizedReplayBuffer:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self._store: Batch | None = None
+        self._batch: Batch | None = None
         self._priorities = np.zeros(capacity, dtype=np.float64)
         self._size = 0
         self._next = 0
@@ -264,7 +278,12 @@ class PrioritizedReplayBuffer:
         indices = rng.choice(n, size=batch_size, replace=True, p=probs)
         weights = (n * probs[indices]) ** (-beta)
         weights = weights / weights.max()
-        return indices, Batch(*(column[indices] for column in self._store)), weights
+        if self._batch is None or len(self._batch.actions) != batch_size:
+            self._batch = Batch(*(np.empty((batch_size, *c.shape[1:]), c.dtype) for c in self._store))
+        for column, out in zip(self._store, self._batch):
+            # mode="clip" gathers straight into out; "raise" would buffer a copy
+            np.take(column, indices, axis=0, out=out, mode="clip")
+        return indices, self._batch, weights
 
     def update_priorities(self, indices: np.ndarray, td_errors: np.ndarray) -> None:
         self._priorities[indices] = np.abs(td_errors) + 1e-6
@@ -330,7 +349,7 @@ def train_step(
 
     # terminal rows may have empty masks; their bootstrap term is zeroed anyway
     has_next = next_masks.any(axis=1)
-    safe_masks = next_masks  # a fresh gather, free to change
+    safe_masks = next_masks  # the buffer's batch array, refilled by every sample
     safe_masks[~has_next, 0] = True
     done = np.maximum(done, (~has_next).astype(np.float64))
 
@@ -357,23 +376,29 @@ class DqnAgent:
     """Convenience wrapper tying the network, target, buffer and Adam together."""
 
     def __init__(self, config: AgentConfig, state_dim: int, num_actions: int, seed: int = 0):
+        # a buffer that cannot fill a batch would never train, while epsilon decayed
+        if config.buffer_capacity < config.batch_size:
+            raise ValueError("the replay buffer must hold at least one batch")
         self.config = config
         self.rng = np.random.default_rng(seed)
         self.net = QNetwork(state_dim, num_actions, config.hidden, self.rng)
         self.target = self.net.clone()
         self.buffer = PrioritizedReplayBuffer(config.buffer_capacity)
         self.optimizer = AdamOptimizer(self.net.flat, config)
+        self.observed = 0
         self.train_steps = 0
 
     @property
     def epsilon(self) -> float:
-        return epsilon_at(self.train_steps, self.config)
+        """The rate of one update per decision from the first full batch on."""
+        return epsilon_at(max(0, self.observed - self.config.batch_size + 1), self.config)
 
     def act(self, state: np.ndarray, mask: np.ndarray) -> int:
         return act(self.net, state, mask, self.epsilon, self.rng)
 
     def observe(self, transition: Transition) -> None:
         self.buffer.push(transition)
+        self.observed += 1
 
     def learn(self) -> float | None:
         """Run one training step once the buffer can fill a batch."""

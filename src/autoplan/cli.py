@@ -4,18 +4,25 @@ Wires graphs, topologies, environments and the DQN agent into runnable
 searches: one episode loop (``train``) and one runner serve all four search
 tasks, with a ``SearchTask`` entry per task.  Each run emits the best plan
 as JSON (byte-identical for identical config and seed), an incrementally
-flushed training-curve CSV (episode, loss, total score, epsilon), and a run
-summary JSON: the effective defaults, the best reward, the episode that
-found it (``found_at_episode``), the wall time from the start of training
-to that episode (``time_to_best_s``), ``final_epsilon``, and ``phase_s``,
-the seconds spent loading inputs, building the env (linkage included),
-training, fine-tuning (0 without ``--finetune``) and self-validating.
+flushed training-curve CSV (episode, mean loss of the episode's updates,
+total score, epsilon), and a run summary JSON: the effective defaults, the
+best reward, the episode that found it (``found_at_episode``), the wall time
+from the start of training to that episode (``time_to_best_s``),
+``final_epsilon``, ``learn_steps``, and ``phase_s``, the seconds spent
+loading inputs, building the env (linkage included), training, fine-tuning
+(0 without ``--finetune``) and self-validating.
 Partition searches (opp, adp) also report ``propagations``, the propagation
 runs the search made (linkage extraction, env steps and self-validation),
 ``conflicts``, the episodes that ended in a conflict (fine-tuning ones
 included).  Pipeline searches report the ``length_terms`` of the plan, the
 per-stage terms its length adds up from; they stay out of the plan JSON,
 whose fields are those of earlier plans.
+
+From the first full batch on, the agent trains once every ``LEARN_EVERY``
+(4) decisions, so ``learn_steps`` is about a quarter of the decisions, and an
+episode with no update, such as one in four of pp-train's 3-decision
+episodes at K=4, leaves its ``loss`` empty.  Epsilon decays per decision all
+the same.
 
 Exit codes: 0 ok, 2 configuration error, 3 infeasible (no valid plan),
 4 training divergence.
@@ -36,7 +43,7 @@ from typing import Callable, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from autoplan.agent import AgentConfig, DivergenceError, DqnAgent, Transition
+from autoplan.agent import LEARN_EVERY, AgentConfig, DivergenceError, DqnAgent, Transition
 from autoplan.dataproc import (
     GRANULARITY,
     CoarsenedArrays,
@@ -240,7 +247,7 @@ def train(
             agent.observe(
                 Transition(state, action, result.reward, result.next_state, result.done, mask)
             )
-            loss = agent.learn()
+            loss = agent.learn() if agent.observed % LEARN_EVERY == 0 else None
             if loss is not None:
                 losses.append(loss)
             if trace is not None:
@@ -700,7 +707,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--lr", type=float, help="override learning rate")
     parser.add_argument("--batch-size", type=int, help="override training batch size")
     parser.add_argument("--buffer", type=int, help="override replay buffer capacity")
-    parser.add_argument("--epsilon-decay", type=int, help="override epsilon decay iterations")
+    parser.add_argument("--epsilon-decay", type=int, help="override the decisions epsilon takes to decay")
     return parser
 
 

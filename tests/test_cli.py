@@ -2,10 +2,14 @@
 
 import csv
 import json
+import sys
 import time
+from itertools import accumulate
+from pathlib import Path
 
 import pytest
 
+from autoplan.agent import AgentConfig, epsilon_at
 from autoplan.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
 from autoplan.dataproc import build_environment_arrays
 from autoplan.envs import PipeInferEnv
@@ -14,6 +18,9 @@ from autoplan.topology import load_topology
 from autoplan.zoo import bert48_profile, t5_block, zoo_graph
 
 from helpers import linkage_chain_graph
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
+from workloads import mlp_graph_dict  # noqa: E402
 
 
 def _validate(tmp_path, payload):
@@ -187,11 +194,12 @@ def test_summary_agrees_with_curve(tmp_path, task):
     [
         # about two steps an episode never fill a batch of 64: pure random search
         (["--task", "adp", "--graph", "vgg_classifier", "--episodes", "30", "--seed", "3"], 0),
-        # 50 episodes of 6 steps; learning starts at the 64th transition
+        # 50 episodes of 6 steps; learning starts at the 64th transition and
+        # then runs on every 4th
         (
             ["--task", "pp-infer", "--graph", "bert48_profile", "--episodes", "50",
              "--stages", "4", "--topology", "configc"],
-            300 - 64 + 1,
+            (300 - 64) // 4 + 1,
         ),
     ],
     ids=["adp-short", "pp-infer"],
@@ -199,6 +207,32 @@ def test_summary_agrees_with_curve(tmp_path, task):
 def test_summary_counts_learn_steps(tmp_path, args, learn_steps):
     assert main(args + ["--out", str(tmp_path / "plan.json")]) == EXIT_OK
     assert json.loads((tmp_path / "plan_summary.json").read_text())["learn_steps"] == learn_steps
+
+
+def test_epsilon_decays_per_decision_on_fixed_length_episodes(tmp_path):
+    args = SEARCH_ARGS["pp-infer"] + ["--episodes", "50", "--epsilon-decay", "150"]
+    assert main(args + ["--out", str(tmp_path / "plan.json")]) == EXIT_OK
+    config = AgentConfig(**json.loads((tmp_path / "plan_summary.json").read_text())["defaults"])
+    # one update per decision from the 64th on, as if every decision trained
+    expected = [f"{epsilon_at(max(0, 6 * (ep + 1) - 63), config):.6g}" for ep in range(50)]
+    assert [row["epsilon"] for row in _curve(tmp_path)] == expected
+    assert expected[-1] == f"{config.epsilon_final:.6g}"
+
+
+def test_opp_learns_every_fourth_decision(tmp_path):
+    graph, trace = tmp_path / "mlp10.json", tmp_path / "trace.jsonl"
+    graph.write_text(json.dumps(mlp_graph_dict(10)))
+    args = ["--task", "opp", "--graph", str(graph), "--episodes", "20", "--epsilon-decay", "100"]
+    assert main(args + ["--log", str(trace), "--out", str(tmp_path / "plan.json")]) == EXIT_OK
+    summary = json.loads((tmp_path / "plan_summary.json").read_text())
+    lengths = [len(json.loads(line)["steps"]) for line in trace.read_text().splitlines()]
+    assert len(set(lengths)) > 1
+    observed = sum(lengths)
+    assert observed >= 64
+    assert summary["learn_steps"] == len(range(64, observed + 1, 4))
+    config = AgentConfig(**summary["defaults"])
+    expected = [f"{epsilon_at(max(0, n - 63), config):.6g}" for n in accumulate(lengths)]
+    assert [row["epsilon"] for row in _curve(tmp_path)] == expected
 
 
 def test_partition_runs_derive_linkage_afresh(tmp_path):
@@ -288,6 +322,11 @@ def test_unknown_graph_is_config_error(tmp_path, task):
     args = SEARCH_ARGS[task]
     args = args[: args.index("--graph") + 1] + ["nosuch"] + args[args.index("--graph") + 2 :]
     assert main(args + ["--out", str(tmp_path / "plan.json")]) == EXIT_CONFIG
+
+
+def test_buffer_smaller_than_a_batch_is_config_error(tmp_path):
+    args = SEARCH_ARGS["pp-infer"] + ["--buffer", "10", "--out", str(tmp_path / "plan.json")]
+    assert main(args) == EXIT_CONFIG
 
 
 def test_gen_data_task_is_gone(tmp_path):
