@@ -24,7 +24,7 @@ from autoplan.ir import (
     forward_subgraph,
     load_graph,
 )
-from autoplan.sharding import DimStatus, PropagationResult, ShardingSpec, propagate
+from autoplan.sharding import DimStatus, PropagationResult, propagate
 from autoplan.topology import DeviceTopology, allreduce_time, transfer_time
 
 __version__ = "0.1.0"
@@ -38,7 +38,6 @@ __all__ = [
     "HloGraph",
     "Instruction",
     "PropagationResult",
-    "ShardingSpec",
     "TensorShape",
     "allreduce_time",
     "decision_dims",

@@ -115,7 +115,6 @@ class RunConfig:
     seed: int
     out: str
     finetune: bool
-    reward_shape: str
     log: str | None
     dist: str
     plan: str | None
@@ -438,7 +437,6 @@ def _pp_train_env(cfg: RunConfig, inputs: dict) -> SearchEnv:
         micro_batches=cfg.micro_batches,
         micro_batch_size=cfg.micro_batch_size,
         mem_per_device=cfg.mem_per_device,
-        reward_shape=cfg.reward_shape,
     )
 
 
@@ -688,12 +686,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--micro-batches", type=int, help="per global batch (default 4, pp-infer 1)"
     )
-    parser.add_argument("--micro-batch-size", type=int, default=16)
+    parser.add_argument(
+        "--micro-batch-size", type=int, default=16,
+        help="only recorded in the plan; the length and memory models read --micro-batches",
+    )
     parser.add_argument("--episodes", type=int, help="training episode budget")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", help="plan output path (default <task>_plan.json)")
     parser.add_argument("--finetune", action="store_true", help="opp: run the backtrace stage")
-    parser.add_argument("--reward-shape", choices=["inv", "inv-sqrt"], default="inv")
     parser.add_argument("--log", help="episode trace JSONL path")
     parser.add_argument(
         "--dist",
@@ -730,7 +730,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         seed=args.seed,
         out=out,
         finetune=args.finetune,
-        reward_shape=args.reward_shape,
         log=args.log,
         dist=args.dist,
         plan=args.plan,

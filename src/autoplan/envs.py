@@ -154,7 +154,7 @@ class PartitionSearchEnv:
             if status == DimStatus.REPLICATED and self._partition_feasible(d):
                 continue
             seeds[d] = status
-        result = self.engine.run(seeds, start=self.engine.base())
+        result = self.engine.run(seeds)
         if result.outcome is Outcome.CONFLICT:
             raise ValueError("finetune needs a conflict-free strategy")
         self._rows = result.rows
@@ -374,18 +374,14 @@ class PipeTrainEnv:
         micro_batches: int = 4,
         micro_batch_size: int = 16,
         mem_per_device: float | None = None,
-        reward_shape: str = "inv",
         backward_multiplier: float = 2.0,
     ):
-        if reward_shape not in ("inv", "inv-sqrt"):
-            raise ValueError(f"unknown reward shape {reward_shape!r}")
         self.graph = graph
         self.topo = topo
         self.num_stages = num_stages
         self.micro_batches = micro_batches
         self.micro_batch_size = micro_batch_size
         self.mem_per_device = mem_per_device
-        self.reward_shape = reward_shape
         self.backward_multiplier = backward_multiplier
         self.table = CutCostTable.build(graph)
         self.candidates = candidate_pivots(self.table, topo, num_stages, radius)
@@ -441,12 +437,7 @@ class PipeTrainEnv:
         feasible = self.mem_per_device is None or memory_feasible(
             plan, metrics, self.topo, self.mem_per_device
         )
-        if not feasible:
-            reward = -1.0 / math.sqrt(length)
-        elif self.reward_shape == "inv":
-            reward = 1.0 / length
-        else:
-            reward = 1.0 / math.sqrt(length)
+        reward = 1.0 / length if feasible else -1.0 / math.sqrt(length)
         info = {
             "pipeline_length": length,
             "memory_feasible": feasible,

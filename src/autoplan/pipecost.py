@@ -68,7 +68,11 @@ class StageMetrics:
 
 @dataclass(frozen=True)
 class PipelinePlan:
-    """K-stage plan: K-1 pivot instruction ids and K-1 device cuts."""
+    """K-stage plan: K-1 pivot instruction ids and K-1 device cuts.
+
+    ``micro_batch_size`` is only recorded in the plan: ``pipeline_length``
+    and ``memory_feasible`` read ``micro_batches`` alone.
+    """
 
     pivot_ids: tuple[int, ...]
     device_cuts: tuple[int, ...]

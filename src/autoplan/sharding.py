@@ -21,18 +21,15 @@ Each instruction's rule becomes one or more plans over the tensors it
 reads and writes, and ``PropagationEngine`` indexes the plans by tensor
 once per graph.  Propagation is a worklist: when a tensor's status row
 changes, only the plans touching that tensor fire again, until no plan
-changes anything.  Runs work on raw rows (a list of ints per instruction);
-a result builds ``ShardingSpec``s only when its ``assignments`` are read.
-``rule_for`` applies one opcode's plans to standalone specs through the same
-worklist.
+changes anything.  Runs work on raw rows: a list of ints per instruction.
 
 The rules are monotone implications, so the fixed point of a seed set does
 not depend on the order in which the seeds arrive, and a conflict is found
-whatever the order.  A run may therefore start from an earlier fixed point:
-an engine keeps the fixed point of its pins alone (the base state), and a
-search seeds one decision per step onto the state its previous step left.
-Seeding dims one at a time decides and classifies exactly as seeding them
-all at once does.
+whatever the order.  A run therefore starts from an earlier fixed point:
+an engine keeps the fixed point of its pins alone (the base state), every
+run starts from it unless given a later one, and a search seeds one
+decision per step onto the state its previous step left.  Seeding dims one
+at a time decides and classifies exactly as seeding them all at once does.
 
 Every run reports the tensors whose rows it changed, also when it ends in a
 conflict, so work proportional to what a decision touches can follow it.  A
@@ -46,9 +43,8 @@ whole state.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, IntEnum
-from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 from autoplan.ir import (
@@ -77,32 +73,6 @@ class Outcome(Enum):
     CONFLICT = "conflict"
 
 
-@dataclass(frozen=True)
-class ShardingSpec:
-    """Per-dimension statuses of one tensor.
-
-    ``dims`` optionally carries the tensor extents so shape dependent rules
-    can be applied to a spec without graph context.
-    """
-
-    statuses: tuple[int, ...]
-    dims: tuple[int, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.dims is not None and len(self.dims) != len(self.statuses):
-            raise ValueError("statuses and dims must have equal length")
-        if sum(1 for s in self.statuses if s == DimStatus.PARTITIONED) > 1:
-            raise ValueError("at most one dim of a tensor can be partitioned")
-
-    @classmethod
-    def undecided(cls, rank: int, dims: tuple[int, ...] | None = None) -> "ShardingSpec":
-        return cls(statuses=(int(DimStatus.UNDECIDED),) * rank, dims=dims)
-
-    @property
-    def rank(self) -> int:
-        return len(self.statuses)
-
-
 # the status row of every instruction, keyed by instruction id
 Rows = dict[int, list[int]]
 
@@ -119,8 +89,7 @@ class PropagationResult:
     ``newly_decided`` lists the candidate dims decided beyond the seeds
     themselves, in candidate order; from a later search state than
     ``base()`` it keeps only those the base state decides or the run's
-    changed tensors hold.  ``assignments`` builds a ``ShardingSpec`` per
-    instruction from the rows when it is first read.
+    changed tensors hold.
     """
 
     outcome: Outcome
@@ -128,16 +97,6 @@ class PropagationResult:
     conflict_site: int | None
     newly_decided: tuple[tuple[DimIndex, DimStatus], ...]
     changed: frozenset[int]
-    graph: HloGraph = field(repr=False, compare=False)
-
-    @cached_property
-    def assignments(self) -> dict[int, ShardingSpec]:
-        if self.rows is None:
-            raise ValueError("a trial keeps no rows")
-        return {
-            ins.id: ShardingSpec(statuses=tuple(self.rows[ins.id]), dims=ins.shape.dims)
-            for ins in self.graph.instructions
-        }
 
 
 class _Conflict(Exception):
@@ -237,18 +196,16 @@ def _rule(
     opcode: str,
     operands: Sequence[int],
     out: int,
-    out_rank: int,
-    operand_dims: Sequence[tuple[int, ...] | None],
-    out_dims: tuple[int, ...] | None,
+    operand_dims: Sequence[tuple[int, ...]],
+    out_dims: tuple[int, ...],
 ) -> tuple[list[Plan], list[tuple[int, int]]]:
     """The plans and the forced-replicated dims of one op's rule.
 
     ``operands`` and ``out`` are row ids; a get-tuple-element passes the
-    tuple element it reads as its one operand.  Reshape, broadcast and
-    reduce need the extents in ``operand_dims`` and ``out_dims``.
+    tuple element it reads as its one operand.  ``operand_dims`` and
+    ``out_dims`` are the extents of the operands and the output.
     """
-    if opcode in ("reshape", "broadcast", "reduce") and (operand_dims[0] is None or out_dims is None):
-        raise ValueError(f"rule for {opcode} needs specs with dims attached")
+    out_rank = len(out_dims)
     plans: list[Plan] = []
     forced: list[tuple[int, int]] = []
     if opcode in ELEMENTWISE_BINARY or opcode in ELEMENTWISE_UNARY or opcode == "get-tuple-element":
@@ -329,9 +286,9 @@ class PropagationEngine:
     The rule plans are built and indexed by tensor once.  Parameters whose
     dims are not among the candidates are pinned to full replication on
     every run.  ``base()`` keeps the fixed point of those pins (the base
-    state), and runs that start from a copy of it skip re-deriving what the
-    pins force; ``trial`` runs from one working copy of it and undoes the
-    rows it changed.
+    state), and every run starts from it or from a later fixed point, so no
+    run re-derives what the pins force; ``trial`` runs from one working copy
+    of it and undoes the rows it changed.
 
     ``by_tensor`` maps each candidate tensor to its candidates' positions,
     and ``base_decided`` lists the positions the base state decides.
@@ -356,7 +313,6 @@ class PropagationEngine:
                 ins.opcode,
                 operands,
                 ins.id,
-                ins.shape.rank,
                 [graph.instruction(op).shape.dims for op in operands],
                 ins.shape.dims,
             )
@@ -403,18 +359,18 @@ class PropagationEngine:
         return rows, dirty
 
     def advance(
-        self, rows: Rows, seeds: Mapping[DimIndex, DimStatus], dirty: list[int] | None = None
+        self, rows: Rows, seeds: Mapping[DimIndex, DimStatus]
     ) -> tuple[int | None, set[int]]:
         """Seed onto ``rows`` in place, in the mapping's order, and drain.
 
-        The core of every run: ``rows`` must be a fixed point of this engine
-        apart from the tensors in ``dirty``.  Returns the instruction that
-        met a contradiction (None without one) and every tensor whose row
-        changed, on a conflict too.  It neither checks the seeds nor scans
-        the candidates, so a search step costs what its seed touches.
+        The core of every run: ``rows`` must be a fixed point of this
+        engine.  Returns the instruction that met a contradiction (None
+        without one) and every tensor whose row changed, on a conflict too.
+        It neither checks the seeds nor scans the candidates, so a search
+        step costs what its seed touches.
         """
         PropagationEngine.runs += 1
-        dirty = [] if dirty is None else dirty
+        dirty: list[int] = []
         changed: set[int] = set()
         try:
             for di, status in seeds.items():
@@ -431,10 +387,10 @@ class PropagationEngine:
     ) -> PropagationResult:
         """Propagate ``seeds`` to a fixed point.
 
-        Without ``start`` the run begins from the bare pins.  A ``start``
-        must be a fixed point of this engine, such as ``base()`` or the rows
-        of an earlier conflict-free result; the seeds go onto it in place,
-        so a search can seed one decision per step onto the state the
+        The run starts from a copy of ``base()`` unless given a ``start``:
+        a fixed point of this engine that holds the base state, such as the
+        rows of an earlier conflict-free result.  The seeds go onto it in
+        place, so a search can seed one decision per step onto the state the
         previous step left.
         """
         order = sorted(seeds, key=lambda d: (d.instruction_id, d.dim))
@@ -445,19 +401,13 @@ class PropagationEngine:
                 raise GraphValidationError(
                     f"seed dim {di.dim} out of range for instruction {di.instruction_id}"
                 )
-        candidates = self.candidates
-        rows, dirty = self._pinned() if start is None else (start, [])
-        site, changed = self.advance(rows, {di: seeds[di] for di in order}, dirty)
+        rows = self.base() if start is None else start
+        site, changed = self.advance(rows, {di: seeds[di] for di in order})
         if site is not None:
-            return PropagationResult(Outcome.CONFLICT, rows, site, (), frozenset(changed), self.graph)
-        if start is None:
-            positions: Sequence[int] = range(len(candidates))
-        else:
-            # a start holds the base state, and only the changed tensors moved on from it
-            if self._base is None:
-                self.base()
-            by_tensor = self.by_tensor
-            positions = sorted({*self.base_decided, *(i for t in changed for i in by_tensor.get(t, ()))})
+            return PropagationResult(Outcome.CONFLICT, rows, site, (), frozenset(changed))
+        # the start holds the base state, and only the changed tensors moved on from it
+        candidates, by_tensor = self.candidates, self.by_tensor
+        positions = sorted({*self.base_decided, *(i for t in changed for i in by_tensor.get(t, ()))})
         seeded = {(di.instruction_id, di.dim) for di in order}
         newly = tuple(
             (di, _STATUS[rows[di.instruction_id][di.dim]])
@@ -466,10 +416,10 @@ class PropagationEngine:
         )
         complete = all(rows[di.instruction_id][di.dim] != _U for di in candidates)
         outcome = Outcome.COMPLETE if complete else Outcome.INCOMPLETE
-        return PropagationResult(outcome, rows, None, newly, frozenset(changed), self.graph)
+        return PropagationResult(outcome, rows, None, newly, frozenset(changed))
 
     def trial(self, seeds: Mapping[DimIndex, DimStatus]) -> PropagationResult:
-        """``run(seeds, start=self.base())`` without copying the base state.
+        """``run(seeds)`` without copying the base state.
 
         The seeds go onto the engine's working copy of the base state, and
         the rows the run changed are then restored from the base, conflict
@@ -482,7 +432,7 @@ class PropagationEngine:
         work, base = self._work, self._base
         for tid in r.changed:
             work[tid][:] = base[tid]
-        return PropagationResult(r.outcome, None, r.conflict_site, r.newly_decided, r.changed, self.graph)
+        return PropagationResult(r.outcome, None, r.conflict_site, r.newly_decided, r.changed)
 
 
 def propagate(
@@ -496,46 +446,3 @@ def propagate(
     replicated.
     """
     return PropagationEngine(graph, candidates).run(seeds)
-
-
-def rule_for(
-    opcode: str,
-    operand_specs: Sequence[ShardingSpec],
-    output_spec: ShardingSpec,
-) -> tuple[tuple[ShardingSpec, ...], ShardingSpec] | None:
-    """Apply one opcode's rule to standalone specs.
-
-    Returns the updated (operand specs, output spec) or None on conflict.
-    Shape dependent opcodes (reshape, broadcast, reduce) require specs that
-    carry ``dims``.  For get-tuple-element pass the selected element's spec
-    as the single operand.  Applying the rule twice is a no-op.
-    """
-    same_rank = opcode in ELEMENTWISE_BINARY or opcode in ELEMENTWISE_UNARY
-    if (same_rank or opcode in ("get-tuple-element", "transpose")) and any(
-        spec.rank != output_spec.rank for spec in operand_specs
-    ):
-        raise ValueError(f"rule for {opcode} needs operand ranks equal to the output rank")
-    out = len(operand_specs)
-    plans, forced = _rule(
-        opcode,
-        range(out),
-        out,
-        output_spec.rank,
-        [spec.dims for spec in operand_specs],
-        output_spec.dims,
-    )
-    rows = {i: list(spec.statuses) for i, spec in enumerate((*operand_specs, output_spec))}
-    # the given specs need not be a fixed point: every plan fires at first
-    dirty = list(rows)
-    touching = dict.fromkeys(rows, range(len(plans)))
-    try:
-        for tid, dim in forced:
-            _set(rows, tid, dim, _R, tid, dirty)
-        _drain(rows, dirty, plans, touching, set())
-    except _Conflict:
-        return None
-    new_operands = tuple(
-        ShardingSpec(statuses=tuple(rows[i]), dims=spec.dims)
-        for i, spec in enumerate(operand_specs)
-    )
-    return new_operands, ShardingSpec(statuses=tuple(rows[out]), dims=output_spec.dims)

@@ -30,7 +30,7 @@ from autoplan.pipecost import (
     proportional_device_counts,
     proportional_device_cuts,
 )
-from autoplan.sharding import DimStatus, Outcome, ShardingSpec, propagate
+from autoplan.sharding import DimStatus, Outcome, propagate
 from autoplan.topology import DeviceTopology, allreduce_time, transfer_time
 from autoplan.dataproc import GRANULARITY
 
@@ -579,13 +579,14 @@ class ReferenceLearner:
 #
 # ReferencePropagationEngine is the propagation engine ``autoplan.sharding``
 # had before its worklist: full sweeps over every rule plan until none changes
-# anything, a fresh state per run and a ShardingSpec for every instruction on
-# every run.  It is kept verbatim apart from its names and its result type.
+# anything, from a fresh state per run.  It is kept verbatim apart from its
+# names and its result type, which carries the status rows as the engine's
+# results do.
 
 
 class ReferenceResult(NamedTuple):
     outcome: Outcome
-    assignments: dict[int, ShardingSpec]
+    rows: dict[int, list[int]]
     conflict_site: int | None
     newly_decided: tuple[tuple[DimIndex, DimStatus], ...]
 
@@ -738,12 +739,8 @@ class ReferencePropagationEngine:
         except _RefConflict as c:
             conflict_site = c.site
 
-        assignments = {
-            ins.id: ShardingSpec(statuses=tuple(state[ins.id]), dims=ins.shape.dims)
-            for ins in g.instructions
-        }
         if conflict_site is not None:
-            return ReferenceResult(Outcome.CONFLICT, assignments, conflict_site, ())
+            return ReferenceResult(Outcome.CONFLICT, state, conflict_site, ())
         newly = tuple(
             (di, DimStatus(state[di.instruction_id][di.dim]))
             for di in candidates
@@ -752,7 +749,7 @@ class ReferencePropagationEngine:
         )
         complete = all(state[di.instruction_id][di.dim] != _U for di in candidates)
         outcome = Outcome.COMPLETE if complete else Outcome.INCOMPLETE
-        return ReferenceResult(outcome, assignments, None, newly)
+        return ReferenceResult(outcome, state, None, newly)
 
     def _fixed_point(self, state: dict[int, list[int]]) -> None:
         max_rank = max((ins.shape.rank for ins in self.graph.instructions), default=1)

@@ -340,6 +340,28 @@ def test_more_stages_than_devices_is_infeasible(tmp_path):
     assert main(args + ["--episodes", "2", "--out", str(tmp_path / "plan.json")]) == EXIT_INFEASIBLE
 
 
+MEMORY_ARGS = [
+    "--task", "pp-train", "--graph", "uniform_chain", "--stages", "4", "--topology", "configc",
+    "--episodes", "30", "--seed", "1",
+]
+
+
+def test_memory_budget_no_plan_fits_is_infeasible(tmp_path, caplog):
+    out = tmp_path / "plan.json"
+    assert main(MEMORY_ARGS + ["--mem-per-device", "1", "--out", str(out)]) == EXIT_INFEASIBLE
+    assert "no memory-feasible plan" in caplog.text
+    assert not out.exists()
+
+
+def test_memory_budget_every_plan_fits_changes_nothing(tmp_path):
+    free, ample = tmp_path / "free", tmp_path / "ample"
+    for workdir, extra in ((free, []), (ample, ["--mem-per-device", "1e18"])):
+        workdir.mkdir()
+        assert main(MEMORY_ARGS + [*extra, "--out", str(workdir / "plan.json")]) == EXIT_OK
+    for name in ("plan.json", "plan_curve.csv"):
+        assert (free / name).read_bytes() == (ample / name).read_bytes()
+
+
 @pytest.mark.parametrize("task", sorted(SEARCH_ARGS))
 def test_summary_times_every_phase(tmp_path, task):
     extra = ["--finetune"] if task == "opp" else []

@@ -5,8 +5,16 @@ import pytest
 
 from autoplan.envs import PipeTrainEnv
 from autoplan.ir import HloGraph, forward_subgraph
-from autoplan.pipecost import CutCostTable, InfeasiblePlanError, candidate_pivots, stage_metrics
-from autoplan.topology import load_topology
+from autoplan.pipecost import (
+    CutCostTable,
+    InfeasiblePlanError,
+    PipelinePlan,
+    StageMetrics,
+    candidate_pivots,
+    memory_feasible,
+    stage_metrics,
+)
+from autoplan.topology import DeviceTopology, load_topology
 from autoplan.zoo import GRAPHS, uniform_chain
 
 from helpers import GraphBuilder, reference_candidate_pivots, reference_stage_metrics
@@ -182,3 +190,21 @@ def test_candidate_pivots_match_scalar_splits(name):
             else:
                 with pytest.raises(InfeasiblePlanError):
                     candidate_pivots(table, topo, 2, radius)
+
+
+def test_memory_budget_exactly_at_the_need_is_feasible():
+    # two stages of two devices each, three micro batches in flight
+    plan = PipelinePlan(pivot_ids=(5,), device_cuts=(2,), micro_batches=3)
+    metrics = [
+        StageMetrics(compute_ms=1.0, activation_bytes=1000.0, param_bytes=8000.0),
+        StageMetrics(compute_ms=1.0, activation_bytes=0.0, param_bytes=10000.0),
+    ]
+    topo = DeviceTopology(num_servers=1, gpus_per_server=4)
+    # per device: params / 2 * 4 optimizer copies + 3 * (bytes in + bytes out) / 2
+    # stage 0: 16000 + 1500 = 17500; stage 1: 20000 + 1500 = 21500
+    assert memory_feasible(plan, metrics, topo, 21500.0)
+    assert not memory_feasible(plan, metrics, topo, 21499.0)
+    # with no weights in the last stage (1500), the first stage sets the need
+    light = [metrics[0], StageMetrics(compute_ms=1.0, activation_bytes=0.0, param_bytes=0.0)]
+    assert memory_feasible(plan, light, topo, 17500.0)
+    assert not memory_feasible(plan, light, topo, 17499.0)
