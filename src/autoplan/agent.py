@@ -8,17 +8,21 @@ importance-sampling correction.  Everything runs in double precision with
 explicit analytic gradients so the backward pass can be checked against
 finite differences.
 
-The learner trains once per ``LEARN_EVERY`` observed transitions, DQN's
-replay ratio, from the first transition that fills a batch.  The
-exploration rate counts decisions, not updates: it is the rate the schedule
-would reach with one update per transition, so thinning the updates leaves
-exploration as it was.  Learning is still the largest part of a planning
-run, about half to two thirds of each benchmark workload, against four
-fifths or more with an update per decision.  The trunk is (64, 64) for
-every task: at batch 64 and 2 actions one learn takes 0.66, 3.0 and 9.1 ms
-at 201, 2,001 and 6,667 inputs, against 3.9, 16 and 56 ms at (256, 256) (2
-vCPUs, OpenBLAS with 2 threads).  Over ten seeds per benchmark workload the
-median plan quality of the two widths differs by less than 0.001.
+The learner trains once per ``LEARN_EVERY`` free decisions, DQN's replay
+ratio, from the first full batch on.  A decision is free when its mask
+allows more than one action.  A forced step, such as a pp-infer device cut
+pinned to its band's centre, is still acted on and observed, so replay
+bootstraps through it, but it does not count toward the next update.  The
+exploration rate counts every observed transition, not updates or free
+decisions: it is the rate the schedule would reach with one update per
+transition, so thinning the updates leaves exploration as it was.  Learning
+is still the largest part of a planning run, about half to two thirds of
+each benchmark workload, against four fifths or more with an update per
+decision.  The trunk is (64, 64) for every task: at batch 64 and 2 actions
+one learn takes 0.66, 3.0 and 9.1 ms at 201, 2,001 and 6,667 inputs,
+against 3.9, 16 and 56 ms at (256, 256) (2 vCPUs, OpenBLAS with 2 threads).
+Over ten seeds per benchmark workload the median plan quality of the two
+widths differs by less than 0.001.
 
 The learner keeps its large arrays across steps.  A network keeps all its
 parameters in one flat float64 vector (``QNetwork.flat``), and ``params``
@@ -43,7 +47,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 
-# one update per this many observed transitions
+# one update per this many free decisions (masks allowing more than one action)
 LEARN_EVERY = 4
 
 
@@ -386,6 +390,8 @@ class DqnAgent:
         self.buffer = PrioritizedReplayBuffer(config.buffer_capacity)
         self.optimizer = AdamOptimizer(self.net.flat, config)
         self.observed = 0
+        # decisions whose mask allowed more than one action
+        self.free_decisions = 0
         self.train_steps = 0
 
     @property
@@ -394,6 +400,8 @@ class DqnAgent:
         return epsilon_at(max(0, self.observed - self.config.batch_size + 1), self.config)
 
     def act(self, state: np.ndarray, mask: np.ndarray) -> int:
+        if np.count_nonzero(mask) > 1:
+            self.free_decisions += 1
         return act(self.net, state, mask, self.epsilon, self.rng)
 
     def observe(self, transition: Transition) -> None:

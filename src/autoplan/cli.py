@@ -19,10 +19,12 @@ per-stage terms its length adds up from; they stay out of the plan JSON,
 whose fields are those of earlier plans.
 
 From the first full batch on, the agent trains once every ``LEARN_EVERY``
-(4) decisions, so ``learn_steps`` is about a quarter of the decisions, and an
-episode with no update, such as one in four of pp-train's 3-decision
-episodes at K=4, leaves its ``loss`` empty.  Epsilon decays per decision all
-the same.
+(4) free decisions, those whose mask allows more than one action, so
+``learn_steps`` is about a quarter of the free decisions.  Forced picks,
+such as pp-infer's device cuts pinned to their centre, are acted on and
+stored but never train.  An episode with no update, such as one in four of
+pp-train's 3-decision episodes at K=4, leaves its ``loss`` empty.  Epsilon
+decays per observed transition all the same.
 
 Exit codes: 0 ok, 2 configuration error, 3 infeasible (no valid plan),
 4 training divergence.
@@ -239,14 +241,16 @@ def train(
         info: dict = {}
         mask = env.action_mask()
         while not env.done:
+            free_before = agent.free_decisions
             action = agent.act(state, mask)
+            due = agent.free_decisions > free_before and agent.free_decisions % LEARN_EVERY == 0
             result = env.step(action)
             # the next step acts on the mask this transition stores
             mask = env.action_mask()
             agent.observe(
                 Transition(state, action, result.reward, result.next_state, result.done, mask)
             )
-            loss = agent.learn() if agent.observed % LEARN_EVERY == 0 else None
+            loss = agent.learn() if due else None
             if loss is not None:
                 losses.append(loss)
             if trace is not None:

@@ -579,11 +579,17 @@ class PipeInferEnv:
         self.num_stages = num_stages
         self.micro_batches = micro_batches
         self.micro_batch_size = micro_batch_size
-        self.allowed_boundaries = allowed_boundaries
-        self.allowed_cuts = allowed_cuts
         d = topo.num_devices
         self.num_actions = (GRANULARITY - 1) + (d - 1)
         self.state_dim = 2 * picks
+        # per slot (boundaries, then cuts), the actions its band allows
+        self._bands = np.ones((2 * picks, self.num_actions), dtype=bool)
+        for slot, band in enumerate(allowed_boundaries or ()):
+            self._bands[slot] = False
+            self._bands[slot, [b - 1 for b in band if 1 <= b <= GRANULARITY - 1]] = True
+        for slot, band in enumerate(allowed_cuts or (), start=picks):
+            self._bands[slot] = False
+            self._bands[slot, [GRANULARITY - 2 + c for c in band if 1 <= c <= d - 1]] = True
         self._boundaries: list[int] = []
         self._cuts: list[int] = []
         self._done = True
@@ -607,33 +613,23 @@ class PipeInferEnv:
         return tuple(self._cuts)
 
     def action_mask(self) -> np.ndarray:
+        """The next slot's picks: past the previous pick, leaving room for
+        the slots after it, and within the slot's band."""
         mask = np.zeros(self.num_actions, dtype=bool)
         if self._done:
             return mask
         picks = self.num_stages - 1
-        if len(self._boundaries) < picks:
-            slot = len(self._boundaries)
-            remaining = picks - slot
+        slot = len(self._boundaries) + len(self._cuts)
+        if slot < picks:
+            # boundary b is action b - 1
             last = self._boundaries[-1] if self._boundaries else 0
-            band = self.allowed_boundaries[slot] if self.allowed_boundaries else None
-            for b in range(last + 1, GRANULARITY):
-                if (GRANULARITY - 1) - b < remaining - 1:
-                    continue
-                if band is not None and b not in band:
-                    continue
-                mask[b - 1] = True
+            mask[last : GRANULARITY - (picks - slot)] = True
         else:
-            slot = len(self._cuts)
-            remaining = picks - slot
+            # cut c is action GRANULARITY - 2 + c
             last = self._cuts[-1] if self._cuts else 0
-            band = self.allowed_cuts[slot] if self.allowed_cuts else None
             d = self.topo.num_devices
-            for c in range(last + 1, d):
-                if (d - 1) - c < remaining - 1:
-                    continue
-                if band is not None and c not in band:
-                    continue
-                mask[GRANULARITY - 1 + c - 1] = True
+            mask[GRANULARITY - 1 + last : GRANULARITY - 1 + d - (2 * picks - slot)] = True
+        mask &= self._bands[slot]
         return mask
 
     def step(self, action: int) -> StepResult:

@@ -12,7 +12,7 @@ import pytest
 from autoplan.agent import AgentConfig, epsilon_at
 from autoplan.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
 from autoplan.dataproc import build_environment_arrays
-from autoplan.envs import PipeInferEnv
+from autoplan.envs import PipeInferEnv, infer_search_bands
 from autoplan.pipecost import PipelinePlan, length_breakdown, pipeline_length
 from autoplan.topology import load_topology
 from autoplan.zoo import bert48_profile, t5_block, zoo_graph
@@ -194,12 +194,14 @@ def test_summary_agrees_with_curve(tmp_path, task):
     [
         # about two steps an episode never fill a batch of 64: pure random search
         (["--task", "adp", "--graph", "vgg_classifier", "--episodes", "30", "--seed", "3"], 0),
-        # 50 episodes of 6 steps; learning starts at the 64th transition and
-        # then runs on every 4th
+        # 50 episodes of 3 free boundary picks, then 3 forced (pinned) cuts:
+        # free pick f is transition 6 * ((f - 1) // 3) + (f - 1) % 3 + 1, so
+        # the first with 64 transitions in is f = 34 (transition 67), and
+        # every 4th free pick from there, 36..148, trains
         (
             ["--task", "pp-infer", "--graph", "bert48_profile", "--episodes", "50",
              "--stages", "4", "--topology", "configc"],
-            (300 - 64) // 4 + 1,
+            len(range(36, 150 + 1, 4)),
         ),
     ],
     ids=["adp-short", "pp-infer"],
@@ -207,6 +209,20 @@ def test_summary_agrees_with_curve(tmp_path, task):
 def test_summary_counts_learn_steps(tmp_path, args, learn_steps):
     assert main(args + ["--out", str(tmp_path / "plan.json")]) == EXIT_OK
     assert json.loads((tmp_path / "plan_summary.json").read_text())["learn_steps"] == learn_steps
+
+
+def test_pp_infer_with_every_pick_forced_never_learns(tmp_path):
+    args = SEARCH_ARGS["pp-infer"] + ["--episodes", "50", "--radius", "0"]
+    assert main(args + ["--out", str(tmp_path / "plan.json")]) == EXIT_OK
+    assert json.loads((tmp_path / "plan_summary.json").read_text())["learn_steps"] == 0
+    # each band holds only its centre, so every episode decodes the centre plan
+    arrays, topo = build_environment_arrays(bert48_profile()), load_topology("configc")
+    bands, cut_bands = infer_search_bands(arrays, topo, 4, 0)
+    plan = json.loads((tmp_path / "plan.json").read_text())
+    assert [{b} for b in plan["boundaries"]] == bands
+    assert [{c} for c in plan["device_cuts"]] == cut_bands
+    assert plan["pipeline_length_s"] == pytest.approx(10.29675)
+    assert {row["loss"] for row in _curve(tmp_path)} == {""}
 
 
 def test_epsilon_decays_per_decision_on_fixed_length_episodes(tmp_path):

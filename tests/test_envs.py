@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from math import comb
 
 import numpy as np
 import pytest
@@ -114,6 +115,70 @@ def test_cut_bands_are_the_pinned_center_cuts(config):
         cuts = [c for band in cut_bands for c in band]
         assert len(cuts) == stages - 1
         assert cuts == sorted(set(cuts)) and 1 <= cuts[0] and cuts[-1] < topo.num_devices
+
+
+def _loop_mask(env, bands, cut_bands):
+    """The pp-infer mask position by position: the reference for the sliced one."""
+    mask = np.zeros(env.num_actions, dtype=bool)
+    if env.done:
+        return mask
+    picks = env.num_stages - 1
+    if len(env.boundaries) < picks:
+        slot = len(env.boundaries)
+        remaining = picks - slot
+        last = env.boundaries[-1] if env.boundaries else 0
+        band = bands[slot] if bands else None
+        for b in range(last + 1, GRANULARITY):
+            if (GRANULARITY - 1) - b < remaining - 1:
+                continue
+            if band is not None and b not in band:
+                continue
+            mask[b - 1] = True
+    else:
+        slot = len(env.device_cuts)
+        remaining = picks - slot
+        last = env.device_cuts[-1] if env.device_cuts else 0
+        band = cut_bands[slot] if cut_bands else None
+        d = env.topo.num_devices
+        for c in range(last + 1, d):
+            if (d - 1) - c < remaining - 1:
+                continue
+            if band is not None and c not in band:
+                continue
+            mask[GRANULARITY - 1 + c - 1] = True
+    return mask
+
+
+@pytest.mark.parametrize("radius", [0, 3, None], ids=["radius0", "radius3", "no-bands"])
+def test_infer_mask_matches_the_loop_at_every_reachable_prefix(radius):
+    arrays, topo = build_environment_arrays(bert48_profile()), load_topology("configc")
+    bands, cut_bands = infer_search_bands(arrays, topo, 4, radius) if radius is not None else (None, None)
+    env = PipeInferEnv(arrays, topo, num_stages=4, allowed_boundaries=bands, allowed_cuts=cut_bands)
+    picks, checked = env.num_stages - 1, 0
+    stack = [()]
+    while stack:
+        prefix = stack.pop()
+        env.reset()
+        for action in prefix:
+            env.step(action)
+        mask = env.action_mask()
+        assert np.array_equal(mask, _loop_mask(env, bands, cut_bands)), prefix
+        checked += 1
+        children = np.flatnonzero(mask)
+        if len(prefix) == picks - 1 and bands is None:
+            # the cut-phase mask reads only the cuts, so the first of the
+            # 333,375 boundary triples stands for them all
+            children = children[:1] if checked == picks else []
+        stack.extend(prefix + (int(a),) for a in children)
+    expected = {
+        # every pick is forced: 7 states down one path
+        0: 7,
+        # 7 choices per boundary, then 4 states down the pinned cuts
+        3: 1 + 7 + 7**2 + 4 * 7**3,
+        # boundary prefixes of length 0-2 in 1..126, cut prefixes of length 0-3 in 1..31
+        None: 1 + 125 + comb(126, 2) + 1 + 29 + comb(30, 2) + comb(31, 3),
+    }
+    assert checked == expected[radius]
 
 
 def test_infer_step_refuses_actions_outside_the_space():

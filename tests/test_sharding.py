@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from autoplan.envs import adp_candidates
-from autoplan.ir import decision_dims
-from autoplan.sharding import DimStatus, Outcome, PropagationEngine, propagate
+from autoplan.ir import ELEMENTWISE_BINARY, OPCODES, decision_dims
+from autoplan.sharding import DimStatus, Outcome, PropagationEngine, _rule, propagate
 from autoplan.zoo import vgg_classifier
 
 from helpers import (
@@ -288,6 +288,32 @@ class TestOneOpRules:
     def test_broadcast_pairs_the_operand_dim(self):
         _, s = self._run("broadcast", [(6,)], (4, 6), {"a0.d0": P})
         assert (s["out.d0"], s["out.d1"]) == (R, P)
+
+
+# operand and output extents for the ops whose rule pairs dims by shape; any
+# other op takes one or two (4, 6) operands to a (4, 6) output
+_RULE_SHAPES = {
+    "parameter": ([], (4, 6)),
+    "constant": ([], (4, 6)),
+    "tuple": ([(4, 6), (6,)], ()),
+    "dot": ([(4, 8), (8, 6)], (4, 6)),
+    "transpose": ([(4, 6)], (6, 4)),
+    "reshape": ([(4, 6)], (24,)),
+    "broadcast": ([(6,)], (4, 6)),
+    "reduce": ([(4, 6)], (4,)),
+}
+
+
+@pytest.mark.parametrize("opcode", sorted(OPCODES))
+def test_every_loadable_opcode_has_a_rule(opcode):
+    # the loader refuses any opcode outside OPCODES, so an opcode added there
+    # without a rule would reach _rule's "unknown opcode" raise here first
+    arity = 2 if opcode in ELEMENTWISE_BINARY else 1
+    operand_dims, out_dims = _RULE_SHAPES.get(opcode, ([(4, 6)] * arity, (4, 6)))
+    operands = list(range(len(operand_dims)))
+    plans, _ = _rule(opcode, operands, len(operands), operand_dims, out_dims)
+    # an op with operands and an output links them; the rest fire nothing
+    assert bool(plans) == (opcode not in ("parameter", "constant", "tuple"))
 
 
 # -- whole-graph properties ---------------------------------------------------
