@@ -408,9 +408,17 @@ class DqnAgent:
         self.buffer.push(transition)
         self.observed += 1
 
+    @property
+    def can_learn(self) -> bool:
+        """Whether the buffer can fill a batch, so that ``learn`` updates."""
+        return len(self.buffer) >= self.config.batch_size
+
     def learn(self) -> float | None:
-        """Run one training step once the buffer can fill a batch."""
-        if len(self.buffer) < self.config.batch_size:
+        """Run one training step once the buffer can fill a batch.
+
+        Before that it returns None and leaves the RNG as it was.
+        """
+        if not self.can_learn:
             return None
         loss = train_step(
             self.net, self.target, self.buffer, self.config, self.optimizer, self.rng

@@ -14,17 +14,22 @@ loading inputs, building the env (linkage included), training, fine-tuning
 Partition searches (opp, adp) also report ``propagations``, the propagation
 runs the search made (linkage extraction, env steps and self-validation),
 ``conflicts``, the episodes that ended in a conflict (fine-tuning ones
-included).  Pipeline searches report the ``length_terms`` of the plan, the
-per-stage terms its length adds up from; they stay out of the plan JSON,
-whose fields are those of earlier plans.
+included).  An opp run builds two propagation engines: one that linkage
+extraction and the env share, and self-validation's own; sharing the first
+changes no count in ``propagations``.  Pipeline searches report the
+``length_terms`` of the plan, the per-stage terms its length adds up from;
+they stay out of the plan JSON, whose fields are those of earlier plans.
 
 From the first full batch on, the agent trains once every ``LEARN_EVERY``
 (4) free decisions, those whose mask allows more than one action, so
-``learn_steps`` is about a quarter of the free decisions.  Forced picks,
-such as pp-infer's device cuts pinned to their centre, are acted on and
-stored but never train.  An episode with no update, such as one in four of
-pp-train's 3-decision episodes at K=4, leaves its ``loss`` empty.  Epsilon
-decays per observed transition all the same.
+``learn_steps`` is about a quarter of the free decisions; ``learn`` is
+called only then, so each call is an update.  Each step hands back the
+env's mask for the next decision, which the agent acts on and the
+transition stores.  Forced picks, such as pp-infer's device cuts pinned to
+their centre, are acted on and stored but never train.  An episode with no
+update, such as one in four of pp-train's 3-decision episodes at K=4,
+leaves its ``loss`` empty.  Epsilon decays per observed transition all the
+same.
 
 Exit codes: 0 ok, 2 configuration error, 3 infeasible (no valid plan),
 4 training divergence.
@@ -74,7 +79,7 @@ from autoplan.pipecost import (
     pipeline_length,
     stage_metrics,
 )
-from autoplan.sharding import DimStatus, Outcome, PropagationEngine, propagate
+from autoplan.sharding import DimStatus, Outcome, PropagationEngine, propagate, propagation_runs
 from autoplan.topology import DeviceTopology, TopologyError, load_topology
 from autoplan.zoo import GRAPHS, PROFILES, zoo_graph, zoo_profile
 
@@ -246,11 +251,11 @@ def train(
             due = agent.free_decisions > free_before and agent.free_decisions % LEARN_EVERY == 0
             result = env.step(action)
             # the next step acts on the mask this transition stores
-            mask = env.action_mask()
+            mask = result.next_mask
             agent.observe(
                 Transition(state, action, result.reward, result.next_state, result.done, mask)
             )
-            loss = agent.learn() if due else None
+            loss = agent.learn() if due and agent.can_learn else None
             if loss is not None:
                 losses.append(loss)
             if trace is not None:
@@ -423,9 +428,12 @@ def validate_payload(
 
 
 def _opp_env(cfg: RunConfig, inputs: dict) -> SearchEnv:
+    """One engine serves linkage extraction and the search."""
     graph = inputs["graph"]
-    groups = extract_linkage_groups(graph, decision_dims(graph, graph.trainable_variables))
-    return OppEnv(graph, groups=groups)
+    dims = decision_dims(graph, graph.trainable_variables)
+    engine = PropagationEngine(graph, dims)
+    groups = extract_linkage_groups(graph, dims, engine)
+    return OppEnv(graph, groups=groups, engine=engine)
 
 
 def _adp_env(cfg: RunConfig, inputs: dict) -> SearchEnv:
@@ -572,7 +580,7 @@ def _run_search(cfg: RunConfig) -> int:
     clock = time.monotonic()
     inputs = resolve_inputs(cfg, task.inputs)
     clock = _lap(phases, "load_inputs", clock)
-    runs_before = PropagationEngine.runs
+    runs_before = propagation_runs()
     env = task.env(cfg, inputs)
     clock = _lap(phases, "build_env", clock)
     agent = DqnAgent(agent_config_for(cfg), env.state_dim, env.num_actions, cfg.seed)
@@ -632,7 +640,7 @@ def _run_search(cfg: RunConfig) -> int:
         )
     if isinstance(env, PartitionSearchEnv):
         # linkage extraction, env steps and self-validation alike
-        summary["propagations"] = PropagationEngine.runs - runs_before
+        summary["propagations"] = propagation_runs() - runs_before
         summary["conflicts"] = env.conflicts
     write_json(summary_path, summary)
     logger.info("wrote %s (%s %.6g, episode %d)", cfg.out, field, best.info[key], best.episode)

@@ -18,6 +18,11 @@ The ``info`` of an episode's last step describes its outcome: ``conflict``
 ``partition_count`` and ``strategy`` for the partition envs; ``plan``,
 ``metrics`` and ``pipeline_length`` (plus ``memory_feasible`` on
 ``PipeTrainEnv``) for the pipeline envs.  Callers rank episodes by it.
+A step checks its action against the mask of the current decision and
+hands back the next one as ``StepResult.next_mask``, which ``action_mask``
+also returns until the next step.  Masks are read-only: a pipeline env
+builds each once, in ``reset`` or ``step``, and keeps it; a partition
+search has two constant ones.
 Environments are single-threaded; instances share only immutable inputs.
 """
 
@@ -72,10 +77,25 @@ def _check_action(mask: np.ndarray, action: int) -> None:
 
 @dataclass(frozen=True)
 class StepResult:
+    """One step's outcome; ``next_mask`` is the env's mask for the next decision."""
+
     next_state: np.ndarray
     reward: float
     done: bool
+    next_mask: np.ndarray
     info: dict = field(default_factory=dict)
+
+
+def _frozen(mask: np.ndarray) -> np.ndarray:
+    """``mask`` made read-only: an env keeps it, and callers only read it."""
+    mask.flags.writeable = False
+    return mask
+
+
+# both decisions stay available in a partition search; bad ones earn the
+# conflict penalty
+_BOTH = _frozen(np.ones(2, dtype=bool))
+_NONE = _frozen(np.zeros(2, dtype=bool))
 
 
 class PartitionSearchEnv:
@@ -106,6 +126,7 @@ class PartitionSearchEnv:
         graph: HloGraph,
         dims: Sequence[DimIndex],
         order: Sequence[DimIndex],
+        engine: PropagationEngine | None = None,
     ):
         if not dims:
             raise ValueError("the environment needs at least one candidate dim")
@@ -114,7 +135,11 @@ class PartitionSearchEnv:
         self.order = list(order)
         self.num_actions = 2
         self.state_dim = len(self.dims) + 1
-        self.engine = PropagationEngine(graph, self.dims)
+        if engine is None:
+            engine = PropagationEngine(graph, self.dims)
+        elif engine.graph is not graph or engine.candidates != self.dims:
+            raise ValueError("the engine was built for another graph or candidate list")
+        self.engine = engine
         self.conflicts = 0
         self._feasibility: dict[DimIndex, bool] = {}
         self._rows: dict[int, list[int]] = {}  # the engine's state of the episode
@@ -177,12 +202,8 @@ class PartitionSearchEnv:
     def step(self, action: int) -> StepResult:
         if self._done:
             raise EpisodeError("episode is over")
-        if action == ACTION_PARTITION:
-            status = DimStatus.PARTITIONED
-        elif action == ACTION_REPLICATE:
-            status = DimStatus.REPLICATED
-        else:
-            raise EpisodeError(f"unknown action {action}")
+        _check_action(_BOTH, action)
+        status = DimStatus.PARTITIONED if action == ACTION_PARTITION else DimStatus.REPLICATED
         dim = self._position
         assert dim is not None
         rows = self._rows
@@ -191,7 +212,7 @@ class PartitionSearchEnv:
             self._done = True
             self.conflicts += 1
             return StepResult(
-                self._state(), -1.0, True,
+                self._state(), -1.0, True, _NONE,
                 {"conflict": True, "conflict_site": self.graph.instruction(site).name},
             )
 
@@ -227,13 +248,11 @@ class PartitionSearchEnv:
             info["strategy"] = self.strategy()
         else:
             self._position = self._next_position()
-        return StepResult(self._state(), reward, self._done, info)
+        return StepResult(self._state(), reward, self._done, self.action_mask(), info)
 
     def action_mask(self) -> np.ndarray:
-        # both decisions stay available; bad ones earn the conflict penalty
-        return np.ones(self.num_actions, dtype=bool) if not self._done else np.zeros(
-            self.num_actions, dtype=bool
-        )
+        """The current decision's mask, read-only."""
+        return _NONE if self._done else _BOTH
 
     # -- introspection ----------------------------------------------------
 
@@ -292,22 +311,28 @@ class PartitionSearchEnv:
 class OppEnv(PartitionSearchEnv):
     """Operator partitioning over the trainable variable dims.
 
-    The linkage groups (extracted here unless given) set the decision order,
-    and their partition triggers tell ``finetune_reset`` which dims may be
-    partitioned alone, so it runs no trial of its own.
+    The linkage groups set the decision order, and their partition triggers
+    tell ``finetune_reset`` which dims may be partitioned alone, so it runs
+    no trial of its own.  An opp run builds one ``PropagationEngine``,
+    extracts the groups on it and hands both to the env; given neither, the
+    env extracts the groups on its own engine.  An engine built for another
+    graph or candidate list is a ``ValueError``.
     """
 
     def __init__(
         self,
         graph: HloGraph,
         groups: Mapping[Trigger, LinkageGroup] | None = None,
+        engine: PropagationEngine | None = None,
     ):
         if not graph.trainable_variables:
             raise ValueError("operator partitioning needs trainable variables")
         dims = decision_dims(graph, graph.trainable_variables)
+        if engine is None:
+            engine = PropagationEngine(graph, dims)
         if groups is None:
-            groups = extract_linkage_groups(graph, dims)
-        super().__init__(graph, dims, sorted_decision_order(groups))
+            groups = extract_linkage_groups(graph, dims, engine)
+        super().__init__(graph, dims, sorted_decision_order(groups), engine)
         self._feasibility = {
             d: not group.infeasible
             for (d, status), group in groups.items()
@@ -399,10 +424,12 @@ class PipeTrainEnv:
         self._reset_state: np.ndarray | None = None
         self._applied: list[int] = []
         self._done = True
+        self._mask = _frozen(np.zeros(self.num_actions, dtype=bool))
 
     def reset(self) -> np.ndarray:
         self._applied = []
         self._done = False
+        self._mask = self._build_mask()
         if self._reset_state is None:
             self._reset_state = self._state()
         return self._reset_state.copy()
@@ -412,23 +439,29 @@ class PipeTrainEnv:
         return self._done
 
     def action_mask(self) -> np.ndarray:
+        """The current decision's mask, read-only."""
+        return self._mask
+
+    def _build_mask(self) -> np.ndarray:
         mask = np.zeros(self.num_actions, dtype=bool)
         if not self._done:
             last = self._applied[-1] if self._applied else -1
             # keep room for the picks still owed after this one
             remaining = (self.num_stages - 1) - len(self._applied)
             mask[last + 1 : self.num_actions - remaining + 1] = True
-        return mask
+        return _frozen(mask)
 
     def step(self, action: int) -> StepResult:
         if self._done:
             raise EpisodeError("episode is over")
-        _check_action(self.action_mask(), action)
+        _check_action(self._mask, action)
         self._applied.append(action)
         if len(self._applied) < self.num_stages - 1:
-            return StepResult(self._state(), 0.0, False, {})
+            self._mask = self._build_mask()
+            return StepResult(self._state(), 0.0, False, self._mask)
 
         self._done = True
+        self._mask = self._build_mask()
         pivots = tuple(self.candidates[i] for i in self._applied)
         metrics = self.table.stage_metrics(pivots, self.backward_multiplier)
         cuts = proportional_device_cuts(metrics, self.topo)
@@ -444,14 +477,14 @@ class PipeTrainEnv:
             "plan": plan,
             "metrics": metrics,
         }
-        return StepResult(self._state(), reward, True, info)
+        return StepResult(self._state(), reward, True, self._mask, info)
 
     def _state(self) -> np.ndarray:
         n = self.num_actions
         state = np.zeros(4 * n)
         reduces, transfers, balance, onehot = state.reshape(4, n)
         onehot[self._applied] = 1.0
-        allowed = np.flatnonzero(self.action_mask())
+        allowed = np.flatnonzero(self._mask)
         if allowed.size:
             # one row per allowed candidate: the stage boundaries of the
             # applied cuts, then those of the candidate and of the end
@@ -593,11 +626,13 @@ class PipeInferEnv:
         self._boundaries: list[int] = []
         self._cuts: list[int] = []
         self._done = True
+        self._mask = _frozen(np.zeros(self.num_actions, dtype=bool))
 
     def reset(self) -> np.ndarray:
         self._boundaries = []
         self._cuts = []
         self._done = False
+        self._mask = self._build_mask()
         return self._state()
 
     @property
@@ -613,11 +648,15 @@ class PipeInferEnv:
         return tuple(self._cuts)
 
     def action_mask(self) -> np.ndarray:
+        """The current decision's mask, read-only."""
+        return self._mask
+
+    def _build_mask(self) -> np.ndarray:
         """The next slot's picks: past the previous pick, leaving room for
         the slots after it, and within the slot's band."""
         mask = np.zeros(self.num_actions, dtype=bool)
         if self._done:
-            return mask
+            return _frozen(mask)
         picks = self.num_stages - 1
         slot = len(self._boundaries) + len(self._cuts)
         if slot < picks:
@@ -630,21 +669,23 @@ class PipeInferEnv:
             d = self.topo.num_devices
             mask[GRANULARITY - 1 + last : GRANULARITY - 1 + d - (2 * picks - slot)] = True
         mask &= self._bands[slot]
-        return mask
+        return _frozen(mask)
 
     def step(self, action: int) -> StepResult:
         if self._done:
             raise EpisodeError("episode is over")
-        _check_action(self.action_mask(), action)
+        _check_action(self._mask, action)
         picks = self.num_stages - 1
         if action < GRANULARITY - 1:
             self._boundaries.append(action + 1)
         else:
             self._cuts.append(action - (GRANULARITY - 1) + 1)
         if len(self._cuts) < picks:
-            return StepResult(self._state(), 0.0, False, {})
+            self._mask = self._build_mask()
+            return StepResult(self._state(), 0.0, False, self._mask)
 
         self._done = True
+        self._mask = self._build_mask()
         metrics = self.decode_metrics(self._boundaries)
         plan = PipelinePlan(
             tuple(self._boundaries),
@@ -658,7 +699,7 @@ class PipeInferEnv:
             "plan": plan,
             "metrics": metrics,
         }
-        return StepResult(self._state(), 1.0 / length, True, info)
+        return StepResult(self._state(), 1.0 / length, True, self._mask, info)
 
     def decode_metrics(self, boundaries: Sequence[int]) -> list[StageMetrics]:
         """Per-stage costs implied by the boundaries on the coarsened arrays.

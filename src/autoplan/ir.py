@@ -11,7 +11,7 @@ import heapq
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 
 class GraphError(Exception):
@@ -99,13 +99,14 @@ class Instruction:
     compute_cost_ms: float | None = None
 
 
-@dataclass(frozen=True)
-class DimIndex:
+class DimIndex(NamedTuple):
     """Addresses one dimension of one instruction inside a decision vector.
 
     ``flat_index`` is the position in the flattened per-dimension decision
     vector built by :func:`decision_dims`; it is a bijection onto
-    ``range(len(dims))`` for a fixed candidate set.
+    ``range(len(dims))`` for a fixed candidate set.  A named tuple, because
+    dims key the dicts and sets of every search step and of each linkage
+    trial, and a tuple hashes and compares in C.
     """
 
     flat_index: int
@@ -454,5 +455,5 @@ def decision_dims(graph: HloGraph, candidate_names: Iterable[str]) -> list[DimIn
     for ins_id in sorted(ids):
         ins = graph.instruction(ins_id)
         for d in range(ins.shape.rank):
-            dims.append(DimIndex(flat_index=len(dims), instruction_id=ins_id, dim=d))
+            dims.append(DimIndex(len(dims), ins_id, d))
     return dims

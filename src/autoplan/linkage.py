@@ -11,13 +11,14 @@ Each trigger is a ``PropagationEngine.trial``: it seeds onto the engine's
 one working copy of the base state in place and then restores only the
 rows it changed, conflict or not.  Extraction therefore costs the rows the
 triggers touch, not a copy of the whole state per trigger, and grows
-linearly with the graph when the groups stay small.
+linearly with the graph when the groups stay small.  An opp run extracts on
+the engine its env then searches with, so the graph's rules are indexed
+and its base state derived once per run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from autoplan.ir import DimIndex, HloGraph
 from autoplan.sharding import DimStatus, Outcome, PropagationEngine
@@ -25,13 +26,12 @@ from autoplan.sharding import DimStatus, Outcome, PropagationEngine
 Trigger = tuple[DimIndex, DimStatus]
 
 
-@dataclass(frozen=True)
-class LinkageGroup:
+class LinkageGroup(NamedTuple):
     """Candidate dims decided as a consequence of one trigger decision.
 
     Groups are keyed by their trigger, which is not part of ``implied``.
     ``infeasible`` marks triggers whose lone seed already conflicts; their
-    group is empty.
+    group is empty.  A named tuple, as cheap to build as the trial result.
     """
 
     implied: tuple[tuple[DimIndex, DimStatus], ...]
@@ -42,33 +42,36 @@ class LinkageGroup:
         return len(self.implied)
 
 
+# every infeasible trigger's group; groups are immutable, so they share one
+_INFEASIBLE = LinkageGroup(implied=(), infeasible=True)
+
+
 def extract_linkage_groups(
-    graph: HloGraph, dims: Sequence[DimIndex]
+    graph: HloGraph, dims: Sequence[DimIndex], engine: PropagationEngine | None = None
 ) -> dict[Trigger, LinkageGroup]:
-    """Propagate every (dim, status) trigger alone and record what it decides."""
-    engine = PropagationEngine(graph, candidates=dims)
+    """Propagate every (dim, status) trigger alone and record what it decides.
+
+    ``engine`` is the run's engine over ``graph`` and ``dims``; without one
+    the extraction builds its own.
+    """
+    if engine is None:
+        engine = PropagationEngine(graph, candidates=dims)
+    elif engine.graph is not graph or engine.candidates != list(dims):
+        raise ValueError("the engine was built for another graph or candidate list")
     groups: dict[Trigger, LinkageGroup] = {}
     for di in dims:
         for status in (DimStatus.PARTITIONED, DimStatus.REPLICATED):
-            trigger = (di, status)
             result = engine.trial({di: status})
             if result.outcome is Outcome.CONFLICT:
-                groups[trigger] = LinkageGroup(implied=(), infeasible=True)
+                groups[(di, status)] = _INFEASIBLE
             else:
-                groups[trigger] = LinkageGroup(implied=result.newly_decided)
+                groups[(di, status)] = LinkageGroup(result.newly_decided)
     return groups
 
 
 def sorted_decision_order(groups: Mapping[Trigger, LinkageGroup]) -> list[DimIndex]:
     """Dims sorted descending by their larger linkage group, ties by flat index."""
-    dims = sorted({t[0] for t in groups}, key=lambda d: d.flat_index)
-
-    def _max_size(di: DimIndex) -> int:
-        sizes = [
-            groups[(di, status)].size
-            for status in (DimStatus.PARTITIONED, DimStatus.REPLICATED)
-            if (di, status) in groups
-        ]
-        return max(sizes, default=0)
-
-    return sorted(dims, key=lambda d: (-_max_size(d), d.flat_index))
+    largest: dict[DimIndex, int] = {}
+    for (di, _), group in groups.items():
+        largest[di] = max(largest.get(di, 0), group.size)
+    return sorted(largest, key=lambda d: (-largest[d], d.flat_index))

@@ -9,11 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from autoplan.agent import AgentConfig, epsilon_at
+from autoplan.agent import AgentConfig, DqnAgent, epsilon_at
 from autoplan.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
 from autoplan.dataproc import build_environment_arrays
 from autoplan.envs import PipeInferEnv, infer_search_bands
 from autoplan.pipecost import PipelinePlan, length_breakdown, pipeline_length
+from autoplan.sharding import PropagationEngine
 from autoplan.topology import load_topology
 from autoplan.zoo import bert48_profile, t5_block, zoo_graph
 
@@ -268,6 +269,46 @@ def test_partition_runs_derive_linkage_afresh(tmp_path):
         plans.append(out.read_bytes())
     assert plans[0] == plans[1]
     assert [p.name for p in graphs.iterdir()] == ["t5.json"]
+
+
+def _counted(monkeypatch, owner, name):
+    """Count the calls of ``owner.name`` for the rest of the test."""
+    calls = []
+    method = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return method(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_opp_run_searches_on_the_engine_linkage_was_extracted_on(tmp_path, monkeypatch):
+    builds = _counted(monkeypatch, PropagationEngine, "__init__")
+    learns = _counted(monkeypatch, DqnAgent, "learn")
+    graph = tmp_path / "mlp100.json"
+    graph.write_text(json.dumps(mlp_graph_dict(100)))
+    args = ["--task", "opp", "--graph", str(graph), "--episodes", "8", "--seed", "0"]
+    assert main(args + ["--out", str(tmp_path / "plan.json")]) == EXIT_OK
+    summary = json.loads((tmp_path / "plan_summary.json").read_text())
+    # the search's engine, shared by linkage extraction and the env, and
+    # self-validation's own
+    assert len(builds) == 2
+    # 400 linkage triggers, the episodes' steps and self-validation's run
+    assert summary["propagations"] == 912
+    # learn is called only once the buffer holds a batch, so every call updates
+    assert len(learns) == summary["learn_steps"] == 112
+
+
+def test_pp_infer_builds_one_mask_per_decision(tmp_path, monkeypatch):
+    masks = _counted(monkeypatch, PipeInferEnv, "_build_mask")
+    learns = _counted(monkeypatch, DqnAgent, "learn")
+    args = SEARCH_ARGS["pp-infer"] + ["--episodes", "50", "--seed", "0"]
+    assert main(args + ["--out", str(tmp_path / "plan.json")]) == EXIT_OK
+    # one per reset and one per step: 50 episodes of 6 decisions
+    assert len(masks) == 50 + 50 * 6
+    assert len(learns) == json.loads((tmp_path / "plan_summary.json").read_text())["learn_steps"] == 29
 
 
 @pytest.mark.parametrize("task", ["adp", "pp-train"])

@@ -3,15 +3,23 @@
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from autoplan.envs import ACTION_REPLICATE, OppEnv
+from autoplan.envs import ACTION_PARTITION, ACTION_REPLICATE, OppEnv
 from autoplan.ir import decision_dims, graph_from_dict
 from autoplan.linkage import extract_linkage_groups
-from autoplan.sharding import DimStatus, Outcome, PropagationEngine
+from autoplan.sharding import DimStatus, Outcome, PropagationEngine, propagation_runs
 from autoplan.zoo import GRAPHS, zoo_graph
 
-from helpers import label_map, linkage_chain_graph, trainable_dims
+from helpers import (
+    label_map,
+    linkage_chain_graph,
+    random_decision_graph,
+    reference_linkage_groups,
+    trainable_dims,
+    two_layer_graph,
+)
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
 from workloads import mlp_graph_dict  # noqa: E402
@@ -63,9 +71,9 @@ def test_finetune_reset_runs_one_propagation(name):
     while not env.done:
         assert not env.step(ACTION_REPLICATE).info["conflict"]
     strategy = env.strategy()
-    before = PropagationEngine.runs
+    before = propagation_runs()
     env.finetune_reset(strategy)
-    assert PropagationEngine.runs - before == 1
+    assert propagation_runs() - before == 1
 
 
 def test_extraction_copies_the_base_state_once(monkeypatch):
@@ -82,3 +90,48 @@ def test_extraction_copies_the_base_state_once(monkeypatch):
     groups = extract_linkage_groups(graph, dims)
     assert len(groups) == 2 * len(dims) == 100
     assert len(calls) <= 1
+
+
+def _assert_shared_engine_groups_match(graph):
+    """Groups extracted on the engine an env then searches with, before and
+    after its episodes, equal a fresh extraction's and the sweep engine's,
+    key order and implied order included."""
+    dims = trainable_dims(graph)
+    engine = PropagationEngine(graph, dims)
+    shared = extract_linkage_groups(graph, dims, engine)
+    env = OppEnv(graph, groups=shared, engine=engine)
+    for action in (ACTION_PARTITION, ACTION_REPLICATE):
+        env.reset()
+        while not env.done:
+            env.step(action)
+    again = extract_linkage_groups(graph, dims, engine)
+    ref = reference_linkage_groups(graph, dims)
+    for groups in (shared, again, extract_linkage_groups(graph, dims)):
+        assert list(groups) == list(ref)
+        assert {t: (g.implied, g.infeasible) for t, g in groups.items()} == ref
+
+
+@pytest.mark.parametrize("name", [*sorted(n for n in GRAPHS if zoo_graph(n).trainable_variables), "mlp100"])
+def test_groups_on_the_shared_engine_match_the_sweep_extraction(name):
+    graph = graph_from_dict(mlp_graph_dict(100)) if name == "mlp100" else zoo_graph(name)
+    _assert_shared_engine_groups_match(graph)
+
+
+def test_groups_on_the_shared_engine_match_on_random_graphs():
+    for seed in range(50):
+        _assert_shared_engine_groups_match(random_decision_graph(np.random.default_rng(seed)))
+
+
+def test_opp_env_refuses_an_engine_of_another_graph_or_candidate_list():
+    graph = two_layer_graph()
+    dims = trainable_dims(graph)
+    other = two_layer_graph()
+    for engine in (PropagationEngine(other, trainable_dims(other)), PropagationEngine(graph, dims[:-1])):
+        with pytest.raises(ValueError, match="another graph or candidate list"):
+            extract_linkage_groups(graph, dims, engine)
+        with pytest.raises(ValueError, match="another graph or candidate list"):
+            OppEnv(graph, engine=engine)
+        groups = extract_linkage_groups(graph, dims)
+        with pytest.raises(ValueError, match="another graph or candidate list"):
+            OppEnv(graph, groups=groups, engine=engine)
+    assert OppEnv(graph, engine=PropagationEngine(graph, dims)).dims == dims

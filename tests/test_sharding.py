@@ -183,6 +183,37 @@ class TestPropagationResult:
         with pytest.raises(GraphValidationError):
             propagate(g, {DimIndex(0, dims[0].instruction_id, 9): P}, dims)
 
+    def test_bad_seed_rejected_by_a_built_engine(self):
+        # the candidates are checked once, when the engine is built; a seed
+        # outside them still gets the full check on every run and trial
+        from autoplan.ir import DimIndex, GraphValidationError
+
+        g = two_layer_graph()
+        dims = trainable_dims(g)
+        engine = PropagationEngine(g, dims)
+        x = g.by_name("x").id
+        bad = [
+            DimIndex(0, 999, 0),
+            DimIndex(0, dims[0].instruction_id, 9),
+            DimIndex(0, dims[0].instruction_id, -1),
+            DimIndex(0, x, 2),
+        ]
+        for seed in bad:
+            for propagate_once in (engine.run, engine.trial):
+                with pytest.raises(GraphValidationError):
+                    propagate_once({seed: P})
+                with pytest.raises(GraphValidationError):
+                    propagate_once({dims[0]: R, seed: P})
+            with pytest.raises(GraphValidationError):
+                PropagationEngine(g, [*dims, seed])
+        # a valid seed outside the candidates is checked and propagated
+        assert engine.run({DimIndex(0, x, 0): R}).outcome is Outcome.INCOMPLETE
+        assert engine.trial({DimIndex(7, dims[1].instruction_id, dims[1].dim): P}) == engine.trial(
+            {dims[1]: P}
+        )
+        with pytest.raises(ValueError, match="twice"):
+            PropagationEngine(g, [*dims, dims[0]])
+
 
 class TestNonCandidateInputs:
     """Parameters outside the candidate set are pinned to replication."""
