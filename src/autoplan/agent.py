@@ -8,21 +8,27 @@ importance-sampling correction.  Everything runs in double precision with
 explicit analytic gradients so the backward pass can be checked against
 finite differences.
 
-The learner trains once per ``LEARN_EVERY`` free decisions, DQN's replay
-ratio, from the first full batch on.  A decision is free when its mask
-allows more than one action.  A forced step, such as a pp-infer device cut
-pinned to its band's centre, is still acted on and observed, so replay
-bootstraps through it, but it does not count toward the next update.  The
-exploration rate counts every observed transition, not updates or free
-decisions: it is the rate the schedule would reach with one update per
-transition, so thinning the updates leaves exploration as it was.  Learning
-is still the largest part of a planning run, about half to two thirds of
-each benchmark workload, against four fifths or more with an update per
-decision.  The trunk is (64, 64) for every task: at batch 64 and 2 actions
-one learn takes 0.66, 3.0 and 9.1 ms at 201, 2,001 and 6,667 inputs,
-against 3.9, 16 and 56 ms at (256, 256) (2 vCPUs, OpenBLAS with 2 threads).
-Over ten seeds per benchmark workload the median plan quality of the two
-widths differs by less than 0.001.
+``AgentConfig`` holds the five settings a run can change (flags and the
+CLI's per-task defaults); every other hyper-parameter is a module constant.
+
+``DqnAgent`` owns its update schedule: it trains once per ``LEARN_EVERY``
+free decisions, DQN's replay ratio, from the first full batch on.  ``act``
+notes whether its decision is a free one that is due, and ``observe`` then
+stores the transition and, once the buffer holds a batch, calls ``learn``
+and returns the loss, so each ``learn`` call is one update.  A decision is
+free when its mask allows more than one action.  A forced step, such as a
+pp-infer device cut pinned to its band's centre, is still acted on and
+observed, so replay bootstraps through it, but it does not count toward the
+next update.  The exploration rate counts every observed transition, not
+updates or free decisions: it is the rate the schedule would reach with one
+update per transition, so thinning the updates leaves exploration as it
+was.  Learning is still the largest part of a planning run, about half to
+two thirds of each benchmark workload, against four fifths or more with an
+update per decision.  The trunk is (64, 64) for every task: at batch 64 and
+2 actions one learn takes 0.66, 3.0 and 9.1 ms at 201, 2,001 and 6,667
+inputs, against 3.9, 16 and 56 ms at (256, 256) (2 vCPUs, OpenBLAS with 2
+threads).  Over ten seeds per benchmark workload the median plan quality of
+the two widths differs by less than 0.001.
 
 The learner keeps its large arrays across steps.  A network keeps all its
 parameters in one flat float64 vector (``QNetwork.flat``), and ``params``
@@ -49,6 +55,18 @@ import numpy as np
 
 # one update per this many free decisions (masks allowing more than one action)
 LEARN_EVERY = 4
+HIDDEN = (64, 64)  # the trunk's layer widths
+# prioritized replay: priority exponent and importance-sampling exponent
+PER_ALPHA = 0.2
+PER_BETA = 0.6
+TARGET_SYNC_EVERY = 100  # updates between copies of the online net into the target
+# exploration decays linearly from EPSILON_START to EPSILON_FINAL
+EPSILON_START = 1.0
+EPSILON_FINAL = 0.1
+HUBER_DELTA = 1.0
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class DivergenceError(Exception):
@@ -57,32 +75,22 @@ class DivergenceError(Exception):
 
 @dataclass(frozen=True)
 class AgentConfig:
-    """Hyper-parameters of the DQN agent; ``hidden`` is the trunk, and
-    ``epsilon_decay_iters`` counts decisions, not updates (see above)."""
+    """The settings a run can change; ``epsilon_decay_iters`` counts
+    decisions, not updates (see above)."""
 
     gamma: float = 0.6
     lr: float = 0.001
     batch_size: int = 64
     buffer_capacity: int = 2000
-    per_alpha: float = 0.2
-    per_beta: float = 0.6
-    target_sync_every: int = 100
-    epsilon_start: float = 1.0
-    epsilon_final: float = 0.1
     epsilon_decay_iters: int = 2000
-    hidden: tuple[int, ...] = (64, 64)
-    huber_delta: float = 1.0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
 
 def epsilon_at(decisions: int, config: AgentConfig) -> float:
     """Linearly decayed exploration rate after ``decisions`` decisions past the first batch."""
     if config.epsilon_decay_iters <= 0:
-        return config.epsilon_final
+        return EPSILON_FINAL
     frac = min(1.0, max(0.0, decisions / config.epsilon_decay_iters))
-    return config.epsilon_start + (config.epsilon_final - config.epsilon_start) * frac
+    return EPSILON_START + (EPSILON_FINAL - EPSILON_START) * frac
 
 
 class QNetwork:
@@ -185,24 +193,6 @@ class QNetwork:
         return QNetwork(self.state_dim, self.num_actions, self.hidden, flat=self.flat.copy())
 
 
-def act(
-    net: QNetwork,
-    state: np.ndarray,
-    mask: np.ndarray,
-    epsilon: float,
-    rng: np.random.Generator,
-) -> int:
-    """Epsilon-greedy action over the allowed set."""
-    mask = np.asarray(mask, dtype=bool)
-    if not mask.any():
-        raise ValueError("no action is allowed")
-    if rng.random() < epsilon:
-        allowed = np.flatnonzero(mask)
-        return int(allowed[rng.integers(len(allowed))])
-    # the highest-Q allowed action; ties resolve to the lowest index
-    return int(np.argmax(np.where(mask, net.forward(state)[0], -np.inf)))
-
-
 @dataclass(frozen=True)
 class Transition:
     state: np.ndarray
@@ -296,11 +286,8 @@ class PrioritizedReplayBuffer:
 class AdamOptimizer:
     """Adam with bias correction over one flat parameter vector, in place."""
 
-    def __init__(self, params: np.ndarray, config: AgentConfig):
-        self.lr = config.lr
-        self.beta1 = config.adam_beta1
-        self.beta2 = config.adam_beta2
-        self.eps = config.adam_eps
+    def __init__(self, params: np.ndarray, lr: float):
+        self.lr = lr
         self.t = 0
         # np.zeros and np.empty leave the pages untouched until the first step
         self.m = np.zeros(params.shape)
@@ -311,20 +298,20 @@ class AdamOptimizer:
         """``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g**2`` and
         ``params -= lr*(m/c1) / (sqrt(v/c2) + eps)``, operation by operation."""
         self.t += 1
-        correct1 = 1.0 - self.beta1**self.t
-        correct2 = 1.0 - self.beta2**self.t
+        correct1 = 1.0 - ADAM_BETA1**self.t
+        correct2 = 1.0 - ADAM_BETA2**self.t
         m, v = self.m, self.v
         a, b = self._scratch
-        m *= self.beta1
-        np.multiply(grads, 1.0 - self.beta1, out=a)
+        m *= ADAM_BETA1
+        np.multiply(grads, 1.0 - ADAM_BETA1, out=a)
         m += a
-        v *= self.beta2
+        v *= ADAM_BETA2
         np.square(grads, out=a)
-        a *= 1.0 - self.beta2
+        a *= 1.0 - ADAM_BETA2
         v += a
         np.divide(v, correct2, out=a)
         np.sqrt(a, out=a)
-        a += self.eps
+        a += ADAM_EPS
         np.divide(m, correct1, out=b)
         b *= self.lr
         b /= a
@@ -336,48 +323,8 @@ def huber(x: np.ndarray, delta: float) -> np.ndarray:
     return np.where(absx <= delta, 0.5 * x**2, delta * (absx - 0.5 * delta))
 
 
-def train_step(
-    net: QNetwork,
-    target_net: QNetwork,
-    buffer: PrioritizedReplayBuffer,
-    config: AgentConfig,
-    optimizer: AdamOptimizer,
-    rng: np.random.Generator,
-) -> float:
-    """One double-DQN update on a prioritized batch; returns the loss."""
-    indices, batch, weights = buffer.sample(
-        config.batch_size, config.per_alpha, config.per_beta, rng
-    )
-    states, actions, rewards, next_states, done, next_masks = batch
-    rows = np.arange(len(indices))
-
-    # terminal rows may have empty masks; their bootstrap term is zeroed anyway
-    has_next = next_masks.any(axis=1)
-    safe_masks = next_masks  # the buffer's batch array, refilled by every sample
-    safe_masks[~has_next, 0] = True
-    done = np.maximum(done, (~has_next).astype(np.float64))
-
-    online_next = net.forward(next_states)
-    best_next = np.argmax(np.where(safe_masks, online_next, -np.inf), axis=1)
-    target_next = target_net.forward(next_states)[rows, best_next]
-    targets = rewards + config.gamma * (1.0 - done) * target_next
-
-    q_all, cache = net.forward_cached(states)
-    q_taken = q_all[rows, actions]
-    td = q_taken - targets
-
-    loss = float(np.mean(weights * huber(td, config.huber_delta)))
-    dq_taken = weights * np.clip(td, -config.huber_delta, config.huber_delta) / len(indices)
-    dq = np.zeros_like(q_all)
-    dq[rows, actions] = dq_taken
-    net.backward(cache, dq)
-    optimizer.step(net.flat, net.grad_flat)
-    buffer.update_priorities(indices, td)
-    return loss
-
-
 class DqnAgent:
-    """Convenience wrapper tying the network, target, buffer and Adam together."""
+    """The network, target, replay buffer and Adam, and the schedule that trains them."""
 
     def __init__(self, config: AgentConfig, state_dim: int, num_actions: int, seed: int = 0):
         # a buffer that cannot fill a batch would never train, while epsilon decayed
@@ -385,13 +332,15 @@ class DqnAgent:
             raise ValueError("the replay buffer must hold at least one batch")
         self.config = config
         self.rng = np.random.default_rng(seed)
-        self.net = QNetwork(state_dim, num_actions, config.hidden, self.rng)
+        self.net = QNetwork(state_dim, num_actions, HIDDEN, self.rng)
         self.target = self.net.clone()
         self.buffer = PrioritizedReplayBuffer(config.buffer_capacity)
-        self.optimizer = AdamOptimizer(self.net.flat, config)
+        self.optimizer = AdamOptimizer(self.net.flat, config.lr)
         self.observed = 0
         # decisions whose mask allowed more than one action
-        self.free_decisions = 0
+        self._free_decisions = 0
+        # whether the last decision was a free one that the schedule trains on
+        self._due = False
         self.train_steps = 0
 
     @property
@@ -400,32 +349,68 @@ class DqnAgent:
         return epsilon_at(max(0, self.observed - self.config.batch_size + 1), self.config)
 
     def act(self, state: np.ndarray, mask: np.ndarray) -> int:
+        """Epsilon-greedy action over the allowed set."""
+        mask = np.asarray(mask, dtype=bool)
+        if not mask.any():
+            raise ValueError("no action is allowed")
+        self._due = False
         if np.count_nonzero(mask) > 1:
-            self.free_decisions += 1
-        return act(self.net, state, mask, self.epsilon, self.rng)
+            self._free_decisions += 1
+            self._due = self._free_decisions % LEARN_EVERY == 0
+        if self.rng.random() < self.epsilon:
+            allowed = np.flatnonzero(mask)
+            return int(allowed[self.rng.integers(len(allowed))])
+        # the highest-Q allowed action; ties resolve to the lowest index
+        return int(np.argmax(np.where(mask, self.net.forward(state)[0], -np.inf)))
 
-    def observe(self, transition: Transition) -> None:
+    def observe(self, transition: Transition) -> float | None:
+        """Store the transition of the last decision, and train if it was due.
+
+        Returns the update's loss, or None when there was no update: the
+        decision was forced or not due, or the buffer cannot fill a batch yet.
+        """
         self.buffer.push(transition)
         self.observed += 1
+        due, self._due = self._due, False
+        if due and len(self.buffer) >= self.config.batch_size:
+            return self.learn()
+        return None
 
-    @property
-    def can_learn(self) -> bool:
-        """Whether the buffer can fill a batch, so that ``learn`` updates."""
-        return len(self.buffer) >= self.config.batch_size
+    def learn(self) -> float:
+        """One double-DQN update on a prioritized batch; returns the loss.
 
-    def learn(self) -> float | None:
-        """Run one training step once the buffer can fill a batch.
-
-        Before that it returns None and leaves the RNG as it was.
+        The buffer must hold a batch.
         """
-        if not self.can_learn:
-            return None
-        loss = train_step(
-            self.net, self.target, self.buffer, self.config, self.optimizer, self.rng
-        )
+        net, config = self.net, self.config
+        indices, batch, weights = self.buffer.sample(config.batch_size, PER_ALPHA, PER_BETA, self.rng)
+        states, actions, rewards, next_states, done, next_masks = batch
+        rows = np.arange(len(indices))
+
+        # terminal rows may have empty masks; their bootstrap term is zeroed anyway
+        has_next = next_masks.any(axis=1)
+        safe_masks = next_masks  # the buffer's batch array, refilled by every sample
+        safe_masks[~has_next, 0] = True
+        done = np.maximum(done, (~has_next).astype(np.float64))
+
+        online_next = net.forward(next_states)
+        best_next = np.argmax(np.where(safe_masks, online_next, -np.inf), axis=1)
+        target_next = self.target.forward(next_states)[rows, best_next]
+        targets = rewards + config.gamma * (1.0 - done) * target_next
+
+        q_all, cache = net.forward_cached(states)
+        q_taken = q_all[rows, actions]
+        td = q_taken - targets
+
+        loss = float(np.mean(weights * huber(td, HUBER_DELTA)))
+        dq_taken = weights * np.clip(td, -HUBER_DELTA, HUBER_DELTA) / len(indices)
+        dq = np.zeros_like(q_all)
+        dq[rows, actions] = dq_taken
+        net.backward(cache, dq)
+        self.optimizer.step(net.flat, net.grad_flat)
+        self.buffer.update_priorities(indices, td)
         if not np.isfinite(loss):
             raise DivergenceError(f"training loss diverged to {loss}")
         self.train_steps += 1
-        if self.train_steps % self.config.target_sync_every == 0:
-            self.target.copy_from(self.net)
+        if self.train_steps % TARGET_SYNC_EVERY == 0:
+            self.target.copy_from(net)
         return loss

@@ -20,16 +20,15 @@ changes no count in ``propagations``.  Pipeline searches report the
 ``length_terms`` of the plan, the per-stage terms its length adds up from;
 they stay out of the plan JSON, whose fields are those of earlier plans.
 
-From the first full batch on, the agent trains once every ``LEARN_EVERY``
-(4) free decisions, those whose mask allows more than one action, so
-``learn_steps`` is about a quarter of the free decisions; ``learn`` is
-called only then, so each call is an update.  Each step hands back the
-env's mask for the next decision, which the agent acts on and the
-transition stores.  Forced picks, such as pp-infer's device cuts pinned to
-their centre, are acted on and stored but never train.  An episode with no
-update, such as one in four of pp-train's 3-decision episodes at K=4,
-leaves its ``loss`` empty.  Epsilon decays per observed transition all the
-same.
+A decision is act, env step, observe: ``DqnAgent.observe`` decides when to
+train (once every four free decisions, from the first full batch on; see
+``autoplan.agent``) and hands back the update's loss, so ``learn_steps`` is
+about a quarter of the free decisions.  Each step hands back the env's mask
+for the next decision, which the agent acts on and the transition stores.
+An episode with no update, such as one in four of pp-train's 3-decision
+episodes at K=4, leaves its ``loss`` empty.  Epsilon decays per observed
+transition all the same.  The summary's ``defaults`` are the run's
+``AgentConfig``, the five agent settings a flag or ``TASK_DEFAULTS`` sets.
 
 Exit codes: 0 ok, 2 configuration error, 3 infeasible (no valid plan),
 4 training divergence.
@@ -42,15 +41,16 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Callable, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from autoplan.agent import LEARN_EVERY, AgentConfig, DivergenceError, DqnAgent, Transition
+from autoplan.agent import AgentConfig, DivergenceError, DqnAgent, Transition
 from autoplan.dataproc import (
     GRANULARITY,
     CoarsenedArrays,
@@ -94,7 +94,7 @@ EXIT_DIVERGED = 4
 
 GEN_SOURCE_LENGTH = 10 * GRANULARITY
 
-# per-task defaults; agent settings not listed here come from AgentConfig
+# per-task defaults; AgentConfig fields not listed here keep AgentConfig's
 TASK_DEFAULTS: dict[str, dict[str, float | int]] = {
     "opp": {"lr": 0.0005, "epsilon_decay_iters": 2000, "episodes": 2000},
     "adp": {"lr": 0.0005, "epsilon_decay_iters": 500, "episodes": 500},
@@ -129,23 +129,21 @@ class RunConfig:
     gamma: float | None
     lr: float | None
     batch_size: int | None
-    buffer: int | None
-    epsilon_decay: int | None
+    buffer_capacity: int | None
+    epsilon_decay_iters: int | None
 
 
 def agent_config_for(cfg: RunConfig) -> AgentConfig:
     """Flags override the task's ``TASK_DEFAULTS``, which override ``AgentConfig``'s."""
     defaults = TASK_DEFAULTS.get(cfg.task, {})
-    overrides = {key: defaults[key] for key in ("lr", "epsilon_decay_iters") if key in defaults}
-    flags = {
-        "gamma": cfg.gamma,
-        "lr": cfg.lr,
-        "batch_size": cfg.batch_size,
-        "buffer_capacity": cfg.buffer,
-        "epsilon_decay_iters": cfg.epsilon_decay,
-    }
-    overrides.update((key, value) for key, value in flags.items() if value is not None)
-    return AgentConfig(**overrides)
+    settings = {}
+    for name in (field.name for field in fields(AgentConfig)):
+        value = getattr(cfg, name)
+        if value is None:
+            value = defaults.get(name)
+        if value is not None:
+            settings[name] = value
+    return AgentConfig(**settings)
 
 
 # -- artifact writers -------------------------------------------------------
@@ -195,7 +193,8 @@ def _digest(state: np.ndarray) -> str:
 
 def write_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        # NaN and Infinity are not JSON; no artifact may carry them
+        fh.write(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 def _artifact_paths(out: str) -> tuple[str, str]:
@@ -246,16 +245,13 @@ def train(
         info: dict = {}
         mask = env.action_mask()
         while not env.done:
-            free_before = agent.free_decisions
             action = agent.act(state, mask)
-            due = agent.free_decisions > free_before and agent.free_decisions % LEARN_EVERY == 0
             result = env.step(action)
             # the next step acts on the mask this transition stores
             mask = result.next_mask
-            agent.observe(
+            loss = agent.observe(
                 Transition(state, action, result.reward, result.next_state, result.done, mask)
             )
-            loss = agent.learn() if due and agent.can_learn else None
             if loss is not None:
                 losses.append(loss)
             if trace is not None:
@@ -419,7 +415,11 @@ def validate_payload(
         topo = env.topo_norm
     plan = PipelinePlan(pivots, tuple(payload["device_cuts"]), **sizes)
     length = pipeline_length(plan, metrics, topo)
-    if abs(length - payload.get("pipeline_length_s", -1.0)) > 1e-9 * max(1.0, length):
+    recorded = payload.get("pipeline_length_s")
+    if not isinstance(recorded, (int, float)) or not math.isfinite(recorded):
+        return False, f"pipeline_length_s {recorded!r} is not a finite number"
+    # abs(x - nan) > tol is false, so a NaN length needs its own check
+    if not math.isfinite(length) or abs(length - recorded) > 1e-9 * max(1.0, length):
         return False, f"recomputed pipeline length {length} disagrees"
     return True, "pipeline length matches the cost model"
 
@@ -630,7 +630,7 @@ def _run_search(cfg: RunConfig) -> int:
         "learn_steps": agent.train_steps,
         "episodes": cfg.episodes,
         "seed": cfg.seed,
-        "defaults": asdict(agent_config_for(cfg)),
+        "defaults": asdict(agent.config),
         field: best.info[key],
         "phase_s": phases,
     }
@@ -718,40 +718,30 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--gamma", type=float, help="override discount factor")
     parser.add_argument("--lr", type=float, help="override learning rate")
     parser.add_argument("--batch-size", type=int, help="override training batch size")
-    parser.add_argument("--buffer", type=int, help="override replay buffer capacity")
-    parser.add_argument("--epsilon-decay", type=int, help="override the decisions epsilon takes to decay")
+    parser.add_argument(
+        "--buffer", dest="buffer_capacity", type=int, help="override replay buffer capacity"
+    )
+    parser.add_argument(
+        "--epsilon-decay", dest="epsilon_decay_iters", type=int,
+        help="override the decisions epsilon takes to decay",
+    )
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
+    """The parsed flags, with the episodes, micro-batches and output path
+    that were left unset resolved from the task's defaults."""
     defaults = TASK_DEFAULTS.get(args.task, {})
-    episodes = args.episodes if args.episodes is not None else int(defaults.get("episodes", 500))
-    out = args.out if args.out is not None else f"{args.task.replace('-', '_')}_plan.json"
-    micro_batches = (
-        args.micro_batches if args.micro_batches is not None else int(defaults.get("micro_batches", 4))
-    )
-    return RunConfig(
-        task=args.task,
-        graph=args.graph,
-        topology=args.topology,
-        stages=args.stages,
-        radius=args.radius,
-        micro_batches=micro_batches,
-        micro_batch_size=args.micro_batch_size,
-        episodes=episodes,
-        seed=args.seed,
-        out=out,
-        finetune=args.finetune,
-        log=args.log,
-        dist=args.dist,
-        plan=args.plan,
-        mem_per_device=args.mem_per_device,
-        gamma=args.gamma,
-        lr=args.lr,
-        batch_size=args.batch_size,
-        buffer=args.buffer,
-        epsilon_decay=args.epsilon_decay,
-    )
+    resolved = {
+        "episodes": int(defaults.get("episodes", 500)),
+        "micro_batches": int(defaults.get("micro_batches", 4)),
+        "out": f"{args.task.replace('-', '_')}_plan.json",
+    }
+    settings = dict(vars(args))
+    for key, default in resolved.items():
+        if settings[key] is None:
+            settings[key] = default
+    return RunConfig(**settings)
 
 
 _RUNNERS = {**dict.fromkeys(SEARCH_TASKS, _run_search), "validate": _run_validate}

@@ -43,8 +43,9 @@ class ProfileArrays:
         if len(self.c) == 0:
             raise ProfileError("profile must not be empty")
         for arr in (self.c, self.a, self.w):
-            if np.any(np.asarray(arr) < 0):
-                raise ProfileError("profile values must be non-negative")
+            # NaN compares false with 0, so it needs its own check
+            if not np.all(np.isfinite(arr)) or np.any(np.asarray(arr) < 0):
+                raise ProfileError("profile values must be finite and non-negative")
         if self.names is not None and len(self.names) != len(self.c):
             raise ProfileError("names must match the column length")
 
@@ -159,6 +160,8 @@ def load_profile(path: str) -> ProfileArrays:
         raise ProfileError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ProfileError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ProfileError(f"{path} must hold a JSON object of profile columns")
     lowered = {str(k).lower(): v for k, v in data.items()}
     try:
         names = lowered.get("names")
@@ -170,6 +173,8 @@ def load_profile(path: str) -> ProfileArrays:
         )
     except KeyError as exc:
         raise ProfileError(f"{path} is missing profile column {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ProfileError(f"{path} has a malformed profile column: {exc}") from exc
 
 
 _CSV_ALIASES = {

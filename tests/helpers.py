@@ -372,7 +372,8 @@ def trainable_dims(graph: HloGraph) -> list[DimIndex]:
 # reference_train_step are the per-tensor network, the Transition-list replay,
 # the dict-based Adam and the training step that ``autoplan.agent`` had before
 # its parameters became one flat vector, kept verbatim apart from their names,
-# type annotations and argument checks.
+# type annotations and argument checks, and the settings that are now
+# ``autoplan.agent`` constants, which they read as literals.
 
 
 class ReferenceQNetwork:
@@ -487,9 +488,9 @@ class ReferenceAdamOptimizer:
 
     def __init__(self, params, config):
         self.lr = config.lr
-        self.beta1 = config.adam_beta1
-        self.beta2 = config.adam_beta2
-        self.eps = config.adam_eps
+        self.beta1 = 0.9
+        self.beta2 = 0.999
+        self.eps = 1e-8
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
@@ -514,7 +515,7 @@ def _reference_huber(x, delta):
 def reference_train_step(net, target_net, buffer, config, optimizer, rng) -> float:
     """One double-DQN update on a prioritized batch; returns the loss."""
     indices, batch, weights = buffer.sample(
-        config.batch_size, config.per_alpha, config.per_beta, rng
+        config.batch_size, 0.2, 0.6, rng
     )
     states = np.stack([t.state for t in batch])
     actions = np.array([t.action for t in batch], dtype=np.int64)
@@ -538,8 +539,8 @@ def reference_train_step(net, target_net, buffer, config, optimizer, rng) -> flo
     q_taken = q_all[np.arange(len(batch)), actions]
     td = q_taken - targets
 
-    loss = float(np.mean(weights * _reference_huber(td, config.huber_delta)))
-    dq_taken = weights * np.clip(td, -config.huber_delta, config.huber_delta) / len(batch)
+    loss = float(np.mean(weights * _reference_huber(td, 1.0)))
+    dq_taken = weights * np.clip(td, -1.0, 1.0) / len(batch)
     dq = np.zeros_like(q_all)
     dq[np.arange(len(batch)), actions] = dq_taken
     grads = net.backward(cache, dq)
@@ -554,7 +555,7 @@ class ReferenceLearner:
     def __init__(self, config, state_dim, num_actions, seed=0):
         self.config = config
         self.rng = np.random.default_rng(seed)
-        self.net = ReferenceQNetwork(state_dim, num_actions, config.hidden, self.rng)
+        self.net = ReferenceQNetwork(state_dim, num_actions, (64, 64), self.rng)
         self.target = self.net.clone()
         self.buffer = ReferenceReplayBuffer(config.buffer_capacity)
         self.optimizer = ReferenceAdamOptimizer(self.net.params, config)
@@ -570,7 +571,7 @@ class ReferenceLearner:
             self.net, self.target, self.buffer, self.config, self.optimizer, self.rng
         )
         self.train_steps += 1
-        if self.train_steps % self.config.target_sync_every == 0:
+        if self.train_steps % 100 == 0:
             self.target.copy_from(self.net)
         return loss
 

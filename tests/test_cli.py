@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import sys
 import time
 from itertools import accumulate
@@ -9,9 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from autoplan.agent import AgentConfig, DqnAgent, epsilon_at
-from autoplan.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
-from autoplan.dataproc import build_environment_arrays
+from autoplan.agent import EPSILON_FINAL, AgentConfig, DqnAgent, epsilon_at
+from autoplan.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main, validate_payload, write_json
+from autoplan.dataproc import CoarsenedArrays, build_environment_arrays
 from autoplan.envs import PipeInferEnv, infer_search_bands
 from autoplan.pipecost import PipelinePlan, length_breakdown, pipeline_length
 from autoplan.sharding import PropagationEngine
@@ -116,6 +117,10 @@ DROP = object()
         (INFER_PLAN, {"boundaries": list(range(1, 34)), "device_cuts": list(range(1, 34))}, EXIT_INFEASIBLE),
         # --stages 1 refuses to plan, so a one-stage training plan is not valid
         (TRAIN_PLAN, {"pivots": [], "device_cuts": [], "pipeline_length_s": 0.024}, EXIT_INFEASIBLE),
+        # a length NaN or infinite matches nothing, and a missing one is no length
+        (INFER_PLAN, {"pipeline_length_s": float("nan")}, EXIT_INFEASIBLE),
+        (INFER_PLAN, {"pipeline_length_s": float("inf")}, EXIT_INFEASIBLE),
+        (INFER_PLAN, {"pipeline_length_s": DROP}, EXIT_INFEASIBLE),
     ],
     ids=[
         "infer-valid", "infer-empty-stage", "infer-boundary-0", "infer-boundary-200",
@@ -125,6 +130,7 @@ DROP = object()
         "infer-micro-batches-str", "infer-micro-batches-bool", "infer-micro-batch-size-0",
         "train-micro-batches-str", "train-micro-batches-0", "train-micro-batch-size-float",
         "train-micro-batch-size-negative", "infer-no-cuts", "infer-34-stages", "train-one-stage",
+        "infer-length-nan", "infer-length-inf", "infer-no-length",
     ],
 )
 def test_pipeline_plan_on_bundled_inputs(tmp_path, base, change, status):
@@ -135,6 +141,23 @@ def test_pipeline_plan_on_bundled_inputs(tmp_path, base, change, status):
 
 def test_plan_that_is_not_an_object_is_config_error(tmp_path):
     assert _validate(tmp_path, [1]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("recorded", [float("nan"), INFER_PLAN["pipeline_length_s"]])
+def test_length_recomputed_as_nan_is_invalid(recorded):
+    # a null profile cell, were it let through, makes the compute prefix NaN from there on
+    arrays = build_environment_arrays(bert48_profile())
+    c = arrays.c.copy()
+    c[40:] = math.nan
+    payload = {**INFER_PLAN, "pipeline_length_s": recorded}
+    ok, _ = validate_payload(payload, topo=load_topology("configc"), arrays=CoarsenedArrays(c, arrays.a, arrays.w))
+    assert not ok
+
+
+def test_artifacts_refuse_nan(tmp_path):
+    with pytest.raises(ValueError):
+        write_json(str(tmp_path / "plan.json"), {"pipeline_length_s": math.nan})
+
 
 SEARCH_ARGS = {
     "opp": ["--task", "opp", "--graph", "t5_block", "--episodes", "4"],
@@ -233,7 +256,7 @@ def test_epsilon_decays_per_decision_on_fixed_length_episodes(tmp_path):
     # one update per decision from the 64th on, as if every decision trained
     expected = [f"{epsilon_at(max(0, 6 * (ep + 1) - 63), config):.6g}" for ep in range(50)]
     assert [row["epsilon"] for row in _curve(tmp_path)] == expected
-    assert expected[-1] == f"{config.epsilon_final:.6g}"
+    assert expected[-1] == f"{EPSILON_FINAL:.6g}"
 
 
 def test_opp_learns_every_fourth_decision(tmp_path):
@@ -379,6 +402,83 @@ def test_unknown_graph_is_config_error(tmp_path, task):
     args = SEARCH_ARGS[task]
     args = args[: args.index("--graph") + 1] + ["nosuch"] + args[args.index("--graph") + 2 :]
     assert main(args + ["--out", str(tmp_path / "plan.json")]) == EXIT_CONFIG
+
+
+BAD_PROFILES = {
+    # json.load reads null as None, which numpy turns into NaN
+    "null-cell.json": '{"C": [0.1, null], "A": [1, 1], "W": [1, 1]}',
+    "array.json": "[[0.1, 0.2], [1, 1], [1, 1]]",
+    "scalar-columns.json": '{"C": 0.1, "A": 1, "W": 1}',
+    "names-not-a-list.json": '{"names": 5, "C": [0.1], "A": [1], "W": [1]}',
+    "text-cell.csv": "C,A,W\n0.1,1,1\nfast,1,1\n",
+    "no-w.csv": "C,A\n0.1,1\n0.2,1\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_PROFILES))
+def test_unusable_profile_is_config_error(tmp_path, name):
+    profile = tmp_path / name
+    profile.write_text(BAD_PROFILES[name])
+    out = tmp_path / "plan.json"
+    args = ["--task", "pp-infer", "--graph", str(profile), "--episodes", "3", "--out", str(out)]
+    assert main(args) == EXIT_CONFIG
+    assert not out.exists()
+
+
+def _write_bert48(path):
+    profile = bert48_profile()
+    columns = (profile.names, profile.c, profile.a, profile.w)
+    if path.suffix == ".json":
+        names, c, a, w = (list(column) for column in columns)
+        path.write_text(json.dumps({"names": names, "C": c, "A": a, "W": w}))
+    else:
+        rows = (",".join([name, *(repr(float(x)) for x in xs)]) for name, *xs in zip(*columns))
+        path.write_text("\n".join(["name,compute_ms,activation_bytes,param_bytes", *rows]) + "\n")
+
+
+@pytest.mark.parametrize("suffix", [".json", ".csv"])
+def test_profile_file_plans_as_the_bundled_profile(tmp_path, suffix):
+    profile = tmp_path / f"bert48{suffix}"
+    _write_bert48(profile)
+    bundled, loaded = tmp_path / "bundled", tmp_path / "loaded"
+    assert _search(bundled, "pp-infer", "--episodes", "10")[0] == EXIT_OK
+    assert _search(loaded, "pp-infer", "--episodes", "10", "--graph", str(profile))[0] == EXIT_OK
+    plan = (loaded / "plan.json").read_text().replace(json.dumps(str(profile)), '"bert48_profile"')
+    assert plan == (bundled / "plan.json").read_text()
+    assert (loaded / "plan_curve.csv").read_bytes() == (bundled / "plan_curve.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"servers": 4, "gpus_per_server": 8, "intra_bw": 130e9, "inter_bw": 25e9 / 8},
+        {"servers": 4, "gpus_per_server": 8, "intra_bw_GBps": 130, "inter_bw_Gbps": 25},
+    ],
+    ids=["bytes-per-second", "conventional-units"],
+)
+def test_topology_file_plans_as_its_preset(tmp_path, config):
+    topology = tmp_path / "configc.json"
+    topology.write_text(json.dumps(config))
+    preset, loaded = tmp_path / "preset", tmp_path / "loaded"
+    assert _search(preset, "pp-train")[0] == EXIT_OK
+    assert _search(loaded, "pp-train", "--topology", str(topology))[0] == EXIT_OK
+    plan = (loaded / "plan.json").read_text().replace(json.dumps(str(topology)), '"configc"')
+    assert plan == (preset / "plan.json").read_text()
+    assert (loaded / "plan_curve.csv").read_bytes() == (preset / "plan_curve.csv").read_bytes()
+
+
+@pytest.mark.parametrize("dist", ["normal", "binomial"])
+def test_generated_environment_plans_validate_and_repeat(tmp_path, dist):
+    args = ["--task", "pp-infer", "--dist", dist, "--episodes", "5", "--stages", "4", "--topology", "configc"]
+    runs = [tmp_path / "a", tmp_path / "b"]
+    for workdir in runs:
+        workdir.mkdir()
+        assert main(args + ["--seed", "3", "--out", str(workdir / "plan.json")]) == EXIT_OK
+    plan = runs[0] / "plan.json"
+    assert json.loads(plan.read_text())["distribution"] == dist
+    assert main(["--task", "validate", "--plan", str(plan)]) == EXIT_OK
+    for name in ("plan.json", "plan_curve.csv"):
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
 
 
 def test_buffer_smaller_than_a_batch_is_config_error(tmp_path):

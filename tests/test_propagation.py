@@ -22,7 +22,7 @@ from autoplan.linkage import extract_linkage_groups
 from autoplan.sharding import DimStatus, Outcome, PropagationEngine, propagate
 from autoplan.zoo import GRAPHS, zoo_graph
 
-from helpers import reference_linkage_groups, reference_propagate
+from helpers import GraphBuilder, reference_linkage_groups, reference_propagate
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
 from workloads import mlp_graph_dict  # noqa: E402
@@ -94,6 +94,31 @@ def test_seeds_one_at_a_time_match_sweep_engine(name, kind):
         assert result.outcome is ref.outcome
         if ref.outcome is not Outcome.CONFLICT:
             assert result.rows == ref.rows
+
+
+def _tuple_read_graph():
+    """h = x @ w1; y = h @ get-tuple-element(tuple(h, w2)): the element read is w2."""
+    g = GraphBuilder()
+    x = g.param("x", (4, 8))
+    w1 = g.param("w1", (8, 6), trainable=True)
+    w2 = g.param("w2", (6, 5), trainable=True)
+    h = g.add("h", "dot", (x, w1), (4, 6))
+    pair = g.add("pair", "tuple", (h, w2))
+    read = g.add("read", "get-tuple-element", (pair,), (6, 5))
+    g.add("y", "dot", (h, read), (4, 5))
+    return g.build()
+
+
+def test_get_tuple_element_links_the_element_it_reads():
+    graph = _tuple_read_graph()
+    dims = decision_dims(graph, graph.trainable_variables)
+    engine = PropagationEngine(graph, candidates=dims)
+    for statuses in itertools.product((None, P, R), repeat=len(dims)):
+        seeds = {d: s for d, s in zip(dims, statuses) if s is not None}
+        _assert_same_fixed_point(engine.run(seeds), reference_propagate(graph, seeds, dims))
+    # w1's output dim reaches w2's input dim only through the read
+    w1_out, w2_in = dims[1], dims[2]
+    assert (w2_in, P) in engine.run({w1_out: P}).newly_decided
 
 
 @pytest.mark.parametrize("name", [n for n in GRAPH_NAMES if _candidates(_graph(n), "opp")])
