@@ -576,6 +576,10 @@ def _lap(phases: dict[str, float], phase: str, since: float) -> float:
 def _run_search(cfg: RunConfig) -> int:
     """Train, then write the self-validated best plan, its curve and a summary."""
     task = SEARCH_TASKS[cfg.task]
+    # checked before the search, which would otherwise fail only when it writes
+    for path in filter(None, (cfg.out, cfg.log)):
+        if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+            raise ConfigError(f"cannot write {path!r}: not a file in an existing directory")
     phases = dict.fromkeys(PHASES, 0.0)
     clock = time.monotonic()
     inputs = resolve_inputs(cfg, task.inputs)

@@ -63,10 +63,6 @@ class CoarsenedArrays:
     a: np.ndarray
     w: np.ndarray
 
-    @property
-    def granularity(self) -> int:
-        return len(self.c)
-
 
 def prefix_sum(xs: np.ndarray) -> np.ndarray:
     """Inclusive prefix sum of a non-negative array."""
@@ -76,23 +72,21 @@ def prefix_sum(xs: np.ndarray) -> np.ndarray:
     return np.cumsum(arr)
 
 
-def coarsen(xs: np.ndarray, target: int = GRANULARITY) -> np.ndarray:
-    """Sample an array down to ``target`` points by right endpoints.
+def coarsen(xs: np.ndarray) -> np.ndarray:
+    """Sample an array down to ``GRANULARITY`` points by right endpoints.
 
-    Output point i takes the source value at index floor((i+1)*N/target)-1,
+    Output point i takes the source value at index floor((i+1)*N/GRANULARITY)-1,
     so the final source value is always kept.  Shorter inputs are right
     padded with their last value first, which adds no mass to prefix arrays.
     """
     arr = np.asarray(xs, dtype=np.float64)
-    if target < 1:
-        raise ProfileError("coarsen target must be >= 1")
     if arr.ndim != 1 or len(arr) == 0:
         raise ProfileError("coarsen expects a non-empty 1-d array")
     n = len(arr)
-    if n < target:
-        arr = np.concatenate([arr, np.full(target - n, arr[-1])])
-        n = target
-    idx = (np.arange(1, target + 1) * n) // target - 1
+    if n < GRANULARITY:
+        arr = np.concatenate([arr, np.full(GRANULARITY - n, arr[-1])])
+        n = GRANULARITY
+    idx = (np.arange(1, GRANULARITY + 1) * n) // GRANULARITY - 1
     return arr[idx]
 
 
@@ -109,20 +103,16 @@ def normalize_joint(
     return c / peak, a / peak, w / peak
 
 
-def build_environment_arrays(
-    profile: ProfileArrays, granularity: int = GRANULARITY
-) -> CoarsenedArrays:
+def build_environment_arrays(profile: ProfileArrays) -> CoarsenedArrays:
     """Full pipeline from a raw profile to environment arrays."""
-    c_star = coarsen(prefix_sum(profile.c), granularity)
-    a_star = coarsen(np.asarray(profile.a, dtype=np.float64), granularity)
-    w_star = coarsen(prefix_sum(profile.w), granularity)
+    c_star = coarsen(prefix_sum(profile.c))
+    a_star = coarsen(np.asarray(profile.a, dtype=np.float64))
+    w_star = coarsen(prefix_sum(profile.w))
     c_star, a_star, w_star = normalize_joint(c_star, a_star, w_star)
     return CoarsenedArrays(c=c_star, a=a_star, w=w_star)
 
 
-def generate_environment(
-    distribution: str, n: int, seed: int, granularity: int = GRANULARITY
-) -> CoarsenedArrays:
+def generate_environment(distribution: str, n: int, seed: int) -> CoarsenedArrays:
     """Draw a synthetic profile and run it through the array pipeline.
 
     Distributions: ``uniform`` U[0,1], ``normal`` N(0.5, 0.15) clipped to
@@ -142,7 +132,7 @@ def generate_environment(
         raise ProfileError(f"unknown distribution {distribution!r}")
 
     profile = ProfileArrays(c=draw(), a=draw(), w=draw())
-    return build_environment_arrays(profile, granularity)
+    return build_environment_arrays(profile)
 
 
 def load_profile(path: str) -> ProfileArrays:

@@ -13,6 +13,11 @@ Four Markov decision processes with a shared ``reset`` / ``step`` /
 * ``PipeInferEnv``: pick K-1 stage boundaries on coarsened cost arrays,
   then K-1 device cuts, in one phased action space.
 
+The two pipeline envs run on one pick loop, ``PickEnv``: phases of K-1
+strictly increasing picks each, every pick past the phase's previous one
+and leaving room for the picks still owed.  They differ only in their
+phases, their state and their terminal outcome.
+
 The ``info`` of an episode's last step describes its outcome: ``conflict``
 (with ``conflict_site``, the name of the instruction that met it), or
 ``partition_count`` and ``strategy`` for the partition envs; ``plan``,
@@ -365,69 +370,37 @@ class AdpEnv(PartitionSearchEnv):
         super().__init__(graph, dims, order=list(dims))
 
 
-class PipeTrainEnv:
-    """Pivot selection for a K-stage training pipeline.
+class PickEnv:
+    """The pick loop of the pipeline envs.
 
-    An episode picks K-1 pivots out of the pruned candidate list, in
-    increasing forward order.  Per candidate the state carries the slowest
-    hypothetical gradient allreduce, the slowest boundary transfer and the
-    stage compute balance of the plan that picking it next would cut, with
-    devices allocated in proportion to stage compute; each time block is
-    scaled by its maximum over the currently allowed candidates, and a
-    one-hot block marks the applied cuts.  The terminal reward is 1/L for a
-    memory-feasible plan, else -1/sqrt(L).
-
-    All allowed candidates are scored in one numpy pass.  A stage runs from
-    a stage boundary (the first position, or one past a candidate) to one
-    past a candidate or the end, so its compute is an entry of the
-    ``CutCostTable.running_sums`` table built once per env: one forward
-    cumsum per possible start, which keeps the bits of ``stage_metrics``
-    where prefix differences would not, and so keeps every device count.
-    Parameter bytes are differences of integer prefix sums, which are
-    exact.  ``proportional_device_count_rows`` and ``length_term_maxima``
-    then give per row what ``proportional_device_cuts`` and
-    ``length_terms`` give per plan.  The reset state is the same in every
-    episode and is built once.
+    An episode walks through ``phases``, each a run of actions
+    ``[offset, offset + size)`` in which it makes K-1 picks.  A pick lies
+    past the phase's previous pick and leaves room for the picks the phase
+    still owes; ``bands``, when given, narrows pick ``i`` of the episode to
+    the actions ``bands[i]`` allows.  The episode ends with the last pick of
+    the last phase.  A subclass gives the state of the picks so far
+    (``_state``) and the terminal reward and ``info`` (``_outcome``).  The
+    reset state is the same in every episode and is built once.
     """
 
     def __init__(
         self,
-        graph: HloGraph,
-        topo: DeviceTopology,
         num_stages: int,
-        radius: int = 3,
-        micro_batches: int = 4,
-        micro_batch_size: int = 16,
-        mem_per_device: float | None = None,
-        backward_multiplier: float = 2.0,
+        num_actions: int,
+        phases: Sequence[tuple[int, int]],
+        bands: np.ndarray | None = None,
     ):
-        self.graph = graph
-        self.topo = topo
         self.num_stages = num_stages
-        self.micro_batches = micro_batches
-        self.micro_batch_size = micro_batch_size
-        self.mem_per_device = mem_per_device
-        self.backward_multiplier = backward_multiplier
-        self.table = CutCostTable.build(graph)
-        self.candidates = candidate_pivots(self.table, topo, num_stages, radius)
-        self.num_actions = len(self.candidates)
-        self.state_dim = 4 * len(self.candidates)
-        # stage boundary b: 0 is the first position, j+1 is one past
-        # candidate j, num_actions+1 is past the last position
-        cuts = [self.table.position[c] for c in self.candidates]
-        self._compute = self.table.running_sums(cuts, backward_multiplier)
-        params = np.cumsum([0, *self.table.param_bytes])
-        self._params_before = params[[0, *(c + 1 for c in cuts), len(params) - 1]]
-        # the first stage holds the unplaced bytes
-        self._params_before[1:] += self.table.unplaced_param_bytes
-        self._crossing = np.array([0.0, *(float(self.table.crossing[c]) for c in cuts)])
-        self._reset_state: np.ndarray | None = None
-        self._applied: list[int] = []
+        self.num_actions = num_actions
+        self._phases = list(phases)
+        self._bands = bands
+        self._picks: list[int] = []
         self._done = True
-        self._mask = _frozen(np.zeros(self.num_actions, dtype=bool))
+        self._mask = _frozen(np.zeros(num_actions, dtype=bool))
+        self._reset_state: np.ndarray | None = None
 
     def reset(self) -> np.ndarray:
-        self._applied = []
+        self._picks = []
         self._done = False
         self._mask = self._build_mask()
         if self._reset_state is None:
@@ -445,24 +418,93 @@ class PipeTrainEnv:
     def _build_mask(self) -> np.ndarray:
         mask = np.zeros(self.num_actions, dtype=bool)
         if not self._done:
-            last = self._applied[-1] if self._applied else -1
-            # keep room for the picks still owed after this one
-            remaining = (self.num_stages - 1) - len(self._applied)
-            mask[last + 1 : self.num_actions - remaining + 1] = True
+            pick = len(self._picks)
+            phase, index = divmod(pick, self.num_stages - 1)
+            offset, size = self._phases[phase]
+            first = self._picks[-1] + 1 if index else offset
+            # keep room for the picks the phase still owes after this one
+            mask[first : offset + size - (self.num_stages - 2 - index)] = True
+            if self._bands is not None:
+                mask &= self._bands[pick]
         return _frozen(mask)
 
     def step(self, action: int) -> StepResult:
         if self._done:
             raise EpisodeError("episode is over")
         _check_action(self._mask, action)
-        self._applied.append(action)
-        if len(self._applied) < self.num_stages - 1:
-            self._mask = self._build_mask()
-            return StepResult(self._state(), 0.0, False, self._mask)
-
-        self._done = True
+        self._picks.append(action)
+        self._done = len(self._picks) == (self.num_stages - 1) * len(self._phases)
         self._mask = self._build_mask()
-        pivots = tuple(self.candidates[i] for i in self._applied)
+        if not self._done:
+            return StepResult(self._state(), 0.0, False, self._mask)
+        reward, info = self._outcome()
+        return StepResult(self._state(), reward, True, self._mask, info)
+
+    def _state(self) -> np.ndarray:
+        raise NotImplementedError
+
+    def _outcome(self) -> tuple[float, dict]:
+        raise NotImplementedError
+
+
+class PipeTrainEnv(PickEnv):
+    """Pivot selection for a K-stage training pipeline.
+
+    One phase over the pruned candidate list: an episode picks K-1 pivots
+    in increasing forward order.  Per candidate the state carries the
+    slowest hypothetical gradient allreduce, the slowest boundary transfer
+    and the stage compute balance of the plan that picking it next would
+    cut, with devices allocated in proportion to stage compute; each time
+    block is scaled by its maximum over the currently allowed candidates,
+    and a one-hot block marks the picked cuts.  The terminal reward is 1/L
+    for a memory-feasible plan, else -1/sqrt(L).  Backward compute is
+    ``backward_multiplier`` (2) times forward compute.
+
+    All allowed candidates are scored in one numpy pass.  A stage runs from
+    a stage boundary (the first position, or one past a candidate) to one
+    past a candidate or the end, so its compute is an entry of the
+    ``CutCostTable.running_sums`` table built once per env: one forward
+    cumsum per possible start, which keeps the bits of ``stage_metrics``
+    where prefix differences would not, and so keeps every device count.
+    Parameter bytes are differences of integer prefix sums, which are
+    exact.  ``proportional_device_count_rows`` and ``length_term_maxima``
+    then give per row what ``proportional_device_cuts`` and
+    ``length_terms`` give per plan.
+    """
+
+    def __init__(
+        self,
+        graph: HloGraph,
+        topo: DeviceTopology,
+        num_stages: int,
+        radius: int = 3,
+        micro_batches: int = 4,
+        micro_batch_size: int = 16,
+        mem_per_device: float | None = None,
+    ):
+        self.graph = graph
+        self.topo = topo
+        self.micro_batches = micro_batches
+        self.micro_batch_size = micro_batch_size
+        self.mem_per_device = mem_per_device
+        self.backward_multiplier = 2.0
+        self.table = CutCostTable.build(graph)
+        self.candidates = candidate_pivots(self.table, topo, num_stages, radius)
+        n = len(self.candidates)
+        super().__init__(num_stages, n, [(0, n)])
+        self.state_dim = 4 * n
+        # stage boundary b: 0 is the first position, j+1 is one past
+        # candidate j, num_actions+1 is past the last position
+        cuts = [self.table.position[c] for c in self.candidates]
+        self._compute = self.table.running_sums(cuts, self.backward_multiplier)
+        params = np.cumsum([0, *self.table.param_bytes])
+        self._params_before = params[[0, *(c + 1 for c in cuts), len(params) - 1]]
+        # the first stage holds the unplaced bytes
+        self._params_before[1:] += self.table.unplaced_param_bytes
+        self._crossing = np.array([0.0, *(float(self.table.crossing[c]) for c in cuts)])
+
+    def _outcome(self) -> tuple[float, dict]:
+        pivots = tuple(self.candidates[i] for i in self._picks)
         metrics = self.table.stage_metrics(pivots, self.backward_multiplier)
         cuts = proportional_device_cuts(metrics, self.topo)
         plan = PipelinePlan(pivots, cuts, self.micro_batches, self.micro_batch_size)
@@ -477,18 +519,18 @@ class PipeTrainEnv:
             "plan": plan,
             "metrics": metrics,
         }
-        return StepResult(self._state(), reward, True, self._mask, info)
+        return reward, info
 
     def _state(self) -> np.ndarray:
         n = self.num_actions
         state = np.zeros(4 * n)
         reduces, transfers, balance, onehot = state.reshape(4, n)
-        onehot[self._applied] = 1.0
+        onehot[self._picks] = 1.0
         allowed = np.flatnonzero(self._mask)
         if allowed.size:
             # one row per allowed candidate: the stage boundaries of the
-            # applied cuts, then those of the candidate and of the end
-            fixed = [0, *(a + 1 for a in self._applied)]
+            # picked cuts, then those of the candidate and of the end
+            fixed = [0, *(a + 1 for a in self._picks)]
             bounds = np.empty((allowed.size, len(fixed) + 2), dtype=np.int64)
             bounds[:, : len(fixed)] = fixed
             bounds[:, -2] = allowed + 1
@@ -563,13 +605,14 @@ def infer_search_bands(
     return boundaries, cuts
 
 
-class PipeInferEnv:
+class PipeInferEnv(PickEnv):
     """Stage-boundary and device-cut selection on coarsened cost arrays.
 
-    One action space of size 127 + (D-1): an episode first picks K-1
-    strictly increasing boundaries in 1..127, then K-1 strictly increasing
-    device cuts in 1..D-1, with phase-dependent masks.  The terminal reward
-    is 1/L where L is the pipeline length of the decoded plan on the
+    Two phases in one action space of size 127 + (D-1): an episode first
+    picks K-1 strictly increasing boundaries in 1..127 (action b-1), then
+    K-1 strictly increasing device cuts in 1..D-1 (action 126+c), each
+    within its slot's band when bands are given.  The terminal reward is
+    1/L where L is the pipeline length of the decoded plan on the
     normalized topology.
 
     The state holds the 2(K-1) slot entries only: the boundaries picked so
@@ -592,7 +635,7 @@ class PipeInferEnv:
         allowed_boundaries: Sequence[set[int]] | None = None,
         allowed_cuts: Sequence[set[int]] | None = None,
     ):
-        if arrays.granularity != GRANULARITY:
+        if len(arrays.c) != GRANULARITY:
             raise ValueError(f"expected granularity {GRANULARITY}")
         for name, xs in (("C*", arrays.c), ("A*", arrays.a), ("W*", arrays.w)):
             if np.min(xs) < 0.0 or np.max(xs) > 1.0:
@@ -609,97 +652,36 @@ class PipeInferEnv:
         self.arrays = arrays
         self.topo = topo
         self.topo_norm = topo.normalized()
-        self.num_stages = num_stages
         self.micro_batches = micro_batches
         self.micro_batch_size = micro_batch_size
         d = topo.num_devices
-        self.num_actions = (GRANULARITY - 1) + (d - 1)
+        num_actions = (GRANULARITY - 1) + (d - 1)
         self.state_dim = 2 * picks
         # per slot (boundaries, then cuts), the actions its band allows
-        self._bands = np.ones((2 * picks, self.num_actions), dtype=bool)
+        bands = np.ones((2 * picks, num_actions), dtype=bool)
         for slot, band in enumerate(allowed_boundaries or ()):
-            self._bands[slot] = False
-            self._bands[slot, [b - 1 for b in band if 1 <= b <= GRANULARITY - 1]] = True
+            bands[slot] = False
+            bands[slot, [b - 1 for b in band if 1 <= b <= GRANULARITY - 1]] = True
         for slot, band in enumerate(allowed_cuts or (), start=picks):
-            self._bands[slot] = False
-            self._bands[slot, [GRANULARITY - 2 + c for c in band if 1 <= c <= d - 1]] = True
-        self._boundaries: list[int] = []
-        self._cuts: list[int] = []
-        self._done = True
-        self._mask = _frozen(np.zeros(self.num_actions, dtype=bool))
+            bands[slot] = False
+            bands[slot, [GRANULARITY - 2 + c for c in band if 1 <= c <= d - 1]] = True
+        phases = [(0, GRANULARITY - 1), (GRANULARITY - 1, d - 1)]
+        super().__init__(num_stages, num_actions, phases, bands)
 
-    def reset(self) -> np.ndarray:
-        self._boundaries = []
-        self._cuts = []
-        self._done = False
-        self._mask = self._build_mask()
-        return self._state()
-
-    @property
-    def done(self) -> bool:
-        return self._done
-
-    @property
-    def boundaries(self) -> tuple[int, ...]:
-        return tuple(self._boundaries)
-
-    @property
-    def device_cuts(self) -> tuple[int, ...]:
-        return tuple(self._cuts)
-
-    def action_mask(self) -> np.ndarray:
-        """The current decision's mask, read-only."""
-        return self._mask
-
-    def _build_mask(self) -> np.ndarray:
-        """The next slot's picks: past the previous pick, leaving room for
-        the slots after it, and within the slot's band."""
-        mask = np.zeros(self.num_actions, dtype=bool)
-        if self._done:
-            return _frozen(mask)
+    def _plan_picks(self) -> tuple[list[int], list[int]]:
+        """The boundaries and device cuts picked so far."""
         picks = self.num_stages - 1
-        slot = len(self._boundaries) + len(self._cuts)
-        if slot < picks:
-            # boundary b is action b - 1
-            last = self._boundaries[-1] if self._boundaries else 0
-            mask[last : GRANULARITY - (picks - slot)] = True
-        else:
-            # cut c is action GRANULARITY - 2 + c
-            last = self._cuts[-1] if self._cuts else 0
-            d = self.topo.num_devices
-            mask[GRANULARITY - 1 + last : GRANULARITY - 1 + d - (2 * picks - slot)] = True
-        mask &= self._bands[slot]
-        return _frozen(mask)
+        boundaries = [a + 1 for a in self._picks[:picks]]
+        return boundaries, [a - (GRANULARITY - 2) for a in self._picks[picks:]]
 
-    def step(self, action: int) -> StepResult:
-        if self._done:
-            raise EpisodeError("episode is over")
-        _check_action(self._mask, action)
-        picks = self.num_stages - 1
-        if action < GRANULARITY - 1:
-            self._boundaries.append(action + 1)
-        else:
-            self._cuts.append(action - (GRANULARITY - 1) + 1)
-        if len(self._cuts) < picks:
-            self._mask = self._build_mask()
-            return StepResult(self._state(), 0.0, False, self._mask)
-
-        self._done = True
-        self._mask = self._build_mask()
-        metrics = self.decode_metrics(self._boundaries)
+    def _outcome(self) -> tuple[float, dict]:
+        boundaries, cuts = self._plan_picks()
+        metrics = self.decode_metrics(boundaries)
         plan = PipelinePlan(
-            tuple(self._boundaries),
-            tuple(self._cuts),
-            self.micro_batches,
-            self.micro_batch_size,
+            tuple(boundaries), tuple(cuts), self.micro_batches, self.micro_batch_size
         )
         length = max(pipeline_length(plan, metrics, self.topo_norm), _MIN_LENGTH)
-        info = {
-            "pipeline_length": length,
-            "plan": plan,
-            "metrics": metrics,
-        }
-        return StepResult(self._state(), 1.0 / length, True, self._mask, info)
+        return 1.0 / length, {"pipeline_length": length, "plan": plan, "metrics": metrics}
 
     def decode_metrics(self, boundaries: Sequence[int]) -> list[StageMetrics]:
         """Per-stage costs implied by the boundaries on the coarsened arrays.
@@ -738,8 +720,9 @@ class PipeInferEnv:
     def _state(self) -> np.ndarray:
         picks = self.num_stages - 1
         slots = np.zeros(2 * picks)
-        for i, b in enumerate(self._boundaries):
+        boundaries, cuts = self._plan_picks()
+        for i, b in enumerate(boundaries):
             slots[i] = b / GRANULARITY
-        for i, c in enumerate(self._cuts):
+        for i, c in enumerate(cuts):
             slots[picks + i] = c / self.topo.num_devices
         return slots

@@ -9,6 +9,7 @@ are fast (NVLink class), links between servers go over the network.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -33,8 +34,8 @@ class DeviceTopology:
     def __post_init__(self) -> None:
         if self.num_servers < 1 or self.gpus_per_server < 1:
             raise TopologyError("topology needs at least one server with one GPU")
-        if not (self.intra_bw > 0 and self.inter_bw > 0):
-            raise TopologyError("bandwidths must be positive")
+        if not (0 < self.intra_bw < math.inf and 0 < self.inter_bw < math.inf):
+            raise TopologyError("bandwidths must be positive and finite")
 
     @property
     def num_devices(self) -> int:
@@ -98,13 +99,20 @@ def load_topology(spec: str) -> DeviceTopology:
         if "inter_bw_Gbps" in data:
             inter = float(data["inter_bw_Gbps"]) * 1e9 / 8
         return DeviceTopology(
-            num_servers=int(data["servers"]),
-            gpus_per_server=int(data["gpus_per_server"]),
+            num_servers=_whole(data["servers"]),
+            gpus_per_server=_whole(data["gpus_per_server"]),
             intra_bw=intra,
             inter_bw=inter,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise TopologyError(f"malformed topology config {spec}: {exc}") from exc
+
+
+def _whole(value) -> int:
+    """``value`` as a count; int() alone would take 4.9 as 4 and true as 1."""
+    if isinstance(value, bool) or int(value) != float(value):
+        raise ValueError(f"{value!r} is not a whole number")
+    return int(value)
 
 
 def transfer_time(num_bytes: float, src: int, dst: int, topo: DeviceTopology) -> float:

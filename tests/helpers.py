@@ -238,7 +238,7 @@ def reference_pipe_train_state(env) -> np.ndarray:
     balance = np.zeros(n)
     mask = env.action_mask()
     for i in np.flatnonzero(mask):
-        pivots = [env.candidates[j] for j in env._applied] + [env.candidates[i]]
+        pivots = [env.candidates[j] for j in env._picks] + [env.candidates[i]]
         metrics = env.table.stage_metrics(pivots, env.backward_multiplier)
         cuts = proportional_device_cuts(metrics, env.topo)
         _, stage_transfers, stage_reduces = length_terms(metrics, cuts, env.topo)
@@ -252,7 +252,7 @@ def reference_pipe_train_state(env) -> np.ndarray:
         if top > 0:
             block /= top
     onehot = np.zeros(n)
-    onehot[env._applied] = 1.0
+    onehot[env._picks] = 1.0
     return np.concatenate([reduces, transfers, balance, onehot])
 
 

@@ -449,22 +449,45 @@ def test_profile_file_plans_as_the_bundled_profile(tmp_path, suffix):
 
 
 @pytest.mark.parametrize(
-    "config",
+    "config, code",
     [
-        {"servers": 4, "gpus_per_server": 8, "intra_bw": 130e9, "inter_bw": 25e9 / 8},
-        {"servers": 4, "gpus_per_server": 8, "intra_bw_GBps": 130, "inter_bw_Gbps": 25},
+        ('{"servers": 4, "gpus_per_server": 8, "intra_bw": 130e9, "inter_bw": 3.125e9}', EXIT_OK),
+        ('{"servers": 4, "gpus_per_server": 8, "intra_bw_GBps": 130, "inter_bw_Gbps": 25}', EXIT_OK),
+        # int() would truncate the count to 4 servers
+        ('{"servers": 4.9, "gpus_per_server": 8}', EXIT_CONFIG),
+        ('{"servers": true, "gpus_per_server": 8}', EXIT_CONFIG),
+        # json reads 1e999 as infinity
+        ('{"servers": 4, "gpus_per_server": 8, "inter_bw": 1e999}', EXIT_CONFIG),
     ],
-    ids=["bytes-per-second", "conventional-units"],
+    ids=[
+        "bytes-per-second", "conventional-units", "fractional-servers", "boolean-servers",
+        "infinite-bandwidth",
+    ],
 )
-def test_topology_file_plans_as_its_preset(tmp_path, config):
+def test_topology_file_plans_as_its_preset(tmp_path, config, code):
     topology = tmp_path / "configc.json"
-    topology.write_text(json.dumps(config))
+    topology.write_text(config)
     preset, loaded = tmp_path / "preset", tmp_path / "loaded"
+    assert _search(loaded, "pp-train", "--topology", str(topology))[0] == code
+    if code != EXIT_OK:
+        assert list(loaded.iterdir()) == []
+        return
     assert _search(preset, "pp-train")[0] == EXIT_OK
-    assert _search(loaded, "pp-train", "--topology", str(topology))[0] == EXIT_OK
     plan = (loaded / "plan.json").read_text().replace(json.dumps(str(topology)), '"configc"')
     assert plan == (preset / "plan.json").read_text()
     assert (loaded / "plan_curve.csv").read_bytes() == (preset / "plan_curve.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "out, log",
+    [("missing/plan.json", "log.jsonl"), ("plan.json", "missing/log.jsonl"), ("", "log.jsonl")],
+    ids=["out-in-missing-directory", "log-in-missing-directory", "out-is-a-directory"],
+)
+def test_output_path_that_cannot_be_written_is_config_error(tmp_path, out, log):
+    args = SEARCH_ARGS["pp-infer"] + ["--episodes", "2"]
+    assert main(args + ["--out", str(tmp_path / out), "--log", str(tmp_path / log)]) == EXIT_CONFIG
+    # refused before the search, so nothing was written
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("dist", ["normal", "binomial"])

@@ -117,16 +117,18 @@ def test_cut_bands_are_the_pinned_center_cuts(config):
         assert cuts == sorted(set(cuts)) and 1 <= cuts[0] and cuts[-1] < topo.num_devices
 
 
-def _loop_mask(env, bands, cut_bands):
-    """The pp-infer mask position by position: the reference for the sliced one."""
+def _loop_mask(env, prefix, bands, cut_bands):
+    """The pp-infer mask after ``prefix`` position by position: the reference for the sliced one."""
     mask = np.zeros(env.num_actions, dtype=bool)
     if env.done:
         return mask
     picks = env.num_stages - 1
-    if len(env.boundaries) < picks:
-        slot = len(env.boundaries)
+    boundaries = [a + 1 for a in prefix[:picks]]
+    device_cuts = [a - (GRANULARITY - 1) + 1 for a in prefix[picks:]]
+    if len(boundaries) < picks:
+        slot = len(boundaries)
         remaining = picks - slot
-        last = env.boundaries[-1] if env.boundaries else 0
+        last = boundaries[-1] if boundaries else 0
         band = bands[slot] if bands else None
         for b in range(last + 1, GRANULARITY):
             if (GRANULARITY - 1) - b < remaining - 1:
@@ -135,9 +137,9 @@ def _loop_mask(env, bands, cut_bands):
                 continue
             mask[b - 1] = True
     else:
-        slot = len(env.device_cuts)
+        slot = len(device_cuts)
         remaining = picks - slot
-        last = env.device_cuts[-1] if env.device_cuts else 0
+        last = device_cuts[-1] if device_cuts else 0
         band = cut_bands[slot] if cut_bands else None
         d = env.topo.num_devices
         for c in range(last + 1, d):
@@ -162,7 +164,7 @@ def test_infer_mask_matches_the_loop_at_every_reachable_prefix(radius):
         for action in prefix:
             env.step(action)
         mask = env.action_mask()
-        assert np.array_equal(mask, _loop_mask(env, bands, cut_bands)), prefix
+        assert np.array_equal(mask, _loop_mask(env, prefix, bands, cut_bands)), prefix
         checked += 1
         children = np.flatnonzero(mask)
         if len(prefix) == picks - 1 and bands is None:
@@ -190,7 +192,45 @@ def test_infer_step_refuses_actions_outside_the_space():
     for action in (-1, -env.num_actions, env.num_actions):
         with pytest.raises(EpisodeError, match="outside"):
             env.step(action)
-    assert env.boundaries == (11, 21, 31) and env.device_cuts == (8, 16)
+    # the refused actions left the picks as they were
+    plan = env.step(GRANULARITY - 1 + 24 - 1).info["plan"]
+    assert plan.pivot_ids == (11, 21, 31) and plan.device_cuts == (8, 16, 24)
+
+
+def _train_loop_mask(env, prefix):
+    """The pp-train mask after ``prefix`` position by position: the reference for the sliced one."""
+    mask = np.zeros(env.num_actions, dtype=bool)
+    picks = env.num_stages - 1
+    if len(prefix) == picks:
+        return mask
+    last = prefix[-1] if prefix else -1
+    remaining = picks - len(prefix)
+    for i in range(last + 1, env.num_actions):
+        # candidates after i must hold the picks still owed after this one
+        if (env.num_actions - 1) - i >= remaining - 1:
+            mask[i] = True
+    return mask
+
+
+def test_train_mask_matches_the_loop_at_every_reachable_prefix():
+    env = PipeTrainEnv(uniform_chain(128), load_topology("configc"), 4)
+    n, picks, checked = env.num_actions, env.num_stages - 1, 0
+    stack = [()]
+    while stack:
+        prefix = stack.pop()
+        env.reset()
+        for action in prefix:
+            env.step(action)
+        mask = env.action_mask()
+        assert np.array_equal(mask, _train_loop_mask(env, prefix)), prefix
+        checked += 1
+        children = np.flatnonzero(mask)
+        if len(prefix) == picks - 1:
+            # the terminal mask is empty whatever the picks, so one plan stands for them all
+            children = children[:1] if checked == picks else []
+        stack.extend(prefix + (int(a),) for a in children)
+    # prefixes of length 0-2 in 0..n-1 that leave room, then one complete plan
+    assert checked == 1 + (n - 2) + comb(n - 1, 2) + 1
 
 
 def test_train_step_refuses_actions_outside_the_space():
