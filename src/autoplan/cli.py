@@ -430,10 +430,10 @@ def validate_payload(
 def _opp_env(cfg: RunConfig, inputs: dict) -> SearchEnv:
     """One engine serves linkage extraction and the search."""
     graph = inputs["graph"]
-    dims = decision_dims(graph, graph.trainable_variables)
-    engine = PropagationEngine(graph, dims)
-    groups = extract_linkage_groups(graph, dims, engine)
-    return OppEnv(graph, groups=groups, engine=engine)
+    if not graph.trainable_variables:
+        raise ConfigError("operator partitioning needs trainable variables")
+    engine = PropagationEngine(graph, decision_dims(graph, graph.trainable_variables))
+    return OppEnv(engine, extract_linkage_groups(graph, engine.candidates, engine))
 
 
 def _adp_env(cfg: RunConfig, inputs: dict) -> SearchEnv:
@@ -576,19 +576,26 @@ def _lap(phases: dict[str, float], phase: str, since: float) -> float:
 def _run_search(cfg: RunConfig) -> int:
     """Train, then write the self-validated best plan, its curve and a summary."""
     task = SEARCH_TASKS[cfg.task]
+    curve_path, summary_path = _artifact_paths(cfg.out)
     # checked before the search, which would otherwise fail only when it writes
     for path in filter(None, (cfg.out, cfg.log)):
         if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
             raise ConfigError(f"cannot write {path!r}: not a file in an existing directory")
+    artifacts = map(os.path.realpath, (cfg.out, curve_path, summary_path))
+    if cfg.log and os.path.realpath(cfg.log) in artifacts:
+        raise ConfigError(f"--log {cfg.log!r} names the plan, its curve or its summary")
     phases = dict.fromkeys(PHASES, 0.0)
     clock = time.monotonic()
     inputs = resolve_inputs(cfg, task.inputs)
+    # both pipeline tasks cost their plans on a topology
+    topo = inputs.get("topo")
+    if topo is not None and not 2 <= cfg.stages <= topo.num_devices:
+        raise ConfigError(f"--stages {cfg.stages} is not in 2..{topo.num_devices}, the device count")
     clock = _lap(phases, "load_inputs", clock)
     runs_before = propagation_runs()
     env = task.env(cfg, inputs)
     clock = _lap(phases, "build_env", clock)
     agent = DqnAgent(agent_config_for(cfg), env.state_dim, env.num_actions, cfg.seed)
-    curve_path, summary_path = _artifact_paths(cfg.out)
     curve = CurveWriter(curve_path)
     trace = TraceWriter(cfg.log) if cfg.log else None
     started = time.monotonic()
@@ -682,6 +689,24 @@ def _run_validate(cfg: RunConfig) -> int:
 # -- entry point --------------------------------------------------------------
 
 
+def _checked(convert: Callable[[str], float], ok: Callable[[float], bool], wanted: str):
+    """An argparse type that refuses, before any work, a value ``ok`` rejects."""
+
+    def parse(text: str) -> float:
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {wanted}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names the type when convert fails
+    return parse
+
+
+_COUNT = _checked(int, lambda v: v >= 1, "a count of at least 1")
+_POSITIVE = _checked(float, lambda v: math.isfinite(v) and v > 0, "finite and positive")
+_FRACTION = _checked(float, lambda v: 0 <= v <= 1, "in [0, 1]")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="autoplan",
@@ -700,13 +725,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--stages", type=int, default=2, help="pipeline stage count K")
     parser.add_argument("--radius", type=int, default=3, help="search pruning radius")
     parser.add_argument(
-        "--micro-batches", type=int, help="per global batch (default 4, pp-infer 1)"
+        "--micro-batches", type=_COUNT, help="per global batch (default 4, pp-infer 1)"
     )
     parser.add_argument(
-        "--micro-batch-size", type=int, default=16,
+        "--micro-batch-size", type=_COUNT, default=16,
         help="only recorded in the plan; the length and memory models read --micro-batches",
     )
-    parser.add_argument("--episodes", type=int, help="training episode budget")
+    parser.add_argument("--episodes", type=_COUNT, help="training episode budget")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", help="plan output path (default <task>_plan.json)")
     parser.add_argument("--finetune", action="store_true", help="opp: run the backtrace stage")
@@ -718,12 +743,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="pp-infer without --graph: distribution of the generated environment",
     )
     parser.add_argument("--plan", help="validate: plan JSON to check")
-    parser.add_argument("--mem-per-device", type=float, help="memory budget in bytes")
-    parser.add_argument("--gamma", type=float, help="override discount factor")
-    parser.add_argument("--lr", type=float, help="override learning rate")
-    parser.add_argument("--batch-size", type=int, help="override training batch size")
+    parser.add_argument("--mem-per-device", type=_POSITIVE, help="memory budget in bytes")
+    parser.add_argument("--gamma", type=_FRACTION, help="override discount factor")
+    parser.add_argument("--lr", type=_POSITIVE, help="override learning rate")
+    parser.add_argument("--batch-size", type=_COUNT, help="override training batch size")
     parser.add_argument(
-        "--buffer", dest="buffer_capacity", type=int, help="override replay buffer capacity"
+        "--buffer", dest="buffer_capacity", type=_COUNT, help="override replay buffer capacity"
     )
     parser.add_argument(
         "--epsilon-decay", dest="epsilon_decay_iters", type=int,

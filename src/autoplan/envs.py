@@ -41,12 +41,7 @@ import numpy as np
 
 from autoplan.dataproc import GRANULARITY, CoarsenedArrays
 from autoplan.ir import DimIndex, HloGraph, decision_dims
-from autoplan.linkage import (
-    LinkageGroup,
-    Trigger,
-    extract_linkage_groups,
-    sorted_decision_order,
-)
+from autoplan.linkage import LinkageGroup, Trigger, sorted_decision_order
 from autoplan.pipecost import (
     CutCostTable,
     InfeasiblePlanError,
@@ -109,8 +104,9 @@ class PartitionSearchEnv:
     The state is the decision vector over the candidate dims (-1 undecided,
     0 replicated, 1 partitioned) plus the normalized flat index of the dim
     currently up for decision.  One ``PropagationEngine`` serves the whole
-    run.  An episode starts from a copy of its pinned base state, and a step
-    seeds only the current dim, with the chosen status, onto the state the
+    run, and its graph and candidates are the env's graph and dims.  An
+    episode starts from a copy of its pinned base state, and a step seeds
+    only the current dim, with the chosen status, onto the state the
     previous step left; the rules are monotone, so this decides exactly what
     propagating all decisions taken so far at once would.  Every candidate
     dim the step newly settles is rewarded at 0.4 (partitioned) or 0.1
@@ -126,25 +122,15 @@ class PartitionSearchEnv:
     after ``finetune_reset``), as a scan of every undecided dim would.
     """
 
-    def __init__(
-        self,
-        graph: HloGraph,
-        dims: Sequence[DimIndex],
-        order: Sequence[DimIndex],
-        engine: PropagationEngine | None = None,
-    ):
-        if not dims:
+    def __init__(self, engine: PropagationEngine, order: Sequence[DimIndex]):
+        if not engine.candidates:
             raise ValueError("the environment needs at least one candidate dim")
-        self.graph = graph
-        self.dims = list(dims)
+        self.engine = engine
+        self.graph = engine.graph
+        self.dims = engine.candidates
         self.order = list(order)
         self.num_actions = 2
         self.state_dim = len(self.dims) + 1
-        if engine is None:
-            engine = PropagationEngine(graph, self.dims)
-        elif engine.graph is not graph or engine.candidates != self.dims:
-            raise ValueError("the engine was built for another graph or candidate list")
-        self.engine = engine
         self.conflicts = 0
         self._feasibility: dict[DimIndex, bool] = {}
         self._rows: dict[int, list[int]] = {}  # the engine's state of the episode
@@ -318,26 +304,13 @@ class OppEnv(PartitionSearchEnv):
 
     The linkage groups set the decision order, and their partition triggers
     tell ``finetune_reset`` which dims may be partitioned alone, so it runs
-    no trial of its own.  An opp run builds one ``PropagationEngine``,
-    extracts the groups on it and hands both to the env; given neither, the
-    env extracts the groups on its own engine.  An engine built for another
-    graph or candidate list is a ``ValueError``.
+    no trial of its own.  An opp run builds one ``PropagationEngine`` over
+    the trainable variable dims, extracts the groups on it and hands both
+    to the env.
     """
 
-    def __init__(
-        self,
-        graph: HloGraph,
-        groups: Mapping[Trigger, LinkageGroup] | None = None,
-        engine: PropagationEngine | None = None,
-    ):
-        if not graph.trainable_variables:
-            raise ValueError("operator partitioning needs trainable variables")
-        dims = decision_dims(graph, graph.trainable_variables)
-        if engine is None:
-            engine = PropagationEngine(graph, dims)
-        if groups is None:
-            groups = extract_linkage_groups(graph, dims, engine)
-        super().__init__(graph, dims, sorted_decision_order(groups), engine)
+    def __init__(self, engine: PropagationEngine, groups: Mapping[Trigger, LinkageGroup]):
+        super().__init__(engine, sorted_decision_order(groups))
         self._feasibility = {
             d: not group.infeasible
             for (d, status), group in groups.items()
@@ -366,8 +339,8 @@ class AdpEnv(PartitionSearchEnv):
         if not ids:
             raise ValueError("the graph has no candidate input tensors")
         names = [graph.instruction(i).name for i in ids]
-        dims = decision_dims(graph, names)
-        super().__init__(graph, dims, order=list(dims))
+        engine = PropagationEngine(graph, decision_dims(graph, names))
+        super().__init__(engine, order=engine.candidates)
 
 
 class PickEnv:

@@ -95,7 +95,6 @@ class Instruction:
     operand_ids: tuple[int, ...]
     shape: TensorShape
     is_forward: bool = True
-    op_name: str | None = None
     compute_cost_ms: float | None = None
 
 
@@ -375,8 +374,6 @@ class HloGraph:
             }
             if ins.compute_cost_ms is not None:
                 entry["compute_cost_ms"] = ins.compute_cost_ms
-            if ins.op_name is not None:
-                entry["op_name"] = ins.op_name
             out.append(entry)
         return {"instructions": out, "trainable_variables": list(self.trainable_variables)}
 
@@ -409,7 +406,6 @@ def graph_from_dict(data: Mapping) -> HloGraph:
                     operand_ids=tuple(int(i) for i in entry.get("operands", [])),
                     shape=shape,
                     is_forward=bool(entry.get("is_forward", True)),
-                    op_name=entry.get("op_name"),
                     compute_cost_ms=None if cost is None else float(cost),
                 )
             )

@@ -46,6 +46,9 @@ from autoplan.topology import DeviceTopology, allreduce_time, transfer_time
 # floats in one masked block of CutCostTable.running_sums
 _TABLE_BLOCK = 1 << 16
 
+# weights plus their optimizer state, per weight byte (memory_feasible)
+OPTIMIZER_MULTIPLIER = 4.0
+
 
 class InfeasiblePlanError(Exception):
     """A plan or configuration cannot be realized on the topology."""
@@ -279,15 +282,14 @@ def memory_feasible(
     metrics: Sequence[StageMetrics],
     topo: DeviceTopology,
     mem_per_device: float,
-    optimizer_multiplier: float = 4.0,
 ) -> bool:
     """Check that every device fits its parameter shard plus activations.
 
     Per device of stage s the model keeps ``param_bytes / n_s`` weights
-    blown up by the optimizer state multiplier, plus the in-flight
-    activation working set: M micro batches of the stage's boundary
-    activations, split over the stage replicas.  Exactly hitting the budget
-    is feasible.
+    times ``OPTIMIZER_MULTIPLIER`` for the optimizer state, plus the
+    in-flight activation working set: M micro batches of the stage's
+    boundary activations, split over the stage replicas.  Exactly hitting
+    the budget is feasible.
     """
     groups = device_groups(plan.device_cuts, topo.num_devices)
     if len(metrics) != len(groups):
@@ -297,7 +299,7 @@ def memory_feasible(
         act_in = metrics[s - 1].activation_bytes if s > 0 else 0.0
         act_out = m.activation_bytes
         working_set = plan.micro_batches * (act_in + act_out) / n
-        if m.param_bytes / n * optimizer_multiplier + working_set > mem_per_device:
+        if m.param_bytes / n * OPTIMIZER_MULTIPLIER + working_set > mem_per_device:
             return False
     return True
 

@@ -31,13 +31,13 @@ run starts from it unless given a later one, and a search seeds one
 decision per step onto the state its previous step left.  Seeding dims one
 at a time decides and classifies exactly as seeding them all at once does.
 
-Every run reports the tensors whose rows it changed, also when it ends in a
-conflict, so work proportional to what a decision touches can follow it.  A
-search step (``advance``) reads the dims it settled off those tensors.  A
-trial (linkage extraction, the finetune feasibility check) seeds onto one
-working copy of the base state that the engine keeps, reads its outcome,
-then restores just the changed rows from the base: no trial copies the
-whole state.
+``advance``, the core of every run, hands back the tensors whose rows it
+changed, also when it ends in a conflict, so work proportional to what a
+decision touches can follow it.  A search step reads the dims it settled
+off those tensors.  A trial (linkage extraction, the finetune feasibility
+check) seeds onto one working copy of the base state that the engine
+keeps, reads its outcome, then restores just the changed rows from the
+base: no trial copies the whole state.
 
 An opp run builds one engine: linkage extraction runs its trials on it and
 the env then searches on it (self-validation builds its own, so that it
@@ -93,20 +93,17 @@ class PropagationResult(NamedTuple):
     ``rows`` holds the raw status row of every instruction, keyed by id; on
     a conflict it is the state at the contradiction, and ``conflict_site``
     the instruction whose rule or seed met it.  A trial's result has no
-    rows (None): they were restored to the base state.  ``changed`` names
-    the instructions whose rows the run changed, on a conflict too.
-    ``newly_decided`` lists the candidate dims decided beyond the seeds
-    themselves, in candidate order; from a later search state than
-    ``base()`` it keeps only those the base state decides or the run's
-    changed tensors hold.  A named tuple, since every linkage trial builds
-    one.
+    rows (None): they were restored to the base state.  ``newly_decided``
+    lists the candidate dims decided beyond the seeds themselves, in
+    candidate order; from a later search state than ``base()`` it keeps
+    only those the base state decides or the tensors the run changed hold.
+    A named tuple, since every linkage trial builds one.
     """
 
     outcome: Outcome
     rows: Rows | None
     conflict_site: int | None
     newly_decided: tuple[tuple[DimIndex, DimStatus], ...]
-    changed: frozenset[int]
 
 
 class _Conflict(Exception):
@@ -471,7 +468,7 @@ class PropagationEngine:
             for tid in changed:
                 rows[tid][:] = base[tid]
             rows = None
-        return PropagationResult(outcome, rows, site, newly, frozenset(changed))
+        return PropagationResult(outcome, rows, site, newly)
 
     def _newly_decided(
         self, rows: Rows, changed: set[int], seeded: list[int]
@@ -501,8 +498,8 @@ class PropagationEngine:
 
         The seeds go onto the engine's working copy of the base state, and
         the rows the run changed are then restored from the base, conflict
-        or not.  The result has the run's outcome, ``conflict_site``,
-        ``newly_decided`` and ``changed``, but no rows.
+        or not.  The result has the run's outcome, ``conflict_site`` and
+        ``newly_decided``, but no rows.
         """
         if self._work is None:
             self._work = self.base()

@@ -35,6 +35,12 @@ from autoplan.ir import HloGraph, Instruction, TensorShape
 _DOT_COST = 1.0
 _ELEMENT_COST = 0.1
 
+# the extents of one graph differ pairwise, which keeps its dim pairing unambiguous
+_SEQ, _HIDDEN, _FFN = 8, 16, 32  # attention_block, t5_block
+_BATCH, _FEATURES, _CLASSES = 32, 64, 10  # vgg_classifier
+_CHAIN_SHAPE = (8, 8)  # uniform_chain
+_PROFILE_MULTIPLE = 10  # bert48_profile entries per coarse index
+
 
 class _Builder:
     """Sequential-id instruction list with a one-line add per op."""
@@ -67,13 +73,14 @@ class _Builder:
         return HloGraph(self.instructions, trainable)
 
 
-def _layer_norm(b: _Builder, x: int, scale: int, bias: int, tag: str, s: int, h: int) -> int:
+def _layer_norm(b: _Builder, x: int, scale: int, bias: int, tag: str) -> int:
     """Mean-subtract layer norm; ties the feature dim of x to replication.
 
     The mean is broadcast back along a fresh feature dim, which pins that
     dim (and through the elementwise chain, x's feature dim and the scale
     and bias vectors) to replicated status.
     """
+    s, h = _SEQ, _HIDDEN
     mean = b.add(f"{tag}_mean", "reduce", (s,), [x], _ELEMENT_COST)
     mean_b = b.add(f"{tag}_mean_b", "broadcast", (s, h), [mean], _ELEMENT_COST)
     centered = b.add(f"{tag}_centered", "subtract", (s, h), [x, mean_b], _ELEMENT_COST)
@@ -83,15 +90,15 @@ def _layer_norm(b: _Builder, x: int, scale: int, bias: int, tag: str, s: int, h:
     return b.add(f"{tag}_out", "add", (s, h), [scaled, bias_b], _ELEMENT_COST)
 
 
-def _attention(b: _Builder, x: int, seq: int, hidden: int) -> int:
+def _attention(b: _Builder, x: int) -> int:
     """Self-attention with layer norm and residual; returns the output id.
 
     Expects the parameter ids laid down by the caller in this order:
     wq, wk, wv, wo, ln_scale, ln_bias starting at id 1.
     """
     wq, wk, wv, wo, ln_scale, ln_bias = 1, 2, 3, 4, 5, 6
-    s, h = seq, hidden
-    ln = _layer_norm(b, x, ln_scale, ln_bias, "ln1", s, h)
+    s, h = _SEQ, _HIDDEN
+    ln = _layer_norm(b, x, ln_scale, ln_bias, "ln1")
     q = b.add("q", "dot", (s, h), [ln, wq], _DOT_COST)
     k = b.add("k", "dot", (s, h), [ln, wk], _DOT_COST)
     v = b.add("v", "dot", (s, h), [ln, wv], _DOT_COST)
@@ -106,31 +113,27 @@ def _attention(b: _Builder, x: int, seq: int, hidden: int) -> int:
     return b.add("res1", "add", (s, h), [x, attn_out], _ELEMENT_COST)
 
 
-def attention_block(seq: int = 8, hidden: int = 16) -> HloGraph:
+def attention_block() -> HloGraph:
     """Self-attention block with six trainable variables.
 
     Ten candidate dims; the unique maximal conflict-free sharding
     partitions wq.1, wk.1, wv.1 and wo.0 (four partitions).  The layer-norm
     vectors and every other weight dim are forced replicated by the
     mean-subtraction broadcast, the softmax normalization and the residual.
-    ``seq`` and ``hidden`` must differ so dim pairing stays unambiguous.
     """
-    if seq == hidden:
-        raise ValueError("seq and hidden must differ")
+    s, h = _SEQ, _HIDDEN
     b = _Builder()
-    x = b.add("x", "parameter", (seq, hidden))
-    b.add("wq", "parameter", (hidden, hidden))
-    b.add("wk", "parameter", (hidden, hidden))
-    b.add("wv", "parameter", (hidden, hidden))
-    b.add("wo", "parameter", (hidden, hidden))
-    b.add("ln1_scale", "parameter", (hidden,))
-    b.add("ln1_bias", "parameter", (hidden,))
-    res1 = _attention(b, x, seq, hidden)
-    b.add("root", "tuple", (seq, hidden), [res1])
+    x = b.add("x", "parameter", (s, h))
+    for name in ("wq", "wk", "wv", "wo"):
+        b.add(name, "parameter", (h, h))
+    b.add("ln1_scale", "parameter", (h,))
+    b.add("ln1_bias", "parameter", (h,))
+    res1 = _attention(b, x)
+    b.add("root", "tuple", (s, h), [res1])
     return b.graph(["wq", "wk", "wv", "wo", "ln1_scale", "ln1_bias"])
 
 
-def t5_block(seq: int = 8, hidden: int = 16, ffn: int = 32) -> HloGraph:
+def t5_block() -> HloGraph:
     """Attention plus a two-layer MLP, twelve trainable variables.
 
     Eighteen candidate dims in three free groups: {wq.1, wk.1}, {wv.1,
@@ -138,15 +141,11 @@ def t5_block(seq: int = 8, hidden: int = 16, ffn: int = 32) -> HloGraph:
     groups (seven partitions).  The MLP group is the largest linkage group,
     so it heads the decision order.
     """
-    if len({seq, hidden, ffn}) != 3:
-        raise ValueError("seq, hidden and ffn must be pairwise distinct")
     b = _Builder()
-    s, h, f = seq, hidden, ffn
+    s, h, f = _SEQ, _HIDDEN, _FFN
     x = b.add("x", "parameter", (s, h))
-    b.add("wq", "parameter", (h, h))
-    b.add("wk", "parameter", (h, h))
-    b.add("wv", "parameter", (h, h))
-    b.add("wo", "parameter", (h, h))
+    for name in ("wq", "wk", "wv", "wo"):
+        b.add(name, "parameter", (h, h))
     b.add("ln1_scale", "parameter", (h,))
     b.add("ln1_bias", "parameter", (h,))
     w1 = b.add("w1", "parameter", (h, f))
@@ -155,8 +154,8 @@ def t5_block(seq: int = 8, hidden: int = 16, ffn: int = 32) -> HloGraph:
     ln2_scale = b.add("ln2_scale", "parameter", (h,))
     ln2_bias = b.add("ln2_bias", "parameter", (h,))
     b2 = b.add("b2", "parameter", (h,))
-    res1 = _attention(b, x, s, h)
-    ln2 = _layer_norm(b, res1, ln2_scale, ln2_bias, "ln2", s, h)
+    res1 = _attention(b, x)
+    ln2 = _layer_norm(b, res1, ln2_scale, ln2_bias, "ln2")
     h1 = b.add("mlp_h1", "dot", (s, f), [ln2, w1], _DOT_COST)
     b1_b = b.add("mlp_b1_b", "broadcast", (s, f), [b1], _ELEMENT_COST)
     h1b = b.add("mlp_h1b", "add", (s, f), [h1, b1_b], _ELEMENT_COST)
@@ -184,19 +183,16 @@ def t5_block(seq: int = 8, hidden: int = 16, ffn: int = 32) -> HloGraph:
     )
 
 
-def vgg_classifier(batch: int = 32, features: int = 64, classes: int = 10) -> HloGraph:
+def vgg_classifier() -> HloGraph:
     """Classifier head with a normalized, class-weighted squared loss.
 
     Four candidate inputs for the data-parallel task: the feature batch
     ``arg0.1``, the label batch ``arg1.2`` and two per-class vectors.  The
     unique maximal sharding partitions exactly the two batch dims; the
     class vectors only ever meet the data path after the batch dim has been
-    reduced away, which pins them to replication.  ``batch``, ``features``
-    and ``classes`` must be pairwise distinct.
+    reduced away, which pins them to replication.
     """
-    if len({batch, features, classes}) != 3:
-        raise ValueError("batch, features and classes must be pairwise distinct")
-    n, p, c = batch, features, classes
+    n, p, c = _BATCH, _FEATURES, _CLASSES
     b = _Builder()
     x = b.add("arg0.1", "parameter", (n, p))
     labels = b.add("arg1.2", "parameter", (n, c))
@@ -217,7 +213,7 @@ def vgg_classifier(batch: int = 32, features: int = 64, classes: int = 10) -> Hl
     return b.graph(["w1"])
 
 
-def uniform_chain(length: int = 64, cost: float = 1.0, width: int = 8) -> HloGraph:
+def uniform_chain(length: int = 64, cost: float = 1.0) -> HloGraph:
     """A chain of ``length`` equal-cost unary ops, no trainable variables.
 
     The flat cost curve makes proportional device splits land exactly on
@@ -227,17 +223,17 @@ def uniform_chain(length: int = 64, cost: float = 1.0, width: int = 8) -> HloGra
     if length < 2:
         raise ValueError("the chain needs at least two ops")
     b = _Builder()
-    prev = b.add("x", "parameter", (width, width))
+    prev = b.add("x", "parameter", _CHAIN_SHAPE)
     for i in range(length):
-        prev = b.add(f"op{i:03d}", "exp", (width, width), [prev], cost)
-    b.add("root", "tuple", (width, width), [prev])
+        prev = b.add(f"op{i:03d}", "exp", _CHAIN_SHAPE, [prev], cost)
+    b.add("root", "tuple", _CHAIN_SHAPE, [prev])
     return b.graph()
 
 
-def bert48_profile(granularity_multiple: int = 10) -> ProfileArrays:
+def bert48_profile() -> ProfileArrays:
     """Fine-grained cost profile with engineered coarse-level structure.
 
-    With 128 x ``granularity_multiple`` entries, the coarsened compute
+    With 128 x ``_PROFILE_MULTIPLE`` entries, the coarsened compute
     prefix hits exact quarters at coarse indices 33, 65 and 97, and the
     activation curve dips sharply at exactly those indices.  On a
     four-server topology the best four-stage plan is therefore the boundary
@@ -245,9 +241,7 @@ def bert48_profile(granularity_multiple: int = 10) -> ProfileArrays:
     dip pays two orders of magnitude more transfer, and any device cut off
     a server boundary routes a gradient allreduce over the slow link.
     """
-    if granularity_multiple < 1:
-        raise ValueError("granularity_multiple must be >= 1")
-    g = granularity_multiple
+    g = _PROFILE_MULTIPLE
     n = 128 * g
     # right-endpoint sample points for coarse indices 33/65/97 are the fine
     # positions 34g-1, 66g-1, 98g-1; the segments between them carry one

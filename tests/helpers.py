@@ -22,6 +22,8 @@ from autoplan.ir import (
     decision_dims,
     forward_subgraph,
 )
+from autoplan.envs import OppEnv
+from autoplan.linkage import extract_linkage_groups
 from autoplan.pipecost import (
     CutCostTable,
     InfeasiblePlanError,
@@ -30,7 +32,7 @@ from autoplan.pipecost import (
     proportional_device_counts,
     proportional_device_cuts,
 )
-from autoplan.sharding import DimStatus, Outcome, propagate
+from autoplan.sharding import DimStatus, Outcome, PropagationEngine, propagate
 from autoplan.topology import DeviceTopology, allreduce_time, transfer_time
 from autoplan.dataproc import GRANULARITY
 
@@ -364,6 +366,12 @@ def label_map(graph: HloGraph, dims: Sequence[DimIndex]) -> dict[DimIndex, str]:
 
 def trainable_dims(graph: HloGraph) -> list[DimIndex]:
     return decision_dims(graph, graph.trainable_variables)
+
+
+def opp_env(graph: HloGraph) -> OppEnv:
+    """The opp env as the CLI builds it: one engine serves linkage extraction and the search."""
+    engine = PropagationEngine(graph, trainable_dims(graph))
+    return OppEnv(engine, extract_linkage_groups(graph, engine.candidates, engine))
 
 
 # -- the DQN learner before the flat parameter vector, as an oracle ----------

@@ -480,8 +480,14 @@ def test_topology_file_plans_as_its_preset(tmp_path, config, code):
 
 @pytest.mark.parametrize(
     "out, log",
-    [("missing/plan.json", "log.jsonl"), ("plan.json", "missing/log.jsonl"), ("", "log.jsonl")],
-    ids=["out-in-missing-directory", "log-in-missing-directory", "out-is-a-directory"],
+    [
+        ("missing/plan.json", "log.jsonl"), ("plan.json", "missing/log.jsonl"), ("", "log.jsonl"),
+        ("plan.json", "plan.json"), ("plan.json", "plan_curve.csv"), ("plan", "plan_summary.json"),
+    ],
+    ids=[
+        "out-in-missing-directory", "log-in-missing-directory", "out-is-a-directory",
+        "log-is-the-plan", "log-is-the-curve", "log-is-the-summary",
+    ],
 )
 def test_output_path_that_cannot_be_written_is_config_error(tmp_path, out, log):
     args = SEARCH_ARGS["pp-infer"] + ["--episodes", "2"]
@@ -515,9 +521,42 @@ def test_gen_data_task_is_gone(tmp_path):
     assert exc.value.code == EXIT_CONFIG
 
 
-def test_more_stages_than_devices_is_infeasible(tmp_path):
-    args = ["--task", "pp-train", "--graph", "uniform_chain", "--stages", "20", "--topology", "configa"]
-    assert main(args + ["--episodes", "2", "--out", str(tmp_path / "plan.json")]) == EXIT_INFEASIBLE
+def _exit_code(argv):
+    """``main``'s exit code, also when argparse refuses a flag."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("task", ["pp-train", "pp-infer"])
+@pytest.mark.parametrize("stages, topology", [("1", "configc"), ("99", "configc"), ("20", "configa")])
+def test_stage_count_outside_two_to_devices_is_config_error(tmp_path, caplog, task, stages, topology):
+    args = SEARCH_ARGS[task] + ["--stages", stages, "--topology", topology]
+    assert main(args + ["--out", str(tmp_path / "plan.json")]) == EXIT_CONFIG
+    assert f"--stages {stages} is not in 2.." in caplog.text
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_opp_without_trainable_variables_is_config_error(tmp_path):
+    args = ["--task", "opp", "--graph", "uniform_chain", "--out", str(tmp_path / "plan.json")]
+    assert main(args) == EXIT_CONFIG
+    assert list(tmp_path.iterdir()) == []
+
+
+BAD_NUMBERS = [
+    ("opp", "--episodes", "0"), ("opp", "--episodes", "-3"), ("pp-train", "--micro-batches", "0"),
+    ("pp-train", "--micro-batch-size", "0"), ("pp-infer", "--batch-size", "0"),
+    ("adp", "--gamma", "nan"), ("adp", "--gamma", "5"), ("adp", "--lr", "-1"),
+    ("pp-train", "--mem-per-device", "nan"),
+]
+
+
+@pytest.mark.parametrize("task, flag, value", BAD_NUMBERS)
+def test_bad_numeric_flag_is_config_error_before_any_work(tmp_path, task, flag, value):
+    args = SEARCH_ARGS[task] + [flag, value, "--out", str(tmp_path / "plan.json")]
+    assert _exit_code(args) == EXIT_CONFIG
+    assert list(tmp_path.iterdir()) == []
 
 
 MEMORY_ARGS = [

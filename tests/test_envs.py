@@ -12,7 +12,6 @@ from autoplan.dataproc import GRANULARITY, build_environment_arrays, generate_en
 from autoplan.envs import (
     ACTION_PARTITION,
     EpisodeError,
-    OppEnv,
     PipeInferEnv,
     PipeTrainEnv,
     infer_search_bands,
@@ -25,7 +24,7 @@ from autoplan.pipecost import (
 from autoplan.topology import DeviceTopology, load_topology
 from autoplan.zoo import GRAPHS, bert48_profile, uniform_chain, vgg_classifier, zoo_graph
 
-from helpers import GraphBuilder, reference_pipe_train_state
+from helpers import GraphBuilder, opp_env, reference_pipe_train_state
 
 # boundaries 34, 66, 98, then device cuts 8, 16, 24 on a 32-device topology
 BOUNDARIES = (34, 66, 98)
@@ -92,7 +91,7 @@ def test_infer_runs_are_byte_identical(tmp_path):
 
 def test_conflict_names_its_instruction(tmp_path):
     # the data input is replicated, so no dim of the weight w1 can be split
-    env = OppEnv(vgg_classifier())
+    env = opp_env(vgg_classifier())
     env.reset()
     result = env.step(ACTION_PARTITION)
     assert result.done and result.info == {"conflict": True, "conflict_site": "w1"}

@@ -15,6 +15,7 @@ from autoplan.zoo import GRAPHS, zoo_graph
 from helpers import (
     label_map,
     linkage_chain_graph,
+    opp_env,
     random_decision_graph,
     reference_linkage_groups,
     trainable_dims,
@@ -55,7 +56,7 @@ def test_finetune_feasibility_matches_the_linkage_groups(name):
     # conflict; the env reads that off the trigger's linkage group, which
     # must agree with running the trial
     graph = _opp_graphs()[name]
-    env = OppEnv(graph)
+    env = opp_env(graph)
     groups = extract_linkage_groups(graph, env.dims)
     expected = [env.engine.trial({d: P}).outcome is not Outcome.CONFLICT for d in env.dims]
     assert [not groups[(d, P)].infeasible for d in env.dims] == expected
@@ -66,7 +67,7 @@ def test_finetune_feasibility_matches_the_linkage_groups(name):
 def test_finetune_reset_runs_one_propagation(name):
     # the feasibility of every replicated dim comes from the linkage groups,
     # so restarting from a strategy propagates its seeds once and no more
-    env = OppEnv(_opp_graphs()[name])
+    env = opp_env(_opp_graphs()[name])
     env.reset()
     while not env.done:
         assert not env.step(ACTION_REPLICATE).info["conflict"]
@@ -99,7 +100,7 @@ def _assert_shared_engine_groups_match(graph):
     dims = trainable_dims(graph)
     engine = PropagationEngine(graph, dims)
     shared = extract_linkage_groups(graph, dims, engine)
-    env = OppEnv(graph, groups=shared, engine=engine)
+    env = OppEnv(engine, shared)
     for action in (ACTION_PARTITION, ACTION_REPLICATE):
         env.reset()
         while not env.done:
@@ -122,16 +123,10 @@ def test_groups_on_the_shared_engine_match_on_random_graphs():
         _assert_shared_engine_groups_match(random_decision_graph(np.random.default_rng(seed)))
 
 
-def test_opp_env_refuses_an_engine_of_another_graph_or_candidate_list():
+def test_extraction_refuses_an_engine_of_another_graph_or_candidate_list():
     graph = two_layer_graph()
     dims = trainable_dims(graph)
     other = two_layer_graph()
     for engine in (PropagationEngine(other, trainable_dims(other)), PropagationEngine(graph, dims[:-1])):
         with pytest.raises(ValueError, match="another graph or candidate list"):
             extract_linkage_groups(graph, dims, engine)
-        with pytest.raises(ValueError, match="another graph or candidate list"):
-            OppEnv(graph, engine=engine)
-        groups = extract_linkage_groups(graph, dims)
-        with pytest.raises(ValueError, match="another graph or candidate list"):
-            OppEnv(graph, groups=groups, engine=engine)
-    assert OppEnv(graph, engine=PropagationEngine(graph, dims)).dims == dims

@@ -16,13 +16,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from autoplan.envs import AdpEnv, OppEnv, adp_candidates
+from autoplan.envs import AdpEnv, adp_candidates
 from autoplan.ir import decision_dims, graph_from_dict
 from autoplan.linkage import extract_linkage_groups
 from autoplan.sharding import DimStatus, Outcome, PropagationEngine, propagate
 from autoplan.zoo import GRAPHS, zoo_graph
 
-from helpers import GraphBuilder, reference_linkage_groups, reference_propagate
+from helpers import GraphBuilder, opp_env, reference_linkage_groups, reference_propagate
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
 from workloads import mlp_graph_dict  # noqa: E402
@@ -155,7 +155,7 @@ def test_trials_leave_the_base_state_as_built(name, kind):
     conflicts = 0
     for seeds in triggers + pairs:
         result = engine.trial(seeds)
-        conflicts += result.outcome is Outcome.CONFLICT and bool(result.changed)
+        conflicts += result.outcome is Outcome.CONFLICT and engine.run(seeds).rows != fresh
         assert engine._work == fresh
     assert engine.base() == fresh
     if (name, kind) in (("t5_block", "opp"), ("vgg_classifier", "adp")):
@@ -174,15 +174,15 @@ def test_trial_matches_run_from_a_base_copy(name, kind, data):
     trial = engine.trial(seeds)
     ref = engine.run(seeds)
     assert trial.rows is None
-    assert (trial.outcome, trial.conflict_site, trial.newly_decided, trial.changed) == (
-        ref.outcome, ref.conflict_site, ref.newly_decided, ref.changed,
+    assert (trial.outcome, trial.conflict_site, trial.newly_decided) == (
+        ref.outcome, ref.conflict_site, ref.newly_decided,
     )
 
 
 @functools.lru_cache(maxsize=None)
 def _env(name, kind):
     graph = _graph(name)
-    return OppEnv(graph) if kind == "opp" else AdpEnv(graph)
+    return opp_env(graph) if kind == "opp" else AdpEnv(graph)
 
 
 def _one_shot_decided(env, seeds):
