@@ -19,6 +19,11 @@ extraction and the env share, and self-validation's own; sharing the first
 changes no count in ``propagations``.  Pipeline searches report the
 ``length_terms`` of the plan, the per-stage terms its length adds up from;
 they stay out of the plan JSON, whose fields are those of earlier plans.
+``--log`` writes one JSON line per episode: its outcome and, per step, a
+digest of the state, the action and the reward.  An action is an index into
+the env's actions; for pp-infer those are only the positions its bands
+allow, so action ``i`` is the i-th of them in position order (boundary b is
+position b-1, device cut c position 126+c), not the position itself.
 
 A decision is act, env step, observe: ``DqnAgent.observe`` decides when to
 train (once every four free decisions, from the first full batch on; see
@@ -703,6 +708,7 @@ def _checked(convert: Callable[[str], float], ok: Callable[[float], bool], wante
 
 
 _COUNT = _checked(int, lambda v: v >= 1, "a count of at least 1")
+_NATURAL = _checked(int, lambda v: v >= 0, "an integer of at least 0")
 _POSITIVE = _checked(float, lambda v: math.isfinite(v) and v > 0, "finite and positive")
 _FRACTION = _checked(float, lambda v: 0 <= v <= 1, "in [0, 1]")
 
@@ -732,7 +738,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="only recorded in the plan; the length and memory models read --micro-batches",
     )
     parser.add_argument("--episodes", type=_COUNT, help="training episode budget")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_NATURAL, default=0)
     parser.add_argument("--out", help="plan output path (default <task>_plan.json)")
     parser.add_argument("--finetune", action="store_true", help="opp: run the backtrace stage")
     parser.add_argument("--log", help="episode trace JSONL path")
@@ -751,7 +757,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--buffer", dest="buffer_capacity", type=_COUNT, help="override replay buffer capacity"
     )
     parser.add_argument(
-        "--epsilon-decay", dest="epsilon_decay_iters", type=int,
+        "--epsilon-decay", dest="epsilon_decay_iters", type=_NATURAL,
         help="override the decisions epsilon takes to decay",
     )
     return parser

@@ -11,7 +11,8 @@ Four Markov decision processes with a shared ``reset`` / ``step`` /
 * ``PipeTrainEnv``: pick K-1 pivots out of the pruned candidate set; device
   counts then follow from proportional allocation.
 * ``PipeInferEnv``: pick K-1 stage boundaries on coarsened cost arrays,
-  then K-1 device cuts, in one phased action space.
+  then K-1 device cuts, in one phased action space of the band-allowed
+  positions.
 
 The two pipeline envs run on one pick loop, ``PickEnv``: phases of K-1
 strictly increasing picks each, every pick past the phase's previous one
@@ -34,6 +35,7 @@ Environments are single-threaded; instances share only immutable inputs.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -346,30 +348,41 @@ class AdpEnv(PartitionSearchEnv):
 class PickEnv:
     """The pick loop of the pipeline envs.
 
-    An episode walks through ``phases``, each a run of actions
-    ``[offset, offset + size)`` in which it makes K-1 picks.  A pick lies
-    past the phase's previous pick and leaves room for the picks the phase
-    still owes; ``bands``, when given, narrows pick ``i`` of the episode to
-    the actions ``bands[i]`` allows.  The episode ends with the last pick of
-    the last phase.  A subclass gives the state of the picks so far
-    (``_state``) and the terminal reward and ``info`` (``_outcome``).  The
-    reset state is the same in every episode and is built once.
+    An episode walks through ``phases``, each a run of positions
+    ``[offset, offset + size)`` of a space of ``space`` positions in which
+    it makes K-1 picks.  A pick lies past the phase's previous pick and
+    leaves room for the picks the phase still owes; ``bands``, when given,
+    narrows pick ``i`` of the episode to the positions ``bands[i]`` allows.
+    The episode ends with the last pick of the last phase.  A subclass
+    gives the state of the picks so far (``_state``) and the terminal
+    reward and ``info`` (``_outcome``).  The reset state is the same in
+    every episode and is built once.
+
+    The actions are the positions some band allows, in position order
+    (every position without bands): action ``i`` picks position
+    ``_actions[i]``, and ``_picks`` holds positions.  A position no band
+    allows can never be picked, so it takes no output of the agent's
+    network and no part of its dueling mean (action elimination, arXiv
+    1809.02121).
     """
 
     def __init__(
         self,
         num_stages: int,
-        num_actions: int,
+        space: int,
         phases: Sequence[tuple[int, int]],
         bands: np.ndarray | None = None,
     ):
         self.num_stages = num_stages
-        self.num_actions = num_actions
         self._phases = list(phases)
-        self._bands = bands
+        self._actions = (
+            list(range(space)) if bands is None else np.flatnonzero(bands.any(axis=0)).tolist()
+        )
+        self.num_actions = len(self._actions)
+        self._bands = None if bands is None else bands[:, self._actions]
         self._picks: list[int] = []
         self._done = True
-        self._mask = _frozen(np.zeros(num_actions, dtype=bool))
+        self._mask = _frozen(np.zeros(self.num_actions, dtype=bool))
         self._reset_state: np.ndarray | None = None
 
     def reset(self) -> np.ndarray:
@@ -396,7 +409,9 @@ class PickEnv:
             offset, size = self._phases[phase]
             first = self._picks[-1] + 1 if index else offset
             # keep room for the picks the phase still owes after this one
-            mask[first : offset + size - (self.num_stages - 2 - index)] = True
+            end = offset + size - (self.num_stages - 2 - index)
+            # the actions whose positions lie in [first, end)
+            mask[bisect_left(self._actions, first) : bisect_left(self._actions, end)] = True
             if self._bands is not None:
                 mask &= self._bands[pick]
         return _frozen(mask)
@@ -405,7 +420,7 @@ class PickEnv:
         if self._done:
             raise EpisodeError("episode is over")
         _check_action(self._mask, action)
-        self._picks.append(action)
+        self._picks.append(self._actions[action])
         self._done = len(self._picks) == (self.num_stages - 1) * len(self._phases)
         self._mask = self._build_mask()
         if not self._done:
@@ -581,12 +596,15 @@ def infer_search_bands(
 class PipeInferEnv(PickEnv):
     """Stage-boundary and device-cut selection on coarsened cost arrays.
 
-    Two phases in one action space of size 127 + (D-1): an episode first
-    picks K-1 strictly increasing boundaries in 1..127 (action b-1), then
-    K-1 strictly increasing device cuts in 1..D-1 (action 126+c), each
-    within its slot's band when bands are given.  The terminal reward is
-    1/L where L is the pipeline length of the decoded plan on the
-    normalized topology.
+    Two phases over 127 + (D-1) positions: an episode first picks K-1
+    strictly increasing boundaries in 1..127 (position b-1), then K-1
+    strictly increasing device cuts in 1..D-1 (position 126+c), each within
+    its slot's band when bands are given.  The actions are the positions
+    some band allows, so the bands prune the agent's network and not just
+    its choices: 24 of 158 on ``bert48_profile`` (K=4, configc, radius 3).
+    Without bands every position is an action.  The terminal reward is 1/L
+    where L is the pipeline length of the decoded plan on the normalized
+    topology.
 
     The state holds the 2(K-1) slot entries only: the boundaries picked so
     far over 128, then the device cuts over D, with 0 for a slot not yet
@@ -628,10 +646,10 @@ class PipeInferEnv(PickEnv):
         self.micro_batches = micro_batches
         self.micro_batch_size = micro_batch_size
         d = topo.num_devices
-        num_actions = (GRANULARITY - 1) + (d - 1)
+        positions = (GRANULARITY - 1) + (d - 1)
         self.state_dim = 2 * picks
-        # per slot (boundaries, then cuts), the actions its band allows
-        bands = np.ones((2 * picks, num_actions), dtype=bool)
+        # per slot (boundaries, then cuts), the positions its band allows
+        bands = np.ones((2 * picks, positions), dtype=bool)
         for slot, band in enumerate(allowed_boundaries or ()):
             bands[slot] = False
             bands[slot, [b - 1 for b in band if 1 <= b <= GRANULARITY - 1]] = True
@@ -639,7 +657,7 @@ class PipeInferEnv(PickEnv):
             bands[slot] = False
             bands[slot, [GRANULARITY - 2 + c for c in band if 1 <= c <= d - 1]] = True
         phases = [(0, GRANULARITY - 1), (GRANULARITY - 1, d - 1)]
-        super().__init__(num_stages, num_actions, phases, bands)
+        super().__init__(num_stages, positions, phases, bands)
 
     def _plan_picks(self) -> tuple[list[int], list[int]]:
         """The boundaries and device cuts picked so far."""

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from autoplan import cli
 from autoplan.agent import EPSILON_FINAL, AgentConfig, DqnAgent, epsilon_at
 from autoplan.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main, validate_payload, write_json
 from autoplan.dataproc import CoarsenedArrays, build_environment_arrays
@@ -548,7 +549,7 @@ BAD_NUMBERS = [
     ("opp", "--episodes", "0"), ("opp", "--episodes", "-3"), ("pp-train", "--micro-batches", "0"),
     ("pp-train", "--micro-batch-size", "0"), ("pp-infer", "--batch-size", "0"),
     ("adp", "--gamma", "nan"), ("adp", "--gamma", "5"), ("adp", "--lr", "-1"),
-    ("pp-train", "--mem-per-device", "nan"),
+    ("pp-train", "--mem-per-device", "nan"), ("adp", "--epsilon-decay", "-5"),
 ]
 
 
@@ -557,6 +558,22 @@ def test_bad_numeric_flag_is_config_error_before_any_work(tmp_path, task, flag, 
     args = SEARCH_ARGS[task] + [flag, value, "--out", str(tmp_path / "plan.json")]
     assert _exit_code(args) == EXIT_CONFIG
     assert list(tmp_path.iterdir()) == []
+
+
+def test_negative_seed_is_refused_before_any_input_is_loaded(tmp_path, monkeypatch, capsys):
+    loads = _counted(monkeypatch, cli, "resolve_inputs")
+    args = SEARCH_ARGS["adp"] + ["--seed", "-1", "--out", str(tmp_path / "plan.json")]
+    assert _exit_code(args) == EXIT_CONFIG
+    assert "argument --seed: '-1' is not an integer of at least 0" in capsys.readouterr().err
+    assert loads == [] and list(tmp_path.iterdir()) == []
+
+
+def test_zero_epsilon_decay_explores_at_the_final_rate(tmp_path):
+    code, _ = _search(tmp_path, "adp", "--epsilon-decay", "0")
+    assert code == EXIT_OK
+    summary = json.loads((tmp_path / "plan_summary.json").read_text())
+    assert summary["defaults"]["epsilon_decay_iters"] == 0
+    assert summary["final_epsilon"] == EPSILON_FINAL
 
 
 MEMORY_ARGS = [

@@ -117,8 +117,9 @@ def test_cut_bands_are_the_pinned_center_cuts(config):
 
 
 def _loop_mask(env, prefix, bands, cut_bands):
-    """The pp-infer mask after ``prefix`` position by position: the reference for the sliced one."""
-    mask = np.zeros(env.num_actions, dtype=bool)
+    """The pp-infer mask over all 127 + (D-1) positions after the positions ``prefix``,
+    built position by position: the reference for the sliced one."""
+    mask = np.zeros(GRANULARITY - 1 + env.topo.num_devices - 1, dtype=bool)
     if env.done:
         return mask
     picks = env.num_stages - 1
@@ -150,11 +151,49 @@ def _loop_mask(env, prefix, bands, cut_bands):
     return mask
 
 
+def _band_union(bands, cut_bands):
+    """The positions some band allows, in position order: boundary b is b-1, cut c is 126+c."""
+    boundaries = {b - 1 for band in bands for b in band}
+    return sorted(boundaries | {GRANULARITY - 2 + c for band in cut_bands for c in band})
+
+
+@pytest.mark.parametrize("radius, count", [(0, 6), (3, 24)])
+def test_infer_actions_are_the_band_union(radius, count):
+    arrays, topo = build_environment_arrays(bert48_profile()), load_topology("configc")
+    bands, cut_bands = infer_search_bands(arrays, topo, 4, radius)
+    env = PipeInferEnv(arrays, topo, num_stages=4, allowed_boundaries=bands, allowed_cuts=cut_bands)
+    assert env.num_actions == len(_band_union(bands, cut_bands)) == count
+    env.reset()
+    assert env.action_mask().shape == (count,)
+
+
+def test_infer_step_picks_the_kept_action_at_its_index():
+    arrays, topo = build_environment_arrays(bert48_profile()), load_topology("configc")
+    bands, cut_bands = infer_search_bands(arrays, topo, 4, 3)
+    env = PipeInferEnv(arrays, topo, num_stages=4, allowed_boundaries=bands, allowed_cuts=cut_bands)
+    kept = _band_union(bands, cut_bands)
+    env.reset()
+    for action in _actions():
+        result = env.step(kept.index(action))
+    plan = result.info["plan"]
+    assert result.done and plan.pivot_ids == BOUNDARIES and plan.device_cuts == CUTS
+    assert result.info["pipeline_length"] == pytest.approx(0.8745)
+
+
+@pytest.mark.parametrize("config", ["configa", "configc"])
+def test_infer_without_bands_keeps_every_position(config):
+    topo = load_topology(config)
+    env = PipeInferEnv(build_environment_arrays(bert48_profile()), topo, num_stages=2)
+    assert env.num_actions == (GRANULARITY - 1) + (topo.num_devices - 1)
+
+
 @pytest.mark.parametrize("radius", [0, 3, None], ids=["radius0", "radius3", "no-bands"])
 def test_infer_mask_matches_the_loop_at_every_reachable_prefix(radius):
     arrays, topo = build_environment_arrays(bert48_profile()), load_topology("configc")
     bands, cut_bands = infer_search_bands(arrays, topo, 4, radius) if radius is not None else (None, None)
     env = PipeInferEnv(arrays, topo, num_stages=4, allowed_boundaries=bands, allowed_cuts=cut_bands)
+    space = GRANULARITY - 1 + topo.num_devices - 1
+    kept = _band_union(bands, cut_bands) if radius is not None else list(range(space))
     picks, checked = env.num_stages - 1, 0
     stack = [()]
     while stack:
@@ -163,7 +202,8 @@ def test_infer_mask_matches_the_loop_at_every_reachable_prefix(radius):
         for action in prefix:
             env.step(action)
         mask = env.action_mask()
-        assert np.array_equal(mask, _loop_mask(env, prefix, bands, cut_bands)), prefix
+        positions = [kept[a] for a in prefix]
+        assert np.array_equal(mask, _loop_mask(env, positions, bands, cut_bands)[kept]), prefix
         checked += 1
         children = np.flatnonzero(mask)
         if len(prefix) == picks - 1 and bands is None:
@@ -213,7 +253,9 @@ def _train_loop_mask(env, prefix):
 
 def test_train_mask_matches_the_loop_at_every_reachable_prefix():
     env = PipeTrainEnv(uniform_chain(128), load_topology("configc"), 4)
-    n, picks, checked = env.num_actions, env.num_stages - 1, 0
+    n, picks, checked = len(env.candidates), env.num_stages - 1, 0
+    # without bands every candidate is an action
+    assert env.num_actions == n
     stack = [()]
     while stack:
         prefix = stack.pop()
