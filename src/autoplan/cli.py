@@ -581,6 +581,11 @@ def _lap(phases: dict[str, float], phase: str, since: float) -> float:
 def _run_search(cfg: RunConfig) -> int:
     """Train, then write the self-validated best plan, its curve and a summary."""
     task = SEARCH_TASKS[cfg.task]
+    # a flag the task has no use for is refused, not dropped
+    if cfg.finetune and task.finetune_reset is None:
+        raise ConfigError(f"--finetune is for opp and adp; {cfg.task} has no backtrace stage")
+    if cfg.mem_per_device is not None and cfg.task != "pp-train":
+        raise ConfigError(f"--mem-per-device is for pp-train; {cfg.task} has no memory model")
     curve_path, summary_path = _artifact_paths(cfg.out)
     # checked before the search, which would otherwise fail only when it writes
     for path in filter(None, (cfg.out, cfg.log)):
@@ -607,7 +612,7 @@ def _run_search(cfg: RunConfig) -> int:
     try:
         best = train(env, agent, cfg.episodes, task.rank, curve, trace)
         clock = _lap(phases, "train", started)
-        if best is not None and cfg.finetune and task.finetune_reset is not None:
+        if best is not None and cfg.finetune:
             stage2 = train(
                 env, agent, cfg.episodes, task.rank, curve, trace,
                 reset=lambda: task.finetune_reset(env, best.info), episode_offset=cfg.episodes,
@@ -729,7 +734,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--topology", help="preset name or JSON file (default configa; validate: the plan's)"
     )
     parser.add_argument("--stages", type=int, default=2, help="pipeline stage count K")
-    parser.add_argument("--radius", type=int, default=3, help="search pruning radius")
+    parser.add_argument("--radius", type=_NATURAL, default=3, help="search pruning radius")
     parser.add_argument(
         "--micro-batches", type=_COUNT, help="per global batch (default 4, pp-infer 1)"
     )
@@ -740,7 +745,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--episodes", type=_COUNT, help="training episode budget")
     parser.add_argument("--seed", type=_NATURAL, default=0)
     parser.add_argument("--out", help="plan output path (default <task>_plan.json)")
-    parser.add_argument("--finetune", action="store_true", help="opp: run the backtrace stage")
+    parser.add_argument(
+        "--finetune", action="store_true", help="opp and adp: run the backtrace stage"
+    )
     parser.add_argument("--log", help="episode trace JSONL path")
     parser.add_argument(
         "--dist",
@@ -749,7 +756,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="pp-infer without --graph: distribution of the generated environment",
     )
     parser.add_argument("--plan", help="validate: plan JSON to check")
-    parser.add_argument("--mem-per-device", type=_POSITIVE, help="memory budget in bytes")
+    parser.add_argument(
+        "--mem-per-device", type=_POSITIVE, help="pp-train: memory budget in bytes"
+    )
     parser.add_argument("--gamma", type=_FRACTION, help="override discount factor")
     parser.add_argument("--lr", type=_POSITIVE, help="override learning rate")
     parser.add_argument("--batch-size", type=_COUNT, help="override training batch size")

@@ -50,10 +50,8 @@ from autoplan.pipecost import (
     PipelinePlan,
     StageMetrics,
     candidate_pivots,
-    length_term_maxima,
     memory_feasible,
     pipeline_length,
-    proportional_device_count_rows,
     proportional_device_cuts,
 )
 from autoplan.sharding import DimStatus, Outcome, PropagationEngine
@@ -439,25 +437,23 @@ class PipeTrainEnv(PickEnv):
     """Pivot selection for a K-stage training pipeline.
 
     One phase over the pruned candidate list: an episode picks K-1 pivots
-    in increasing forward order.  Per candidate the state carries the
-    slowest hypothetical gradient allreduce, the slowest boundary transfer
-    and the stage compute balance of the plan that picking it next would
-    cut, with devices allocated in proportion to stage compute; each time
-    block is scaled by its maximum over the currently allowed candidates,
-    and a one-hot block marks the picked cuts.  The terminal reward is 1/L
-    for a memory-feasible plan, else -1/sqrt(L).  Backward compute is
+    in increasing forward order.  The state is one entry per candidate,
+    1.0 where it was picked.  Device counts follow from proportional
+    allocation of stage compute.  The terminal reward is 1/L for a
+    memory-feasible plan, else -1/sqrt(L).  Backward compute is
     ``backward_multiplier`` (2) times forward compute.
 
-    All allowed candidates are scored in one numpy pass.  A stage runs from
-    a stage boundary (the first position, or one past a candidate) to one
-    past a candidate or the end, so its compute is an entry of the
-    ``CutCostTable.running_sums`` table built once per env: one forward
-    cumsum per possible start, which keeps the bits of ``stage_metrics``
-    where prefix differences would not, and so keeps every device count.
-    Parameter bytes are differences of integer prefix sums, which are
-    exact.  ``proportional_device_count_rows`` and ``length_term_maxima``
-    then give per row what ``proportional_device_cuts`` and
-    ``length_terms`` give per plan.
+    The state carries no stage costs.  A run plans one fixed graph on one
+    fixed topology, so the cost of any plan is a function of the picks, and
+    the picks alone form a complete Markov state; the reward carries the
+    costs, as on ``PipeInferEnv``.  The state once also held, per allowed
+    candidate, the slowest allreduce, the slowest transfer and the compute
+    balance of the plan that picking it next would cut.  Dropping them cut
+    the traced ``envs.step.ms_p50`` on the ``pptrain-chain128`` benchmark
+    from 0.19 to 0.015 ms (median of seeds 0-2, 2 vCPUs), and over seeds
+    0-19 at 100 and 500 episodes (K=4, configc) the median quality of the
+    emitted plan was the same or higher on ``uniform_chain(128)``, a
+    100-layer MLP and a 60-layer MLP with random costs.
     """
 
     def __init__(
@@ -480,16 +476,7 @@ class PipeTrainEnv(PickEnv):
         self.candidates = candidate_pivots(self.table, topo, num_stages, radius)
         n = len(self.candidates)
         super().__init__(num_stages, n, [(0, n)])
-        self.state_dim = 4 * n
-        # stage boundary b: 0 is the first position, j+1 is one past
-        # candidate j, num_actions+1 is past the last position
-        cuts = [self.table.position[c] for c in self.candidates]
-        self._compute = self.table.running_sums(cuts, self.backward_multiplier)
-        params = np.cumsum([0, *self.table.param_bytes])
-        self._params_before = params[[0, *(c + 1 for c in cuts), len(params) - 1]]
-        # the first stage holds the unplaced bytes
-        self._params_before[1:] += self.table.unplaced_param_bytes
-        self._crossing = np.array([0.0, *(float(self.table.crossing[c]) for c in cuts)])
+        self.state_dim = n
 
     def _outcome(self) -> tuple[float, dict]:
         pivots = tuple(self.candidates[i] for i in self._picks)
@@ -510,35 +497,8 @@ class PipeTrainEnv(PickEnv):
         return reward, info
 
     def _state(self) -> np.ndarray:
-        n = self.num_actions
-        state = np.zeros(4 * n)
-        reduces, transfers, balance, onehot = state.reshape(4, n)
-        onehot[self._picks] = 1.0
-        allowed = np.flatnonzero(self._mask)
-        if allowed.size:
-            # one row per allowed candidate: the stage boundaries of the
-            # picked cuts, then those of the candidate and of the end
-            fixed = [0, *(a + 1 for a in self._picks)]
-            bounds = np.empty((allowed.size, len(fixed) + 2), dtype=np.int64)
-            bounds[:, : len(fixed)] = fixed
-            bounds[:, -2] = allowed + 1
-            bounds[:, -1] = n + 1
-            lo, hi = bounds[:, :-1], bounds[:, 1:]
-            compute = self._compute[lo, hi - 1]
-            params = (self._params_before[hi] - self._params_before[lo]).astype(np.float64)
-            counts = proportional_device_count_rows(compute, self.topo.num_devices)
-            transfers[allowed], reduces[allowed] = length_term_maxima(
-                self._crossing[hi[:, :-1]], params, counts, self.topo
-            )
-            top = compute.max(axis=1)
-            positive = top > 0
-            balance[allowed] = np.where(
-                positive, compute.min(axis=1) / np.where(positive, top, 1.0), 1.0
-            )
-        for block in (reduces, transfers):
-            top = block.max()
-            if top > 0:
-                block /= top
+        state = np.zeros(self.num_actions)
+        state[self._picks] = 1.0
         return state
 
 

@@ -17,13 +17,9 @@ Stage compute is a forward-order running sum from the stage's first
 position.  A difference of two prefix sums gives the same real number but
 not always the same last bit, and that bit can decide a largest-remainder
 tie in ``proportional_device_counts`` and so a device count.
-``PipeTrainEnv`` scores many candidate cuts at once, so it keeps
-``CutCostTable.running_sums``: one ``np.cumsum`` per possible stage start,
-which adds in the same sequence as ``stage_metrics`` and so keeps its bits,
-read at the possible stage ends.  ``proportional_device_count_rows`` and
-``length_term_maxima`` are the row forms of the device allocation and of
-the communication terms, with the scalar code's float operations in the
-same order.
+``candidate_pivots`` scores every two-way split in one call of
+``proportional_device_count_rows``, the row form of that allocation, with
+the scalar code's float operations in the same order.
 
 ``PipeInferEnv.decode_metrics`` costs pp-infer stages by prefix differences
 on the coarsened arrays instead.  Those bits are what pp-infer plan files
@@ -42,9 +38,6 @@ import numpy as np
 from autoplan.ir import HloGraph, forward_subgraph
 from autoplan.topology import DeviceTopology, allreduce_time, transfer_time
 
-
-# floats in one masked block of CutCostTable.running_sums
-_TABLE_BLOCK = 1 << 16
 
 # weights plus their optimizer state, per weight byte (memory_feasible)
 OPTIMIZER_MULTIPLIER = 4.0
@@ -185,33 +178,6 @@ class CutCostTable:
             activation = float(self.crossing[hi - 1]) if s < len(cuts) else 0.0
             metrics.append(StageMetrics(compute * scale, activation, float(params)))
         return metrics
-
-    def running_sums(
-        self, cuts: Sequence[int], backward_multiplier: float = 2.0
-    ) -> np.ndarray:
-        """Stage compute between any two of the increasing cut positions.
-
-        Stage boundary 0 is the first position, boundary j+1 lies just past
-        ``cuts[j]`` and boundary ``len(cuts)+1`` past the last position.
-        Entry [a, b] is the compute of the stage from boundary a to boundary
-        b+1, in the bits of ``stage_metrics``; entries with b < a mean
-        nothing.  Row a is the running sum from its start, masked to zero
-        before it (adding zeros first leaves the sum's bits alone).
-        """
-        compute = np.asarray(self.compute)
-        starts = np.array([0, *(c + 1 for c in cuts)])
-        ends = np.array([*cuts, len(compute) - 1])
-        table = np.empty((len(starts), len(ends)))
-        # a block of rows shares one masked cumsum of at most _TABLE_BLOCK
-        # floats, from the block's first start on
-        rows = max(1, _TABLE_BLOCK // len(compute))
-        for lo in range(0, len(starts), rows):
-            first = starts[lo]
-            masked = np.where(
-                np.arange(first, len(compute)) >= starts[lo : lo + rows, None], compute[first:], 0.0
-            )
-            table[lo : lo + rows] = np.cumsum(masked, axis=1)[:, np.maximum(ends - first, 0)]
-        return table * (1.0 + backward_multiplier)
 
 
 def stage_metrics(
@@ -382,39 +348,6 @@ def proportional_device_count_rows(compute_ms: np.ndarray, num_devices: int) -> 
         counts[starved, poorest] = 1
         starved = starved[(counts[starved] == 0).any(axis=1)]
     return counts
-
-
-def length_term_maxima(
-    activation_bytes: np.ndarray,
-    param_bytes: np.ndarray,
-    device_counts: np.ndarray,
-    topo: DeviceTopology,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per row, the slowest boundary transfer and allreduce of ``length_terms``.
-
-    Row r holds a plan of k stages: ``activation_bytes[r]`` the k-1 payloads
-    crossing its cuts, ``param_bytes[r]`` and ``device_counts[r]`` the k
-    stages' trainable bytes and contiguous device groups.  The values are
-    those of ``transfer_time`` and ``allreduce_time``.
-    """
-    g = topo.gpus_per_server
-    ends = np.cumsum(device_counts, axis=1)
-    # a stage hands over from its last device, ends - 1, to the next one's first
-    transfers = activation_bytes / np.where(ends[:, :-1] % g != 0, topo.intra_bw, topo.inter_bw)
-    if topo.inter_bw <= topo.intra_bw:
-        # a group that spans servers is bound by the network, others by the
-        # server links; a group of one device or no bytes costs 0
-        spans = (ends - device_counts) // g != (ends - 1) // g
-        min_bw = np.where(spans, topo.inter_bw, topo.intra_bw)
-        reduces = 2.0 * (device_counts - 1) / device_counts * param_bytes / min_bw
-    else:
-        reduces = np.array(
-            [
-                [allreduce_time(b, range(e - n, e), topo) for b, n, e in zip(*row)]
-                for row in zip(param_bytes.tolist(), device_counts.tolist(), ends.tolist())
-            ]
-        )
-    return transfers.max(axis=1), reduces.max(axis=1)
 
 
 def allowed_device_cuts(topo: DeviceTopology, radius: int) -> list[int]:

@@ -28,9 +28,7 @@ from autoplan.pipecost import (
     CutCostTable,
     InfeasiblePlanError,
     allowed_device_cuts,
-    length_terms,
     proportional_device_counts,
-    proportional_device_cuts,
 )
 from autoplan.sharding import DimStatus, Outcome, PropagationEngine, propagate
 from autoplan.topology import DeviceTopology, allreduce_time, transfer_time
@@ -226,36 +224,6 @@ def reference_candidate_pivots(table: CutCostTable, topo: DeviceTopology, radius
         if proportional_device_counts([prefix[i], prefix[-1] - prefix[i]], topo.num_devices)[0] in allowed
         and (not params[-1] or 0 < params[i] < params[-1])
     ]
-
-
-def reference_pipe_train_state(env) -> np.ndarray:
-    """A ``PipeTrainEnv`` state by one stage decode per allowed candidate, as an oracle.
-
-    This is the body ``PipeTrainEnv._state`` had before it scored all
-    candidates in one numpy pass, kept verbatim with ``self`` renamed.
-    """
-    n = env.num_actions
-    reduces = np.zeros(n)
-    transfers = np.zeros(n)
-    balance = np.zeros(n)
-    mask = env.action_mask()
-    for i in np.flatnonzero(mask):
-        pivots = [env.candidates[j] for j in env._picks] + [env.candidates[i]]
-        metrics = env.table.stage_metrics(pivots, env.backward_multiplier)
-        cuts = proportional_device_cuts(metrics, env.topo)
-        _, stage_transfers, stage_reduces = length_terms(metrics, cuts, env.topo)
-        reduces[i] = max(stage_reduces)
-        transfers[i] = max(stage_transfers)
-        computes = [m.compute_ms for m in metrics]
-        top = max(computes)
-        balance[i] = min(computes) / top if top > 0 else 1.0
-    for block in (reduces, transfers):
-        top = block.max()
-        if top > 0:
-            block /= top
-    onehot = np.zeros(n)
-    onehot[env._picks] = 1.0
-    return np.concatenate([reduces, transfers, balance, onehot])
 
 
 def stepwise_outcome(

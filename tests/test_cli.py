@@ -550,14 +550,30 @@ BAD_NUMBERS = [
     ("pp-train", "--micro-batch-size", "0"), ("pp-infer", "--batch-size", "0"),
     ("adp", "--gamma", "nan"), ("adp", "--gamma", "5"), ("adp", "--lr", "-1"),
     ("pp-train", "--mem-per-device", "nan"), ("adp", "--epsilon-decay", "-5"),
+    ("pp-train", "--radius", "-1"), ("pp-infer", "--radius", "-1"),
 ]
 
 
 @pytest.mark.parametrize("task, flag, value", BAD_NUMBERS)
-def test_bad_numeric_flag_is_config_error_before_any_work(tmp_path, task, flag, value):
+def test_bad_numeric_flag_is_config_error_before_any_work(tmp_path, monkeypatch, task, flag, value):
+    loads = _counted(monkeypatch, cli, "resolve_inputs")
     args = SEARCH_ARGS[task] + [flag, value, "--out", str(tmp_path / "plan.json")]
     assert _exit_code(args) == EXIT_CONFIG
-    assert list(tmp_path.iterdir()) == []
+    assert loads == [] and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "task, flag",
+    [("pp-train", ["--finetune"]), ("pp-infer", ["--finetune"]), ("pp-infer", ["--mem-per-device", "1"])],
+    ids=["pp-train-finetune", "pp-infer-finetune", "pp-infer-mem-per-device"],
+)
+def test_flag_the_task_would_drop_is_refused_before_any_input_is_loaded(
+    tmp_path, monkeypatch, caplog, task, flag
+):
+    loads = _counted(monkeypatch, cli, "resolve_inputs")
+    assert main(SEARCH_ARGS[task] + [*flag, "--out", str(tmp_path / "plan.json")]) == EXIT_CONFIG
+    assert f"{flag[0]} is for" in caplog.text
+    assert loads == [] and list(tmp_path.iterdir()) == []
 
 
 def test_negative_seed_is_refused_before_any_input_is_loaded(tmp_path, monkeypatch, capsys):

@@ -85,26 +85,6 @@ def test_stage_metrics_matches_walk_bit_for_bit(name):
         assert _bits(stage_metrics(graph, pivots, multiplier)) == _ref_bits(graph, pivots, multiplier)
 
 
-def test_running_sums_keep_the_stage_metrics_bits():
-    # 700 fractional costs fill several blocks of rows
-    g = GraphBuilder()
-    prev = g.param("x", (4, 4))
-    for i, cost in enumerate(np.random.default_rng(3).uniform(0.01, 1.0, 700).tolist()):
-        prev = g.add(f"op{i}", "exp", (prev,), (4, 4), compute_cost_ms=cost)
-    table = CutCostTable.build(g.build())
-    cuts = list(range(0, len(table.order) - 1, 2))
-    sums = table.running_sums(cuts, backward_multiplier=2.5)
-    assert sums.shape == (len(cuts) + 1, len(cuts) + 1)
-    rng = np.random.default_rng(4)
-    for _ in range(400):
-        a, b = sorted(rng.integers(0, len(cuts) + 1, size=2).tolist())
-        # the stage from boundary a (one past cut a-1) through cut b, or the end
-        bounds = cuts[a - 1 : a] if a else []
-        pivots = [table.order[p] for p in bounds + cuts[b : b + 1]]
-        stage = table.stage_metrics(pivots, backward_multiplier=2.5)[1 if a else 0]
-        assert sums[a, b].hex() == stage.compute_ms.hex()
-
-
 def test_stage_metrics_rejects_bad_pivots():
     graph = backward_graph()
     grad_h = graph.by_name("grad_h").id
