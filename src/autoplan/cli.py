@@ -33,7 +33,12 @@ for the next decision, which the agent acts on and the transition stores.
 An episode with no update, such as one in four of pp-train's 3-decision
 episodes at K=4, leaves its ``loss`` empty.  Epsilon decays per observed
 transition all the same.  The summary's ``defaults`` are the run's
-``AgentConfig``, the five agent settings a flag or ``TASK_DEFAULTS`` sets.
+``AgentConfig``, the five agent settings.
+
+``FLAG_DEFAULTS`` gives the flags each task reads, each with its value when
+left unset (``--help`` shows them).  A flag the task does not read, or
+``--dist`` beside ``--graph``, exits 2 before any input is loaded.  A plan's
+input fields stand for its search's flags and get their checks.
 
 Exit codes: 0 ok, 2 configuration error, 3 infeasible (no valid plan),
 4 training divergence.
@@ -99,13 +104,7 @@ EXIT_DIVERGED = 4
 
 GEN_SOURCE_LENGTH = 10 * GRANULARITY
 
-# per-task defaults; AgentConfig fields not listed here keep AgentConfig's
-TASK_DEFAULTS: dict[str, dict[str, float | int]] = {
-    "opp": {"lr": 0.0005, "epsilon_decay_iters": 2000, "episodes": 2000},
-    "adp": {"lr": 0.0005, "epsilon_decay_iters": 500, "episodes": 500},
-    "pp-train": {"lr": 0.001, "epsilon_decay_iters": 10000, "episodes": 500},
-    "pp-infer": {"lr": 0.001, "epsilon_decay_iters": 10000, "episodes": 50, "micro_batches": 1},
-}
+DISTRIBUTIONS = ("uniform", "normal", "binomial")
 
 
 class ConfigError(Exception):
@@ -114,41 +113,28 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one run needs, resolved from flags and task defaults."""
+    """The flags given, over the task's ``defaults``; a flag it does not read is None."""
 
     task: str
-    graph: str | None
-    topology: str | None
-    stages: int
-    radius: int
-    micro_batches: int
-    micro_batch_size: int
-    episodes: int
-    seed: int
-    out: str
-    finetune: bool
-    log: str | None
-    dist: str
-    plan: str | None
-    mem_per_device: float | None
-    gamma: float | None
-    lr: float | None
-    batch_size: int | None
-    buffer_capacity: int | None
-    epsilon_decay_iters: int | None
-
-
-def agent_config_for(cfg: RunConfig) -> AgentConfig:
-    """Flags override the task's ``TASK_DEFAULTS``, which override ``AgentConfig``'s."""
-    defaults = TASK_DEFAULTS.get(cfg.task, {})
-    settings = {}
-    for name in (field.name for field in fields(AgentConfig)):
-        value = getattr(cfg, name)
-        if value is None:
-            value = defaults.get(name)
-        if value is not None:
-            settings[name] = value
-    return AgentConfig(**settings)
+    graph: str | None = None
+    topology: str | None = None
+    stages: int | None = None
+    radius: int | None = None
+    micro_batches: int | None = None
+    micro_batch_size: int | None = None
+    episodes: int | None = None
+    seed: int | None = None
+    out: str | None = None
+    finetune: bool | None = None
+    log: str | None = None
+    dist: str | None = None
+    plan: str | None = None
+    mem_per_device: float | None = None
+    gamma: float | None = None
+    lr: float | None = None
+    batch_size: int | None = None
+    buffer_capacity: int | None = None
+    epsilon_decay_iters: int | None = None
 
 
 # -- artifact writers -------------------------------------------------------
@@ -535,35 +521,52 @@ class SearchTask:
     # (summary field, terminal info key) of the plan's headline figure
     headline: tuple[str, str]
     wanted: str  # what a usable plan is, for the error message
-    # restarts an episode from the best plan's terminal info (--finetune)
-    finetune_reset: Callable[[SearchEnv, dict], np.ndarray] | None = None
+    # the RunConfig fields the task reads, each with its value when unset
+    defaults: Mapping[str, object]
     # the topology a pipeline plan is costed on, for its length_terms summary
     cost_topology: Callable[[SearchEnv], DeviceTopology] | None = None
 
 
-def _partition_finetune_reset(env: PartitionSearchEnv, info: dict) -> np.ndarray:
-    return env.finetune_reset(info["strategy"])
-
+# the flags every search reads; AgentConfig fields no task sets keep AgentConfig's
+_SEARCH_FLAGS = {"graph": None, "seed": 0, "log": None, **asdict(AgentConfig())}
+_PARTITION_FLAGS = {**_SEARCH_FLAGS, "finetune": False, "lr": 0.0005}
+_PIPE_FLAGS = {
+    **_SEARCH_FLAGS, "topology": None, "stages": 2, "radius": 3, "micro_batches": 4,
+    "micro_batch_size": 16, "epsilon_decay_iters": 10000,
+}
 
 SEARCH_TASKS: dict[str, SearchTask] = {
     "opp": SearchTask(
         ("graph",), _opp_env, _complete_rank, _partition_payload,
-        ("best_partitions", "partition_count"), "conflict-free strategy", _partition_finetune_reset,
+        ("best_partitions", "partition_count"), "conflict-free strategy",
+        {**_PARTITION_FLAGS, "out": "opp_plan.json", "episodes": 2000},
     ),
     "adp": SearchTask(
         ("graph",), _adp_env, _complete_rank, _partition_payload,
-        ("best_partitions", "partition_count"), "conflict-free strategy", _partition_finetune_reset,
+        ("best_partitions", "partition_count"), "conflict-free strategy",
+        {**_PARTITION_FLAGS, "out": "adp_plan.json", "episodes": 500, "epsilon_decay_iters": 500},
     ),
     "pp-train": SearchTask(
         ("graph", "topo"), _pp_train_env, _feasible_rank, _pp_train_payload,
         ("pipeline_length_s", "pipeline_length"), "memory-feasible plan",
-        cost_topology=lambda env: env.topo,
+        {**_PIPE_FLAGS, "out": "pp_train_plan.json", "episodes": 500, "mem_per_device": None},
+        lambda env: env.topo,
     ),
     "pp-infer": SearchTask(
         ("arrays", "topo"), _pp_infer_env, _feasible_rank, _pp_infer_payload,
         ("pipeline_length_s", "pipeline_length"), "plan",
-        cost_topology=lambda env: env.topo_norm,
+        {
+            **_PIPE_FLAGS, "out": "pp_infer_plan.json", "episodes": 50, "micro_batches": 1,
+            "dist": "uniform",
+        },
+        lambda env: env.topo_norm,
     ),
+}
+
+# every task's flags, with the value each takes when left unset
+FLAG_DEFAULTS: dict[str, Mapping[str, object]] = {
+    **{name: task.defaults for name, task in SEARCH_TASKS.items()},
+    "validate": {"plan": None, "graph": None, "topology": None},
 }
 
 
@@ -581,11 +584,6 @@ def _lap(phases: dict[str, float], phase: str, since: float) -> float:
 def _run_search(cfg: RunConfig) -> int:
     """Train, then write the self-validated best plan, its curve and a summary."""
     task = SEARCH_TASKS[cfg.task]
-    # a flag the task has no use for is refused, not dropped
-    if cfg.finetune and task.finetune_reset is None:
-        raise ConfigError(f"--finetune is for opp and adp; {cfg.task} has no backtrace stage")
-    if cfg.mem_per_device is not None and cfg.task != "pp-train":
-        raise ConfigError(f"--mem-per-device is for pp-train; {cfg.task} has no memory model")
     curve_path, summary_path = _artifact_paths(cfg.out)
     # checked before the search, which would otherwise fail only when it writes
     for path in filter(None, (cfg.out, cfg.log)):
@@ -605,7 +603,8 @@ def _run_search(cfg: RunConfig) -> int:
     runs_before = propagation_runs()
     env = task.env(cfg, inputs)
     clock = _lap(phases, "build_env", clock)
-    agent = DqnAgent(agent_config_for(cfg), env.state_dim, env.num_actions, cfg.seed)
+    config = AgentConfig(**{f.name: getattr(cfg, f.name) for f in fields(AgentConfig)})
+    agent = DqnAgent(config, env.state_dim, env.num_actions, cfg.seed)
     curve = CurveWriter(curve_path)
     trace = TraceWriter(cfg.log) if cfg.log else None
     started = time.monotonic()
@@ -615,7 +614,8 @@ def _run_search(cfg: RunConfig) -> int:
         if best is not None and cfg.finetune:
             stage2 = train(
                 env, agent, cfg.episodes, task.rank, curve, trace,
-                reset=lambda: task.finetune_reset(env, best.info), episode_offset=cfg.episodes,
+                reset=lambda: env.finetune_reset(best.info["strategy"]),
+                episode_offset=cfg.episodes,
             )
             _lap(phases, "finetune", clock)
             if stage2 is not None and stage2.key > best.key:
@@ -668,6 +668,16 @@ def _run_search(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+# the plan fields validate loads inputs by, each with the flag it stands for
+# and that flag's check on a JSON value
+_PLAN_INPUTS = {
+    "graph": ("graph", lambda v: type(v) is str),
+    "topology": ("topology", lambda v: type(v) is str),
+    "distribution": ("dist", lambda v: v in DISTRIBUTIONS),
+    "seed": ("seed", lambda v: type(v) is int and v >= 0),
+}
+
+
 def _run_validate(cfg: RunConfig) -> int:
     if cfg.plan is None:
         raise ConfigError("validate needs --plan")
@@ -678,16 +688,18 @@ def _run_validate(cfg: RunConfig) -> int:
         raise ConfigError(f"cannot read plan {cfg.plan!r}: {exc}") from exc
     if not isinstance(payload, dict):
         raise ConfigError(f"plan {cfg.plan!r} is not a JSON object")
-    task = SEARCH_TASKS.get(payload.get("task"))
-    # flags override the inputs the plan names
-    planned = replace(
-        cfg,
-        graph=cfg.graph or payload.get("graph"),
-        topology=cfg.topology or payload.get("topology"),
-        dist=payload.get("distribution") or cfg.dist,
-        seed=payload.get("seed", cfg.seed),
-    )
-    inputs = resolve_inputs(planned, task.inputs if task is not None else ())
+    name = payload.get("task")
+    if not isinstance(name, str) or name not in SEARCH_TASKS:
+        raise ConfigError(f"plan field 'task' is {name!r}, not one of {', '.join(SEARCH_TASKS)}")
+    task = SEARCH_TASKS[name]
+    # absent or null, a field takes its flag's default; --graph and --topology override it
+    planned = {}
+    for field, (flag, ok) in _PLAN_INPUTS.items():
+        value = payload.get(field)
+        if value is not None and not ok(value):
+            raise ConfigError(f"plan field {field!r} is {value!r}, which --{flag} would refuse")
+        planned[flag] = getattr(cfg, flag) or (task.defaults.get(flag) if value is None else value)
+    inputs = resolve_inputs(replace(cfg, **planned), task.inputs)
     ok, message = validate_payload(payload, **inputs)
     if ok:
         logger.info("plan %s is valid: %s", cfg.plan, message)
@@ -721,74 +733,67 @@ _FRACTION = _checked(float, lambda v: 0 <= v <= 1, "in [0, 1]")
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="autoplan",
-        description="Search distributed execution plans for serialized computation graphs.",
+        description="Search distributed execution plans for serialized computation graphs. "
+        "Each flag's help ends with the tasks that read it and its value when unset.",
+        # a flag left unset stays out of the namespace, so the task's default fills it
+        argument_default=argparse.SUPPRESS,
     )
     parser.add_argument(
         "--task",
         required=True,
-        choices=[*SEARCH_TASKS, "validate"],
+        choices=list(FLAG_DEFAULTS),
         help="a plan search, or validate to re-check a plan file",
     )
     parser.add_argument("--graph", help="graph/profile file or bundled name")
+    parser.add_argument("--topology", help="preset or JSON file; unset: the plan's, else configa")
+    parser.add_argument("--stages", type=int, help="pipeline stage count K")
+    parser.add_argument("--radius", type=_NATURAL, help="search pruning radius")
+    parser.add_argument("--micro-batches", type=_COUNT, help="per global batch")
     parser.add_argument(
-        "--topology", help="preset name or JSON file (default configa; validate: the plan's)"
-    )
-    parser.add_argument("--stages", type=int, default=2, help="pipeline stage count K")
-    parser.add_argument("--radius", type=_NATURAL, default=3, help="search pruning radius")
-    parser.add_argument(
-        "--micro-batches", type=_COUNT, help="per global batch (default 4, pp-infer 1)"
-    )
-    parser.add_argument(
-        "--micro-batch-size", type=_COUNT, default=16,
+        "--micro-batch-size", type=_COUNT,
         help="only recorded in the plan; the length and memory models read --micro-batches",
     )
     parser.add_argument("--episodes", type=_COUNT, help="training episode budget")
-    parser.add_argument("--seed", type=_NATURAL, default=0)
-    parser.add_argument("--out", help="plan output path (default <task>_plan.json)")
-    parser.add_argument(
-        "--finetune", action="store_true", help="opp and adp: run the backtrace stage"
-    )
+    parser.add_argument("--seed", type=_NATURAL, help="seeds the agent and a generated environment")
+    parser.add_argument("--out", help="plan output path")
+    parser.add_argument("--finetune", action="store_true", help="run the backtrace stage")
     parser.add_argument("--log", help="episode trace JSONL path")
     parser.add_argument(
-        "--dist",
-        default="uniform",
-        choices=["uniform", "normal", "binomial"],
-        help="pp-infer without --graph: distribution of the generated environment",
+        "--dist", choices=DISTRIBUTIONS,
+        help="distribution of the environment generated in place of a --graph profile",
     )
-    parser.add_argument("--plan", help="validate: plan JSON to check")
-    parser.add_argument(
-        "--mem-per-device", type=_POSITIVE, help="pp-train: memory budget in bytes"
-    )
-    parser.add_argument("--gamma", type=_FRACTION, help="override discount factor")
-    parser.add_argument("--lr", type=_POSITIVE, help="override learning rate")
-    parser.add_argument("--batch-size", type=_COUNT, help="override training batch size")
-    parser.add_argument(
-        "--buffer", dest="buffer_capacity", type=_COUNT, help="override replay buffer capacity"
-    )
+    parser.add_argument("--plan", help="plan JSON to check")
+    parser.add_argument("--mem-per-device", type=_POSITIVE, help="memory budget in bytes")
+    parser.add_argument("--gamma", type=_FRACTION, help="discount factor")
+    parser.add_argument("--lr", type=_POSITIVE, help="learning rate")
+    parser.add_argument("--batch-size", type=_COUNT, help="training batch size")
+    parser.add_argument("--buffer", dest="buffer_capacity", type=_COUNT, help="replay buffer size")
     parser.add_argument(
         "--epsilon-decay", dest="epsilon_decay_iters", type=_NATURAL,
-        help="override the decisions epsilon takes to decay",
+        help="the decisions epsilon takes to decay",
     )
+    for action in parser._actions:
+        read_by = [f"{t}: {d[action.dest]}" for t, d in FLAG_DEFAULTS.items() if action.dest in d]
+        if read_by:
+            action.help += f" ({', '.join(read_by)})"
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    """The parsed flags, with the episodes, micro-batches and output path
-    that were left unset resolved from the task's defaults."""
-    defaults = TASK_DEFAULTS.get(args.task, {})
-    resolved = {
-        "episodes": int(defaults.get("episodes", 500)),
-        "micro_batches": int(defaults.get("micro_batches", 4)),
-        "out": f"{args.task.replace('-', '_')}_plan.json",
-    }
-    settings = dict(vars(args))
-    for key, default in resolved.items():
-        if settings[key] is None:
-            settings[key] = default
-    return RunConfig(**settings)
-
-
-_RUNNERS = {**dict.fromkeys(SEARCH_TASKS, _run_search), "validate": _run_validate}
+def config_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunConfig:
+    """The flags given, over the task's defaults; a flag the task does not
+    read is refused, before any input is loaded."""
+    given = vars(args)
+    defaults = FLAG_DEFAULTS[args.task]
+    unread = [
+        action.option_strings[0]
+        for action in parser._actions
+        if action.dest in given.keys() - defaults.keys() - {"task"}
+    ]
+    if unread:
+        raise ConfigError(f"--task {args.task} does not read {', '.join(unread)}")
+    if {"graph", "dist"} <= given.keys():
+        raise ConfigError("--dist generates the profile that --graph would name; give one")
+    return RunConfig(**{**defaults, **given})
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -797,9 +802,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = config_from_args(args)
     try:
-        return _RUNNERS[cfg.task](cfg)
+        cfg = config_from_args(args, parser)
+        return (_run_validate if cfg.task == "validate" else _run_search)(cfg)
     except ConfigError as exc:
         logger.error("%s", exc)
         return EXIT_CONFIG

@@ -446,14 +446,7 @@ class PipeTrainEnv(PickEnv):
     The state carries no stage costs.  A run plans one fixed graph on one
     fixed topology, so the cost of any plan is a function of the picks, and
     the picks alone form a complete Markov state; the reward carries the
-    costs, as on ``PipeInferEnv``.  The state once also held, per allowed
-    candidate, the slowest allreduce, the slowest transfer and the compute
-    balance of the plan that picking it next would cut.  Dropping them cut
-    the traced ``envs.step.ms_p50`` on the ``pptrain-chain128`` benchmark
-    from 0.19 to 0.015 ms (median of seeds 0-2, 2 vCPUs), and over seeds
-    0-19 at 100 and 500 episodes (K=4, configc) the median quality of the
-    emitted plan was the same or higher on ``uniform_chain(128)``, a
-    100-layer MLP and a 60-layer MLP with random costs.
+    costs, as on ``PipeInferEnv``.
     """
 
     def __init__(

@@ -144,6 +144,26 @@ def test_plan_that_is_not_an_object_is_config_error(tmp_path):
     assert _validate(tmp_path, [1]) == EXIT_CONFIG
 
 
+GENERATED_PLAN_INPUTS = {
+    "task": "pp-infer", "graph": None, "topology": "configc", "distribution": "uniform", "seed": 0,
+}
+
+
+# a graph of 0 would name file descriptor 0, standard input
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("task", ["opp"]), ("graph", ["x"]), ("graph", 0), ("topology", 7),
+        ("distribution", "gamma"), ("seed", "x"), ("seed", 1.5), ("seed", -1),
+    ],
+)
+def test_plan_input_field_is_checked_as_its_flag_is(tmp_path, monkeypatch, caplog, field, value):
+    loads = _counted(monkeypatch, cli, "resolve_inputs")
+    assert _validate(tmp_path, {**GENERATED_PLAN_INPUTS, field: value}) == EXIT_CONFIG
+    assert f"plan field {field!r} is {value!r}" in caplog.text
+    assert loads == []
+
+
 @pytest.mark.parametrize("recorded", [float("nan"), INFER_PLAN["pipeline_length_s"]])
 def test_length_recomputed_as_nan_is_invalid(recorded):
     # a null profile cell, were it let through, makes the compute prefix NaN from there on
@@ -562,17 +582,59 @@ def test_bad_numeric_flag_is_config_error_before_any_work(tmp_path, monkeypatch,
     assert loads == [] and list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize(
-    "task, flag",
-    [("pp-train", ["--finetune"]), ("pp-infer", ["--finetune"]), ("pp-infer", ["--mem-per-device", "1"])],
-    ids=["pp-train-finetune", "pp-infer-finetune", "pp-infer-mem-per-device"],
-)
+DROPPED_FLAGS = {
+    "pp-train-finetune": (SEARCH_ARGS["pp-train"], ["--finetune"]),
+    "pp-infer-finetune": (SEARCH_ARGS["pp-infer"], ["--finetune"]),
+    "pp-infer-mem-per-device": (SEARCH_ARGS["pp-infer"], ["--mem-per-device", "1"]),
+    "adp-stages": (SEARCH_ARGS["adp"], ["--stages", "4"]),
+    "adp-radius": (SEARCH_ARGS["adp"], ["--radius", "9"]),
+    "adp-topology": (SEARCH_ARGS["adp"], ["--topology", "configc"]),
+    "adp-micro-batches": (SEARCH_ARGS["adp"], ["--micro-batches", "3"]),
+    "adp-dist": (SEARCH_ARGS["adp"], ["--dist", "normal"]),
+    "pp-train-dist": (SEARCH_ARGS["pp-train"], ["--dist", "binomial"]),
+    "validate-episodes": (["--task", "validate", "--plan", "plan.json"], ["--episodes", "3"]),
+    # pp-infer reads --dist only to generate a profile in place of --graph's
+    "pp-infer-graph-dist": (SEARCH_ARGS["pp-infer"], ["--dist", "binomial"]),
+}
+
+
+@pytest.mark.parametrize("argv, flag", DROPPED_FLAGS.values(), ids=DROPPED_FLAGS)
 def test_flag_the_task_would_drop_is_refused_before_any_input_is_loaded(
-    tmp_path, monkeypatch, caplog, task, flag
+    tmp_path, monkeypatch, caplog, argv, flag
 ):
     loads = _counted(monkeypatch, cli, "resolve_inputs")
-    assert main(SEARCH_ARGS[task] + [*flag, "--out", str(tmp_path / "plan.json")]) == EXIT_CONFIG
-    assert f"{flag[0]} is for" in caplog.text
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + flag) == EXIT_CONFIG
+    assert flag[0] in caplog.text
+    assert loads == [] and list(tmp_path.iterdir()) == []
+
+
+def _flag_values(parser):
+    """(dest, option, argv tail) for every flag but --task: a value each flag accepts."""
+    for action in parser._actions:
+        if action.option_strings and action.dest not in ("help", "task"):
+            option = action.option_strings[0]
+            value = [] if action.nargs == 0 else [str((action.choices or ["1"])[0])]
+            yield action.dest, option, [option, *value]
+
+
+@pytest.mark.parametrize("task", sorted(cli.FLAG_DEFAULTS))
+def test_every_flag_is_read_or_refused_as_the_task_table_says(tmp_path, monkeypatch, caplog, task):
+    parser = cli.build_parser()
+    loads = _counted(monkeypatch, cli, "resolve_inputs")
+    monkeypatch.chdir(tmp_path)
+    reads = cli.FLAG_DEFAULTS[task]
+    unset = cli.config_from_args(parser.parse_args(["--task", task]), parser)
+    assert {dest: getattr(unset, dest) for dest in reads} == dict(reads)
+    for dest, option, tail in _flag_values(parser):
+        argv = ["--task", task, *tail]
+        if dest in reads:
+            cfg = cli.config_from_args(parser.parse_args(argv), parser)
+            assert getattr(cfg, dest) == getattr(parser.parse_args(argv), dest), option
+        else:
+            caplog.clear()
+            assert main(argv) == EXIT_CONFIG, option
+            assert f"--task {task} does not read {option}" in caplog.text
     assert loads == [] and list(tmp_path.iterdir()) == []
 
 
