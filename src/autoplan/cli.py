@@ -375,10 +375,9 @@ def validate_payload(
         values = payload.get(key)
         if not isinstance(values, list) or any(type(v) is not kind for v in values):
             return False, f"{key} must be a list of {kind.__name__} values"
-    sizes = {
-        "micro_batches": payload.get("micro_batches", 1),
-        "micro_batch_size": payload.get("micro_batch_size", 16),
-    }
+    # an absent size takes its flag's default, as the search that wrote the plan did
+    defaults = SEARCH_TASKS[task].defaults
+    sizes = {key: payload.get(key, defaults[key]) for key in ("micro_batches", "micro_batch_size")}
     for key, value in sizes.items():
         if type(value) is not int or value < 1:
             return False, f"{key} {value!r} is not a positive int"
@@ -444,6 +443,11 @@ def _pp_train_env(cfg: RunConfig, inputs: dict) -> SearchEnv:
 
 
 def _pp_infer_env(cfg: RunConfig, inputs: dict) -> SearchEnv:
+    if cfg.stages > GRANULARITY:
+        raise ConfigError(
+            f"--stages {cfg.stages} needs {cfg.stages - 1} stage boundaries, more than the "
+            f"{GRANULARITY - 1} of the {GRANULARITY}-point grid"
+        )
     arrays, topo = inputs["arrays"], inputs["topo"]
     boundary_bands, cut_bands = infer_search_bands(arrays, topo, cfg.stages, cfg.radius)
     return PipeInferEnv(

@@ -16,8 +16,9 @@ Four Markov decision processes with a shared ``reset`` / ``step`` /
 
 The two pipeline envs run on one pick loop, ``PickEnv``: phases of K-1
 strictly increasing picks each, every pick past the phase's previous one
-and leaving room for the picks still owed.  They differ only in their
-phases, their state and their terminal outcome.
+and leaving room for the picks still owed, and the one-hot of the picked
+actions as the state.  They differ only in their phases, their bands and
+their terminal outcome.
 
 The ``info`` of an episode's last step describes its outcome: ``conflict``
 (with ``conflict_site``, the name of the instruction that met it), or
@@ -347,49 +348,40 @@ class PickEnv:
     """The pick loop of the pipeline envs.
 
     An episode walks through ``phases``, each a run of positions
-    ``[offset, offset + size)`` of a space of ``space`` positions in which
-    it makes K-1 picks.  A pick lies past the phase's previous pick and
-    leaves room for the picks the phase still owes; ``bands``, when given,
-    narrows pick ``i`` of the episode to the positions ``bands[i]`` allows.
-    The episode ends with the last pick of the last phase.  A subclass
-    gives the state of the picks so far (``_state``) and the terminal
-    reward and ``info`` (``_outcome``).  The reset state is the same in
-    every episode and is built once.
+    ``[offset, offset + size)`` in which it makes K-1 picks.  A pick lies
+    past the phase's previous pick, leaves room for the picks the phase
+    still owes, and is one of the positions ``bands[i]`` allows for pick
+    ``i`` of the episode; ``bands`` has one row per pick and one column per
+    position.  The episode ends with the last pick of the last phase, and a
+    subclass gives its terminal reward and ``info`` (``_outcome``).
 
-    The actions are the positions some band allows, in position order
-    (every position without bands): action ``i`` picks position
-    ``_actions[i]``, and ``_picks`` holds positions.  A position no band
-    allows can never be picked, so it takes no output of the agent's
-    network and no part of its dueling mean (action elimination, arXiv
-    1809.02121).
+    The actions are the positions some band allows, in position order:
+    action ``i`` picks position ``_actions[i]``, and ``_picks`` holds
+    positions.  A position no band allows can never be picked, so it takes
+    no output of the agent's network and no part of its dueling mean
+    (action elimination, arXiv 1809.02121).  The state is the one-hot of
+    the actions picked so far, all zeros at reset.  A run plans one fixed
+    problem, so the cost of any plan is a function of its picks, and the
+    picks alone form a complete Markov state; the reward carries the costs.
     """
 
-    def __init__(
-        self,
-        num_stages: int,
-        space: int,
-        phases: Sequence[tuple[int, int]],
-        bands: np.ndarray | None = None,
-    ):
+    def __init__(self, num_stages: int, phases: Sequence[tuple[int, int]], bands: np.ndarray):
         self.num_stages = num_stages
         self._phases = list(phases)
-        self._actions = (
-            list(range(space)) if bands is None else np.flatnonzero(bands.any(axis=0)).tolist()
-        )
-        self.num_actions = len(self._actions)
-        self._bands = None if bands is None else bands[:, self._actions]
+        self._actions = np.flatnonzero(bands.any(axis=0)).tolist()
+        self.num_actions = self.state_dim = len(self._actions)
+        self._bands = bands[:, self._actions]
         self._picks: list[int] = []
+        self._picked = np.zeros(self.num_actions)
         self._done = True
         self._mask = _frozen(np.zeros(self.num_actions, dtype=bool))
-        self._reset_state: np.ndarray | None = None
 
     def reset(self) -> np.ndarray:
         self._picks = []
+        self._picked.fill(0.0)
         self._done = False
         self._mask = self._build_mask()
-        if self._reset_state is None:
-            self._reset_state = self._state()
-        return self._reset_state.copy()
+        return self._picked.copy()
 
     @property
     def done(self) -> bool:
@@ -410,8 +402,7 @@ class PickEnv:
             end = offset + size - (self.num_stages - 2 - index)
             # the actions whose positions lie in [first, end)
             mask[bisect_left(self._actions, first) : bisect_left(self._actions, end)] = True
-            if self._bands is not None:
-                mask &= self._bands[pick]
+            mask &= self._bands[pick]
         return _frozen(mask)
 
     def step(self, action: int) -> StepResult:
@@ -419,15 +410,11 @@ class PickEnv:
             raise EpisodeError("episode is over")
         _check_action(self._mask, action)
         self._picks.append(self._actions[action])
+        self._picked[action] = 1.0
         self._done = len(self._picks) == (self.num_stages - 1) * len(self._phases)
         self._mask = self._build_mask()
-        if not self._done:
-            return StepResult(self._state(), 0.0, False, self._mask)
-        reward, info = self._outcome()
-        return StepResult(self._state(), reward, True, self._mask, info)
-
-    def _state(self) -> np.ndarray:
-        raise NotImplementedError
+        reward, info = self._outcome() if self._done else (0.0, {})
+        return StepResult(self._picked.copy(), reward, self._done, self._mask, info)
 
     def _outcome(self) -> tuple[float, dict]:
         raise NotImplementedError
@@ -437,16 +424,12 @@ class PipeTrainEnv(PickEnv):
     """Pivot selection for a K-stage training pipeline.
 
     One phase over the pruned candidate list: an episode picks K-1 pivots
-    in increasing forward order.  The state is one entry per candidate,
-    1.0 where it was picked.  Device counts follow from proportional
-    allocation of stage compute.  The terminal reward is 1/L for a
-    memory-feasible plan, else -1/sqrt(L).  Backward compute is
-    ``backward_multiplier`` (2) times forward compute.
-
-    The state carries no stage costs.  A run plans one fixed graph on one
-    fixed topology, so the cost of any plan is a function of the picks, and
-    the picks alone form a complete Markov state; the reward carries the
-    costs, as on ``PipeInferEnv``.
+    in increasing forward order, and every candidate is an action.  Device
+    counts follow from proportional allocation of stage compute.  The
+    terminal reward is 1/L for a memory-feasible plan, else -1/sqrt(L).
+    Backward compute is ``backward_multiplier`` (2) times forward compute.
+    The state is ``PickEnv``'s, one entry per candidate; it carries no
+    stage costs, since the graph and topology of a run never change.
     """
 
     def __init__(
@@ -468,8 +451,7 @@ class PipeTrainEnv(PickEnv):
         self.table = CutCostTable.build(graph)
         self.candidates = candidate_pivots(self.table, topo, num_stages, radius)
         n = len(self.candidates)
-        super().__init__(num_stages, n, [(0, n)])
-        self.state_dim = n
+        super().__init__(num_stages, [(0, n)], np.ones((num_stages - 1, n), dtype=bool))
 
     def _outcome(self) -> tuple[float, dict]:
         pivots = tuple(self.candidates[i] for i in self._picks)
@@ -488,11 +470,6 @@ class PipeTrainEnv(PickEnv):
             "metrics": metrics,
         }
         return reward, info
-
-    def _state(self) -> np.ndarray:
-        state = np.zeros(self.num_actions)
-        state[self._picks] = 1.0
-        return state
 
 
 def infer_search_bands(
@@ -559,14 +536,12 @@ class PipeInferEnv(PickEnv):
     where L is the pipeline length of the decoded plan on the normalized
     topology.
 
-    The state holds the 2(K-1) slot entries only: the boundaries picked so
-    far over 128, then the device cuts over D, with 0 for a slot not yet
-    picked.  The profile (C*, A*, W*) and the bandwidth matrix are not
-    inputs: a run plans on one fixed environment, where they never change,
-    so the slots alone form a complete Markov state and the reward carries
-    the costs.  The paper feeds them in so that one policy trained on many
-    generated environments transfers to new ones; that setting needs a
-    training consumer for those environments before a wide state pays off.
+    The state is ``PickEnv``'s, one entry per action.  The profile (C*, A*,
+    W*) and the bandwidth matrix are not inputs: a run plans on one fixed
+    environment, where they never change.  The paper feeds them in so that
+    one policy trained on many generated environments transfers to new
+    ones; that setting needs a training consumer for those environments
+    before a wide state pays off.
     """
 
     def __init__(
@@ -600,7 +575,6 @@ class PipeInferEnv(PickEnv):
         self.micro_batch_size = micro_batch_size
         d = topo.num_devices
         positions = (GRANULARITY - 1) + (d - 1)
-        self.state_dim = 2 * picks
         # per slot (boundaries, then cuts), the positions its band allows
         bands = np.ones((2 * picks, positions), dtype=bool)
         for slot, band in enumerate(allowed_boundaries or ()):
@@ -610,7 +584,7 @@ class PipeInferEnv(PickEnv):
             bands[slot] = False
             bands[slot, [GRANULARITY - 2 + c for c in band if 1 <= c <= d - 1]] = True
         phases = [(0, GRANULARITY - 1), (GRANULARITY - 1, d - 1)]
-        super().__init__(num_stages, positions, phases, bands)
+        super().__init__(num_stages, phases, bands)
 
     def _plan_picks(self) -> tuple[list[int], list[int]]:
         """The boundaries and device cuts picked so far."""
@@ -660,13 +634,3 @@ class PipeInferEnv(PickEnv):
                 )
             )
         return metrics
-
-    def _state(self) -> np.ndarray:
-        picks = self.num_stages - 1
-        slots = np.zeros(2 * picks)
-        boundaries, cuts = self._plan_picks()
-        for i, b in enumerate(boundaries):
-            slots[i] = b / GRANULARITY
-        for i, c in enumerate(cuts):
-            slots[picks + i] = c / self.topo.num_devices
-        return slots

@@ -113,6 +113,9 @@ DROP = object()
         (TRAIN_PLAN, {"micro_batches": 0}, EXIT_INFEASIBLE),
         (TRAIN_PLAN, {"micro_batch_size": 16.0}, EXIT_INFEASIBLE),
         (TRAIN_PLAN, {"micro_batch_size": -16}, EXIT_INFEASIBLE),
+        # an absent size is the task's default: 4 micro-batches for training, 1 for inference
+        (TRAIN_PLAN, {"micro_batches": DROP, "micro_batch_size": DROP}, EXIT_OK),
+        (INFER_PLAN, {"micro_batches": DROP, "micro_batch_size": DROP}, EXIT_OK),
         # an inference pipeline has 2..32 stages on configc
         (INFER_PLAN, {"boundaries": [], "device_cuts": []}, EXIT_INFEASIBLE),
         (INFER_PLAN, {"boundaries": list(range(1, 34)), "device_cuts": list(range(1, 34))}, EXIT_INFEASIBLE),
@@ -130,8 +133,9 @@ DROP = object()
         "train-pivots-int", "train-pivot-ids", "train-no-device-cuts", "train-device-cuts-str",
         "infer-micro-batches-str", "infer-micro-batches-bool", "infer-micro-batch-size-0",
         "train-micro-batches-str", "train-micro-batches-0", "train-micro-batch-size-float",
-        "train-micro-batch-size-negative", "infer-no-cuts", "infer-34-stages", "train-one-stage",
-        "infer-length-nan", "infer-length-inf", "infer-no-length",
+        "train-micro-batch-size-negative", "train-default-sizes", "infer-default-sizes",
+        "infer-no-cuts", "infer-34-stages", "train-one-stage", "infer-length-nan", "infer-length-inf",
+        "infer-no-length",
     ],
 )
 def test_pipeline_plan_on_bundled_inputs(tmp_path, base, change, status):
@@ -557,6 +561,19 @@ def test_stage_count_outside_two_to_devices_is_config_error(tmp_path, caplog, ta
     assert main(args + ["--out", str(tmp_path / "plan.json")]) == EXIT_CONFIG
     assert f"--stages {stages} is not in 2.." in caplog.text
     assert list(tmp_path.iterdir()) == []
+
+
+def test_pp_infer_refuses_more_stages_than_its_grid_has_boundaries(tmp_path, caplog):
+    # 160 devices would allow 129 stages; 127 boundaries on the 128-point grid allow 128
+    topology = tmp_path / "wide.json"
+    topology.write_text('{"servers": 20, "gpus_per_server": 8}')
+    out = tmp_path / "out"
+    out.mkdir()
+    args = SEARCH_ARGS["pp-infer"] + ["--topology", str(topology), "--out", str(out / "plan.json")]
+    assert main(args + ["--stages", "129"]) == EXIT_CONFIG
+    assert "--stages 129 needs 128 stage boundaries, more than the 127 of the 128-point grid" in caplog.text
+    assert list(out.iterdir()) == []
+    assert main(args + ["--stages", "128", "--episodes", "1"]) == EXIT_OK
 
 
 def test_opp_without_trainable_variables_is_config_error(tmp_path):

@@ -34,31 +34,6 @@ def _infer_env(arrays, stages=4):
     return PipeInferEnv(arrays, load_topology("configc"), num_stages=stages)
 
 
-@pytest.mark.parametrize("stages", [2, 4, 7])
-def test_infer_state_is_the_slots_and_starts_at_zero(stages):
-    env = _infer_env(build_environment_arrays(bert48_profile()), stages)
-    assert env.state_dim == 2 * (stages - 1)
-    state = env.reset()
-    assert state.shape == (env.state_dim,)
-    assert not state.any()
-
-
-def test_infer_state_entries_follow_the_picks():
-    env = _infer_env(build_environment_arrays(bert48_profile()))
-    devices = env.topo.num_devices
-    picks = env.num_stages - 1
-    expected = np.zeros(2 * picks)
-    env.reset()
-    for i, action in enumerate(_actions()):
-        if i < picks:
-            expected[i] = BOUNDARIES[i] / GRANULARITY
-        else:
-            expected[i] = CUTS[i - picks] / devices
-        result = env.step(action)
-        assert np.array_equal(result.next_state, expected)
-    assert result.done and result.info["plan"].pivot_ids == BOUNDARIES
-
-
 def test_infer_state_does_not_depend_on_the_profile():
     envs = [
         _infer_env(build_environment_arrays(bert48_profile())),
@@ -69,6 +44,8 @@ def test_infer_state_does_not_depend_on_the_profile():
     assert not np.array_equal(envs[0].arrays.c, envs[1].arrays.c)
     for a, b in zip(*states):
         assert np.array_equal(a, b)
+    # without bands every position is an action, so the last state marks the positions picked
+    assert np.flatnonzero(states[0][-1]).tolist() == _actions()
 
 
 def test_infer_runs_are_byte_identical(tmp_path):
@@ -282,7 +259,22 @@ def test_train_step_refuses_actions_outside_the_space():
     assert env.done
 
 
-# -- the pp-train state -------------------------------------------------------
+# -- the pick-loop state ----------------------------------------------------
+
+
+def _check_state_is_the_one_hot_of_the_picks(env, seed):
+    """Random episodes: each state marks the actions picked before it, and no
+    later step changes it."""
+    assert env.state_dim == env.num_actions
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        states, picked = [env.reset()], []
+        while not env.done:
+            picked.append(int(rng.choice(np.flatnonzero(env.action_mask()))))
+            states.append(env.step(picked[-1]).next_state)
+        for i, state in enumerate(states):
+            assert state.shape == (env.state_dim,) and set(state) <= {0.0, 1.0}
+            assert np.flatnonzero(state).tolist() == picked[:i]
 
 
 # vgg_classifier leaves no candidate pivots on any preset
@@ -293,16 +285,17 @@ TRAIN_ZOO = sorted(set(GRAPHS) - {"vgg_classifier"})
 @pytest.mark.parametrize("stages", [2, 3, 4])
 def test_train_state_is_the_one_hot_of_the_picks(name, stages):
     env = PipeTrainEnv(zoo_graph(name), load_topology("configc"), stages)
-    assert env.state_dim == env.num_actions == len(env.candidates)
-    rng = np.random.default_rng(stages)
-    for _ in range(3):
-        state = env.reset()
-        assert state.shape == (env.state_dim,) and not state.any()
-        picked = []
-        while not env.done:
-            picked.append(int(rng.choice(np.flatnonzero(env.action_mask()))))
-            state = env.step(picked[-1]).next_state
-            assert np.flatnonzero(state).tolist() == picked and set(state[picked]) == {1.0}
+    assert env.num_actions == len(env.candidates)
+    _check_state_is_the_one_hot_of_the_picks(env, stages)
+
+
+@pytest.mark.parametrize("radius, count", [(3, 24), (None, 158)], ids=["radius3", "no-bands"])
+def test_infer_state_is_the_one_hot_of_the_picks(radius, count):
+    arrays, topo = build_environment_arrays(bert48_profile()), load_topology("configc")
+    bands, cut_bands = infer_search_bands(arrays, topo, 4, radius) if radius is not None else (None, None)
+    env = PipeInferEnv(arrays, topo, num_stages=4, allowed_boundaries=bands, allowed_cuts=cut_bands)
+    assert env.num_actions == count
+    _check_state_is_the_one_hot_of_the_picks(env, 4)
 
 
 def test_device_count_rows_match_the_scalar_counts():
