@@ -11,6 +11,21 @@ finite differences.
 ``AgentConfig`` holds the five settings a run can change (flags and the
 CLI's per-task defaults); every other hyper-parameter is a module constant.
 
+One stdlib ``random.Random(seed)`` per agent makes every random draw, in
+this order: the online network's initial weights, tensor by tensor in
+layout order (the target network starts as their copy and draws nothing);
+then per decision one ``random()`` for the epsilon test and, when it
+explores, one ``randrange`` over the allowed actions; then per update
+``batch_size`` values of ``random()`` that pick the replay batch.  The
+numpy generator, whose first import costs about 10 ms of every run's
+set-up, is not used; only profile generation (``autoplan.dataproc``,
+``--dist``) loads it.  Python keeps ``random()``'s sequence for an int
+seed the same across versions, and the weights and replay draws are
+values of that sequence; ``randrange``, and ``randbytes``, through which
+the weights are drawn in bulk, are stable only within one version.  A seed
+therefore repeats its plan on one Python version, and across versions
+while those two methods do not change.
+
 ``DqnAgent`` owns its update schedule: it trains once per ``LEARN_EVERY``
 free decisions, DQN's replay ratio, from the first full batch on.  ``act``
 notes whether its decision is a free one that is due, and ``observe`` then
@@ -50,6 +65,7 @@ Q values and, through them, of the losses and the learned plans.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -96,6 +112,18 @@ def epsilon_at(decisions: int, config: AgentConfig) -> float:
     return EPSILON_START + (EPSILON_FINAL - EPSILON_START) * frac
 
 
+def uniforms(rng: random.Random, n: int) -> np.ndarray:
+    """The next ``n`` values of ``rng.random()``, drawn in bulk.
+
+    ``random()`` makes a float from two 32-bit outputs of the generator, the
+    top 27 bits of the first and the top 26 of the second; ``randbytes``
+    hands out the same outputs in the same order, four little-endian bytes
+    each, and leaves the generator where ``n`` calls would.
+    """
+    words = np.frombuffer(rng.randbytes(8 * n), dtype="<u4")
+    return ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) * (1.0 / 9007199254740992.0)
+
+
 class QNetwork:
     """Dueling MLP: shared ReLU trunk, value head and advantage head.
 
@@ -109,10 +137,15 @@ class QNetwork:
         state_dim: int,
         num_actions: int,
         hidden: Sequence[int],
-        rng: np.random.Generator | None = None,
+        rng: random.Random | None = None,
         flat: np.ndarray | None = None,
     ):
-        """Draw the parameters from ``rng``, or take ``flat`` over as they are."""
+        """Draw the parameters from ``rng``, or take ``flat`` over as they are.
+
+        Each parameter is ``rng.uniform(-b, b)`` with ``b = 1/sqrt(fan_in)``
+        of its layer, drawn in layout order; the draws are made in bulk
+        (``uniforms``), but the values are those of one call per parameter.
+        """
         if state_dim < 1 or num_actions < 1:
             raise ValueError("state_dim and num_actions must be positive")
         if not hidden:
@@ -134,10 +167,13 @@ class QNetwork:
         self.grad_flat = np.empty(size)
         self.grads = self.views(self.grad_flat)
         if flat is None:
-            rng = rng or np.random.default_rng(0)
-            for key, shape, fan_in in self._layout:
+            self.flat[...] = uniforms(rng or random.Random(0), size)
+            for key, _, fan_in in self._layout:
+                # random.uniform's -b + (b - -b) * u, operation by operation
                 bound = 1.0 / np.sqrt(fan_in)
-                self.params[key][...] = rng.uniform(-bound, bound, size=shape)
+                view = self.params[key]
+                view *= 2.0 * bound
+                view -= bound
 
     def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """Per-tensor views into a vector laid out like ``flat``."""
@@ -260,19 +296,25 @@ class PrioritizedReplayBuffer:
         self._size = min(self._size + 1, self.capacity)
 
     def sample(
-        self, batch_size: int, alpha: float, beta: float, rng: np.random.Generator
+        self, batch_size: int, alpha: float, beta: float, rng: random.Random
     ) -> tuple[np.ndarray, Batch, np.ndarray]:
         """Sample indices with probability proportional to priority**alpha.
 
-        Returns (indices, the transitions at them, importance weights);
-        weights are normalized by the batch maximum.
+        Each index is drawn with replacement from one ``u = rng.random()``:
+        it is the first index whose running sum of the probabilities, scaled
+        to end at 1, exceeds ``u``.  Returns (indices, the transitions at
+        them, importance weights); weights are normalized by the batch
+        maximum.
         """
         n = self._size
         if n < batch_size:
             raise ValueError("not enough transitions to sample a batch")
         scaled = self._priorities[:n] ** alpha
         probs = scaled / scaled.sum()
-        indices = rng.choice(n, size=batch_size, replace=True, p=probs)
+        cdf = np.cumsum(probs)
+        # the last bin ends at exactly 1.0 and random() < 1, so every index is below n
+        cdf /= cdf[-1]
+        indices = cdf.searchsorted([rng.random() for _ in range(batch_size)], side="right")
         weights = (n * probs[indices]) ** (-beta)
         weights = weights / weights.max()
         if self._batch is None or len(self._batch.actions) != batch_size:
@@ -333,8 +375,11 @@ class DqnAgent:
         # a buffer that cannot fill a batch would never train, while epsilon decayed
         if config.buffer_capacity < config.batch_size:
             raise ValueError("the replay buffer must hold at least one batch")
+        # random.Random(-s) would seed the stream of Random(s), and a float seed its hash
+        if not isinstance(seed, int) or seed < 0:
+            raise ValueError(f"the seed must be a non-negative int, got {seed!r}")
         self.config = config
-        self.rng = np.random.default_rng(seed)
+        self.rng = random.Random(seed)
         self.net = QNetwork(state_dim, num_actions, HIDDEN, self.rng)
         self.target = self.net.clone()
         self.buffer = PrioritizedReplayBuffer(config.buffer_capacity)
@@ -362,7 +407,7 @@ class DqnAgent:
             self._due = self._free_decisions % LEARN_EVERY == 0
         if self.rng.random() < self.epsilon:
             allowed = np.flatnonzero(mask)
-            return int(allowed[self.rng.integers(len(allowed))])
+            return int(allowed[self.rng.randrange(len(allowed))])
         # the highest-Q allowed action; ties resolve to the lowest index
         return int(np.argmax(np.where(mask, self.net.forward(state)[0], -np.inf)))
 

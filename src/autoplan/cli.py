@@ -3,11 +3,13 @@
 Wires graphs, topologies, environments and the DQN agent into runnable
 searches: one episode loop (``train``) and one runner serve all four search
 tasks, with a ``SearchTask`` entry per task.  Each run emits the best plan
-as JSON (byte-identical for identical config and seed), an incrementally
-flushed training-curve CSV (episode, mean loss of the episode's updates,
-total score, epsilon), and a run summary JSON: the effective defaults, the
-best reward, the episode that found it (``found_at_episode``), the wall time
-from the start of training to that episode (``time_to_best_s``),
+as JSON (byte-identical for identical config and seed on one Python version;
+``autoplan.agent`` says which of its random draws other versions may
+change), an incrementally flushed training-curve CSV (episode, mean loss of
+the episode's updates, total score, epsilon), and a run summary JSON: the
+effective defaults, the best reward, the episode that found it
+(``found_at_episode``), the wall time from the start of training to that
+episode (``time_to_best_s``),
 ``final_epsilon``, ``learn_steps``, and ``phase_s``, the seconds spent
 loading inputs, building the env (linkage included), training, fine-tuning
 (0 without ``--finetune``) and self-validating.

@@ -563,6 +563,9 @@ class PipeInferEnv(PickEnv):
             raise ValueError("pipeline planning needs at least two stages")
         if num_stages > topo.num_devices:
             raise ValueError("more stages than devices")
+        # past it, reset would leave a mask with no action on an unfinished episode
+        if num_stages > GRANULARITY:
+            raise ValueError(f"more stages than the {GRANULARITY - 1} grid boundaries can separate")
         picks = num_stages - 1
         if allowed_boundaries is not None and len(allowed_boundaries) != picks:
             raise ValueError("need one boundary set per pick")

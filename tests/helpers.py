@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import random
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -348,15 +349,18 @@ def opp_env(graph: HloGraph) -> OppEnv:
 # reference_train_step are the per-tensor network, the Transition-list replay,
 # the dict-based Adam and the training step that ``autoplan.agent`` had before
 # its parameters became one flat vector, kept verbatim apart from their names,
-# type annotations and argument checks, and the settings that are now
-# ``autoplan.agent`` constants, which they read as literals.
+# type annotations and argument checks, the settings that are now
+# ``autoplan.agent`` constants, which they read as literals, and their random
+# draws.  Those come from a stdlib ``random.Random``, one call at a time:
+# ``uniform`` per weight, and per replay index one ``random()`` located with
+# ``bisect`` in the running sum of the probabilities.
 
 
 class ReferenceQNetwork:
     """Dueling MLP: shared ReLU trunk, value head and advantage head."""
 
     def __init__(self, state_dim, num_actions, hidden, rng=None):
-        rng = rng or np.random.default_rng(0)
+        rng = rng or random.Random(0)
         self.state_dim = state_dim
         self.num_actions = num_actions
         self.hidden = tuple(hidden)
@@ -375,7 +379,8 @@ class ReferenceQNetwork:
     def _init(rng, fan_in, width, bias=False):
         bound = 1.0 / np.sqrt(fan_in)
         shape = (width,) if bias else (fan_in, width)
-        return rng.uniform(-bound, bound, size=shape).astype(np.float64)
+        draws = [rng.uniform(-bound, bound) for _ in range(int(np.prod(shape)))]
+        return np.array(draws, dtype=np.float64).reshape(shape)
 
     def forward(self, states):
         q, _ = self.forward_cached(states)
@@ -450,7 +455,9 @@ class ReferenceReplayBuffer:
             raise ValueError("not enough transitions to sample a batch")
         scaled = self._priorities[:n] ** alpha
         probs = scaled / scaled.sum()
-        indices = rng.choice(n, size=batch_size, replace=True, p=probs)
+        running = list(itertools.accumulate(probs.tolist()))
+        ends = [total / running[-1] for total in running]
+        indices = np.array([bisect.bisect_right(ends, rng.random()) for _ in range(batch_size)])
         weights = (n * probs[indices]) ** (-beta)
         weights = weights / weights.max()
         return indices, [self._data[i] for i in indices], weights
@@ -530,7 +537,7 @@ class ReferenceLearner:
 
     def __init__(self, config, state_dim, num_actions, seed=0):
         self.config = config
-        self.rng = np.random.default_rng(seed)
+        self.rng = random.Random(seed)
         self.net = ReferenceQNetwork(state_dim, num_actions, (64, 64), self.rng)
         self.target = self.net.clone()
         self.buffer = ReferenceReplayBuffer(config.buffer_capacity)

@@ -1,8 +1,19 @@
 """The DQN learner: analytic gradients and bit-exact training."""
 
-import numpy as np
+import random
 
-from autoplan.agent import AgentConfig, DqnAgent, QNetwork, Transition
+import numpy as np
+import pytest
+
+from autoplan.agent import (
+    PER_ALPHA,
+    PER_BETA,
+    AgentConfig,
+    DqnAgent,
+    PrioritizedReplayBuffer,
+    QNetwork,
+    Transition,
+)
 
 from helpers import ReferenceLearner
 
@@ -27,7 +38,7 @@ def random_transition(rng: np.random.Generator, state_dim: int, num_actions: int
 
 def test_backward_matches_central_differences():
     rng = np.random.default_rng(11)
-    net = QNetwork(5, 3, (4, 3), rng)
+    net = QNetwork(5, 3, (4, 3), random.Random(11))
     states = rng.normal(size=(6, 5))
     upstream = rng.normal(size=(6, 3))
 
@@ -85,3 +96,35 @@ def test_default_trunk_stays_small_on_a_wide_state():
     # 6,667 inputs is the opp state of a 10,001-node MLP; a (256, 256) trunk holds 1,773,571
     agent = DqnAgent(AgentConfig(), 6667, 2)
     assert agent.net.flat.size < 500_000
+
+
+@pytest.mark.parametrize("seed", [-5, 2.5])
+def test_agent_refuses_a_seed_that_is_not_a_non_negative_int(seed):
+    # random.Random(-5) would silently seed the stream of Random(5), Random(2.5) that of its hash
+    with pytest.raises(ValueError, match="non-negative int"):
+        DqnAgent(AgentConfig(), 4, 2, seed=seed)
+
+
+@pytest.mark.parametrize("pushes", [30, 67], ids=["filling", "wrapped"])
+def test_replay_draws_filled_slots_in_proportion_to_their_priority(pushes):
+    capacity, batch, rounds = 50, 20, 1000
+    buffer = PrioritizedReplayBuffer(capacity)
+    empty = np.zeros(1)
+    for _ in range(pushes):
+        buffer.push(Transition(empty, 0, 0.0, empty, False, np.ones(1, dtype=bool)))
+    filled = len(buffer)
+    # TD errors spread over three orders of magnitude
+    td_errors = np.geomspace(1e-3, 1.0, filled)
+    buffer.update_priorities(np.arange(filled), td_errors)
+    rng = random.Random(7)
+    counts = np.zeros(capacity, dtype=np.int64)
+    for _ in range(rounds):
+        indices, _, _ = buffer.sample(batch, PER_ALPHA, PER_BETA, rng)
+        assert indices.min() >= 0 and indices.max() < filled
+        np.add.at(counts, indices, 1)
+    assert not counts[filled:].any()
+    scaled = (td_errors + 1e-6) ** PER_ALPHA
+    p = scaled / scaled.sum()
+    draws = batch * rounds
+    spread = 4.0 * np.sqrt(draws * p * (1.0 - p))
+    assert np.all(np.abs(counts[:filled] - draws * p) <= spread)

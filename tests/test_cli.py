@@ -3,6 +3,8 @@
 import csv
 import json
 import math
+import os
+import subprocess
 import sys
 import time
 from itertools import accumulate
@@ -344,9 +346,9 @@ def test_opp_run_searches_on_the_engine_linkage_was_extracted_on(tmp_path, monke
     # self-validation's own
     assert len(builds) == 2
     # 400 linkage triggers, the episodes' steps and self-validation's run
-    assert summary["propagations"] == 912
+    assert summary["propagations"] == 925
     # learn is called only once the buffer holds a batch, so every call updates
-    assert len(learns) == summary["learn_steps"] == 112
+    assert len(learns) == summary["learn_steps"] == 116
 
 
 def test_pp_infer_builds_one_mask_per_decision(tmp_path, monkeypatch):
@@ -404,8 +406,8 @@ ATTENTION_FINETUNED = {"ln1_bias": -1, "ln1_scale": -1, "wk": 1, "wo": 0, "wq": 
     "graph, seed, found_at, reward, partitions, strategy, curve_rows",
     [
         # the backtrace stage undoes replications and finds the best plan
-        ("t5_block", 2, 10, 0.8, 7, T5_FINETUNED, 20),
-        ("attention_block", 17, 10, 0.8, 4, ATTENTION_FINETUNED, 20),
+        ("t5_block", 0, 10, 0.8, 7, T5_FINETUNED, 20),
+        ("attention_block", 15, 10, 0.8, 4, ATTENTION_FINETUNED, 20),
         # partitioning w1 conflicts, so the backtrace stage has nothing to undo
         ("vgg_classifier", 0, 1, 0.2, 0, {"w1": -1}, 10),
     ],
@@ -533,6 +535,37 @@ def test_generated_environment_plans_validate_and_repeat(tmp_path, dist):
     assert main(["--task", "validate", "--plan", str(plan)]) == EXIT_OK
     for name in ("plan.json", "plan_curve.csv"):
         assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
+
+
+def test_no_planning_run_imports_numpy_random(tmp_path):
+    # a fresh interpreter, so that no earlier test has loaded the module
+    graph = tmp_path / "mlp10.json"
+    graph.write_text(json.dumps(mlp_graph_dict(10)))
+    searches = [["--task", "opp", "--graph", str(graph), "--episodes", "4"]]
+    searches += [SEARCH_ARGS[task] for task in ("adp", "pp-train", "pp-infer")]
+    plans = [str(tmp_path / f"plan{i}.json") for i in range(len(searches))]
+    runs = [args + ["--out", plan] for args, plan in zip(searches, plans)]
+    runs += [["--task", "validate", "--plan", plan] for plan in plans]
+    # generating a profile is the one use of numpy's generator
+    generate = ["--task", "pp-infer", "--dist", "normal", "--episodes", "3", "--stages", "4"]
+    generate += ["--topology", "configc", "--out", str(tmp_path / "generated.json")]
+    script = (
+        "import json, sys\n"
+        "from autoplan.cli import main\n"
+        "codes = [main(args) for args in json.loads(sys.argv[1])]\n"
+        "planned = 'numpy.random' in sys.modules\n"
+        "codes.append(main(json.loads(sys.argv[2])))\n"
+        "print(json.dumps([codes, planned, 'numpy.random' in sys.modules]))\n"
+    )
+    paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    done = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(runs), json.dumps(generate)],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
+        capture_output=True, text=True, timeout=300, check=True,
+    )
+    codes, planned, generated = json.loads(done.stdout.splitlines()[-1])
+    assert codes == [EXIT_OK] * (len(runs) + 1)
+    assert (planned, generated) == (False, True)
 
 
 def test_buffer_smaller_than_a_batch_is_config_error(tmp_path):

@@ -16,7 +16,7 @@ from autoplan.envs import (
     infer_search_bands,
 )
 from autoplan.pipecost import proportional_device_count_rows, proportional_device_counts
-from autoplan.topology import load_topology
+from autoplan.topology import DeviceTopology, load_topology
 from autoplan.zoo import GRAPHS, bert48_profile, uniform_chain, vgg_classifier, zoo_graph
 
 from helpers import opp_env
@@ -157,6 +157,16 @@ def test_infer_without_bands_keeps_every_position(config):
     topo = load_topology(config)
     env = PipeInferEnv(build_environment_arrays(bert48_profile()), topo, num_stages=2)
     assert env.num_actions == (GRANULARITY - 1) + (topo.num_devices - 1)
+
+
+def test_infer_refuses_more_stages_than_the_grid_separates():
+    arrays, topo = build_environment_arrays(bert48_profile()), DeviceTopology(20, 8)
+    # 128 stages take all 127 boundaries of the grid
+    env = PipeInferEnv(arrays, topo, num_stages=GRANULARITY)
+    env.reset()
+    assert env.action_mask().any() and not env.done
+    with pytest.raises(ValueError, match="grid boundaries"):
+        PipeInferEnv(arrays, topo, num_stages=GRANULARITY + 1)
 
 
 @pytest.mark.parametrize("radius", [0, 3, None], ids=["radius0", "radius3", "no-bands"])
