@@ -2,14 +2,14 @@
 
 Wires graphs, topologies, environments and the DQN agent into runnable
 searches: one episode loop (``train``) and one runner serve all four search
-tasks, with a ``SearchTask`` entry per task.  Each run emits the best plan
-as JSON (byte-identical for identical config and seed on one Python version;
-``autoplan.agent`` says which of its random draws other versions may
-change), an incrementally flushed training-curve CSV (episode, mean loss of
-the episode's updates, total score, epsilon), and a run summary JSON: the
-effective defaults, the best reward, the episode that found it
-(``found_at_episode``), the wall time from the start of training to that
-episode (``time_to_best_s``),
+tasks, with a ``SearchTask`` entry per task; the env ranks the episodes
+(``env.rank``).  Each run emits the best plan as JSON (byte-identical for
+identical config and seed on one Python version; ``autoplan.agent`` says
+which of its random draws other versions may change), an incrementally
+flushed training-curve CSV (episode, mean loss of the episode's updates,
+total score, epsilon), and a run summary JSON: the effective defaults, the
+best reward, the episode that found it (``found_at_episode``), the wall
+time from the start of training to that episode (``time_to_best_s``),
 ``final_epsilon``, ``learn_steps``, and ``phase_s``, the seconds spent
 loading inputs, building the env (linkage included), training, fine-tuning
 (0 without ``--finetune``) and self-validating.
@@ -19,8 +19,9 @@ runs the search made (linkage extraction, env steps and self-validation),
 included).  An opp run builds two propagation engines: one that linkage
 extraction and the env share, and self-validation's own; sharing the first
 changes no count in ``propagations``.  Pipeline searches report the
-``length_terms`` of the plan, the per-stage terms its length adds up from;
-they stay out of the plan JSON, whose fields are those of earlier plans.
+``length_terms`` of the plan, the per-stage terms its length adds up from
+on the env's ``cost_topology`` (normalized for pp-infer); they stay out of
+the plan JSON, whose fields are those of earlier plans.
 ``--log`` writes one JSON line per episode: its outcome and, per step, a
 digest of the state, the action and the reward.  An action is an index into
 the env's actions; for pp-infer those are only the positions its bands
@@ -75,6 +76,7 @@ from autoplan.envs import (
     AdpEnv,
     OppEnv,
     PartitionSearchEnv,
+    PickEnv,
     PipeInferEnv,
     PipeTrainEnv,
     adp_candidates,
@@ -97,7 +99,7 @@ from autoplan.zoo import GRAPHS, PROFILES, zoo_graph, zoo_profile
 
 logger = logging.getLogger(__name__)
 
-SearchEnv = PartitionSearchEnv | PipeTrainEnv | PipeInferEnv
+SearchEnv = PartitionSearchEnv | PickEnv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -213,7 +215,6 @@ def train(
     env: SearchEnv,
     agent: DqnAgent,
     episodes: int,
-    rank: Callable[[dict, float], tuple | float | None],
     curve: CurveWriter,
     trace: TraceWriter | None = None,
     reset: Callable[[], np.ndarray] | None = None,
@@ -221,9 +222,9 @@ def train(
 ) -> Best | None:
     """Run decision episodes on one environment and return the best one.
 
-    ``rank(terminal_info, total_reward)`` gives an episode's key, or None when
-    its plan is unusable; a strictly greater key replaces the incumbent, so
-    the first-found plan wins a tie.  ``reset`` (default ``env.reset``) starts
+    ``env.rank(terminal_info, total_reward)`` gives an episode's key, or None
+    when its plan is unusable; a strictly greater key replaces the incumbent,
+    so the first-found plan wins a tie.  ``reset`` (default ``env.reset``) starts
     each episode; training stops early if it leaves nothing to decide.
     """
     reset = reset or env.reset
@@ -254,7 +255,7 @@ def train(
             total += result.reward
             info = result.info
             state = result.next_state
-        key = rank(info, total)
+        key = env.rank(info, total)
         if key is not None and (best is None or key > best.key):
             best = Best(key, info, total, ep, time.monotonic())
         mean_loss = sum(losses) / len(losses) if losses else None
@@ -395,6 +396,8 @@ def validate_payload(
         if arrays is None or topo is None:
             return False, "inference validation needs the profile and topology"
         pivots = tuple(payload["boundaries"])
+        if len(pivots) > GRANULARITY - 1:
+            return False, f"more boundaries than the {GRANULARITY - 1} of the {GRANULARITY}-point grid"
     # planning refuses a single stage, so a plan cannot have one
     if not 1 <= len(pivots) < topo.num_devices:
         return False, f"{cut_field} must give 2..{topo.num_devices} stages"
@@ -403,8 +406,7 @@ def validate_payload(
     else:
         env = PipeInferEnv(arrays, topo, num_stages=len(pivots) + 1)
         metrics = env.decode_metrics(pivots)
-        # inference plans are costed on the normalized topology
-        topo = env.topo_norm
+        topo = env.cost_topology
     plan = PipelinePlan(pivots, tuple(payload["device_cuts"]), **sizes)
     length = pipeline_length(plan, metrics, topo)
     recorded = payload.get("pipeline_length_s")
@@ -463,16 +465,6 @@ def _pp_infer_env(cfg: RunConfig, inputs: dict) -> SearchEnv:
     )
 
 
-def _complete_rank(info: dict, total: float) -> tuple[int, float] | None:
-    """Conflict-free strategies, by partition count and then episode reward."""
-    return None if info.get("conflict", False) else (info["partition_count"], total)
-
-
-def _feasible_rank(info: dict, total: float) -> float | None:
-    """Memory-feasible pipelines, shortest first."""
-    return -info["pipeline_length"] if info.get("memory_feasible", True) else None
-
-
 def _partition_payload(cfg: RunConfig, inputs: dict, best: Best) -> dict:
     return {
         "finetune": cfg.finetune,
@@ -521,7 +513,6 @@ class SearchTask:
     inputs: tuple[str, ...]
     # builds the env from the config and inputs
     env: Callable[[RunConfig, dict], SearchEnv]
-    rank: Callable[[dict, float], tuple | float | None]
     # plan fields beyond task, graph, seed and episodes
     payload: Callable[[RunConfig, dict, Best], dict]
     # (summary field, terminal info key) of the plan's headline figure
@@ -529,8 +520,6 @@ class SearchTask:
     wanted: str  # what a usable plan is, for the error message
     # the RunConfig fields the task reads, each with its value when unset
     defaults: Mapping[str, object]
-    # the topology a pipeline plan is costed on, for its length_terms summary
-    cost_topology: Callable[[SearchEnv], DeviceTopology] | None = None
 
 
 # the flags every search reads; AgentConfig fields no task sets keep AgentConfig's
@@ -543,29 +532,27 @@ _PIPE_FLAGS = {
 
 SEARCH_TASKS: dict[str, SearchTask] = {
     "opp": SearchTask(
-        ("graph",), _opp_env, _complete_rank, _partition_payload,
+        ("graph",), _opp_env, _partition_payload,
         ("best_partitions", "partition_count"), "conflict-free strategy",
         {**_PARTITION_FLAGS, "out": "opp_plan.json", "episodes": 2000},
     ),
     "adp": SearchTask(
-        ("graph",), _adp_env, _complete_rank, _partition_payload,
+        ("graph",), _adp_env, _partition_payload,
         ("best_partitions", "partition_count"), "conflict-free strategy",
         {**_PARTITION_FLAGS, "out": "adp_plan.json", "episodes": 500, "epsilon_decay_iters": 500},
     ),
     "pp-train": SearchTask(
-        ("graph", "topo"), _pp_train_env, _feasible_rank, _pp_train_payload,
+        ("graph", "topo"), _pp_train_env, _pp_train_payload,
         ("pipeline_length_s", "pipeline_length"), "memory-feasible plan",
         {**_PIPE_FLAGS, "out": "pp_train_plan.json", "episodes": 500, "mem_per_device": None},
-        lambda env: env.topo,
     ),
     "pp-infer": SearchTask(
-        ("arrays", "topo"), _pp_infer_env, _feasible_rank, _pp_infer_payload,
+        ("arrays", "topo"), _pp_infer_env, _pp_infer_payload,
         ("pipeline_length_s", "pipeline_length"), "plan",
         {
             **_PIPE_FLAGS, "out": "pp_infer_plan.json", "episodes": 50, "micro_batches": 1,
             "dist": "uniform",
         },
-        lambda env: env.topo_norm,
     ),
 }
 
@@ -615,11 +602,11 @@ def _run_search(cfg: RunConfig) -> int:
     trace = TraceWriter(cfg.log) if cfg.log else None
     started = time.monotonic()
     try:
-        best = train(env, agent, cfg.episodes, task.rank, curve, trace)
+        best = train(env, agent, cfg.episodes, curve, trace)
         clock = _lap(phases, "train", started)
         if best is not None and cfg.finetune:
             stage2 = train(
-                env, agent, cfg.episodes, task.rank, curve, trace,
+                env, agent, cfg.episodes, curve, trace,
                 reset=lambda: env.finetune_reset(best.info["strategy"]),
                 episode_offset=cfg.episodes,
             )
@@ -661,11 +648,11 @@ def _run_search(cfg: RunConfig) -> int:
         field: best.info[key],
         "phase_s": phases,
     }
-    if task.cost_topology is not None:
+    if isinstance(env, PickEnv):
         summary["length_terms"] = length_breakdown(
-            best.info["plan"], best.info["metrics"], task.cost_topology(env)
+            best.info["plan"], best.info["metrics"], env.cost_topology
         )
-    if isinstance(env, PartitionSearchEnv):
+    else:
         # linkage extraction, env steps and self-validation alike
         summary["propagations"] = propagation_runs() - runs_before
         summary["conflicts"] = env.conflicts
@@ -753,7 +740,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--graph", help="graph/profile file or bundled name")
     parser.add_argument("--topology", help="preset or JSON file; unset: the plan's, else configa")
     parser.add_argument("--stages", type=int, help="pipeline stage count K")
-    parser.add_argument("--radius", type=_NATURAL, help="search pruning radius")
+    parser.add_argument(
+        "--radius", type=_NATURAL,
+        help="pruning radius R: pp-train's device cuts lie within R devices of a server boundary, "
+        "pp-infer's boundaries within R grid points of their band centres; radius 3's best pp-train "
+        "plan on uniform_chain(128), configc, is 1.20x/1.25x/1.24x radius 31's at K=2/3/4",
+    )
     parser.add_argument("--micro-batches", type=_COUNT, help="per global batch")
     parser.add_argument(
         "--micro-batch-size", type=_COUNT,

@@ -16,15 +16,15 @@ Four Markov decision processes with a shared ``reset`` / ``step`` /
 
 The two pipeline envs run on one pick loop, ``PickEnv``: phases of K-1
 strictly increasing picks each, every pick past the phase's previous one
-and leaving room for the picks still owed, and the one-hot of the picked
-actions as the state.  They differ only in their phases, their bands and
-their terminal outcome.
+and leaving room for the picks still owed; the one-hot of the picked
+actions as the state; and one terminal costing, on ``cost_topology``.
+They differ only in their phases, their bands and how the picks make a plan.
 
 The ``info`` of an episode's last step describes its outcome: ``conflict``
 (with ``conflict_site``, the name of the instruction that met it), or
 ``partition_count`` and ``strategy`` for the partition envs; ``plan``,
-``metrics`` and ``pipeline_length`` (plus ``memory_feasible`` on
-``PipeTrainEnv``) for the pipeline envs.  Callers rank episodes by it.
+``metrics``, ``pipeline_length`` and ``memory_feasible`` for the pipeline
+envs.  Each env ranks its episodes by it, in ``rank(info, total_reward)``.
 A step checks its action against the mask of the current decision and
 hands back the next one as ``StepResult.next_mask``, which ``action_mask``
 also returns until the next step.  Masks are read-only: a pipeline env
@@ -246,6 +246,10 @@ class PartitionSearchEnv:
         """The current decision's mask, read-only."""
         return _NONE if self._done else _BOTH
 
+    def rank(self, info: dict, total: float) -> tuple[int, float] | None:
+        """Conflict-free strategies, by partition count and then episode reward."""
+        return None if info["conflict"] else (info["partition_count"], total)
+
     # -- introspection ----------------------------------------------------
 
     @property
@@ -352,8 +356,9 @@ class PickEnv:
     past the phase's previous pick, leaves room for the picks the phase
     still owes, and is one of the positions ``bands[i]`` allows for pick
     ``i`` of the episode; ``bands`` has one row per pick and one column per
-    position.  The episode ends with the last pick of the last phase, and a
-    subclass gives its terminal reward and ``info`` (``_outcome``).
+    position.  The episode ends with the last pick of the last phase: its
+    plan (``_plan``) earns 1/L for its length L on ``cost_topology``, or
+    -1/sqrt(L) if it does not fit in memory (``_fits``).
 
     The actions are the positions some band allows, in position order:
     action ``i`` picks position ``_actions[i]``, and ``_picks`` holds
@@ -364,6 +369,8 @@ class PickEnv:
     problem, so the cost of any plan is a function of its picks, and the
     picks alone form a complete Markov state; the reward carries the costs.
     """
+
+    cost_topology: DeviceTopology  # set by the subclass
 
     def __init__(self, num_stages: int, phases: Sequence[tuple[int, int]], bands: np.ndarray):
         self.num_stages = num_stages
@@ -417,7 +424,22 @@ class PickEnv:
         return StepResult(self._picked.copy(), reward, self._done, self._mask, info)
 
     def _outcome(self) -> tuple[float, dict]:
+        plan, metrics = self._plan()
+        length = max(pipeline_length(plan, metrics, self.cost_topology), _MIN_LENGTH)
+        feasible = self._fits(plan, metrics)
+        reward = 1.0 / length if feasible else -1.0 / math.sqrt(length)
+        info = {"pipeline_length": length, "memory_feasible": feasible, "plan": plan, "metrics": metrics}
+        return reward, info
+
+    def _plan(self) -> tuple[PipelinePlan, list[StageMetrics]]:
         raise NotImplementedError
+
+    def _fits(self, plan: PipelinePlan, metrics: Sequence[StageMetrics]) -> bool:
+        return True
+
+    def rank(self, info: dict, total: float) -> float | None:
+        """Memory-feasible pipelines, shortest first."""
+        return -info["pipeline_length"] if info["memory_feasible"] else None
 
 
 class PipeTrainEnv(PickEnv):
@@ -425,8 +447,8 @@ class PipeTrainEnv(PickEnv):
 
     One phase over the pruned candidate list: an episode picks K-1 pivots
     in increasing forward order, and every candidate is an action.  Device
-    counts follow from proportional allocation of stage compute.  The
-    terminal reward is 1/L for a memory-feasible plan, else -1/sqrt(L).
+    counts follow from proportional allocation of stage compute, and a plan
+    fits when every device holds its share within ``mem_per_device``.
     Backward compute is ``backward_multiplier`` (2) times forward compute.
     The state is ``PickEnv``'s, one entry per candidate; it carries no
     stage costs, since the graph and topology of a run never change.
@@ -443,7 +465,7 @@ class PipeTrainEnv(PickEnv):
         mem_per_device: float | None = None,
     ):
         self.graph = graph
-        self.topo = topo
+        self.topo = self.cost_topology = topo
         self.micro_batches = micro_batches
         self.micro_batch_size = micro_batch_size
         self.mem_per_device = mem_per_device
@@ -453,23 +475,15 @@ class PipeTrainEnv(PickEnv):
         n = len(self.candidates)
         super().__init__(num_stages, [(0, n)], np.ones((num_stages - 1, n), dtype=bool))
 
-    def _outcome(self) -> tuple[float, dict]:
+    def _plan(self) -> tuple[PipelinePlan, list[StageMetrics]]:
         pivots = tuple(self.candidates[i] for i in self._picks)
         metrics = self.table.stage_metrics(pivots, self.backward_multiplier)
         cuts = proportional_device_cuts(metrics, self.topo)
-        plan = PipelinePlan(pivots, cuts, self.micro_batches, self.micro_batch_size)
-        length = max(pipeline_length(plan, metrics, self.topo), _MIN_LENGTH)
-        feasible = self.mem_per_device is None or memory_feasible(
-            plan, metrics, self.topo, self.mem_per_device
-        )
-        reward = 1.0 / length if feasible else -1.0 / math.sqrt(length)
-        info = {
-            "pipeline_length": length,
-            "memory_feasible": feasible,
-            "plan": plan,
-            "metrics": metrics,
-        }
-        return reward, info
+        return PipelinePlan(pivots, cuts, self.micro_batches, self.micro_batch_size), metrics
+
+    def _fits(self, plan: PipelinePlan, metrics: Sequence[StageMetrics]) -> bool:
+        budget = self.mem_per_device
+        return budget is None or memory_feasible(plan, metrics, self.topo, budget)
 
 
 def infer_search_bands(
@@ -532,9 +546,8 @@ class PipeInferEnv(PickEnv):
     its slot's band when bands are given.  The actions are the positions
     some band allows, so the bands prune the agent's network and not just
     its choices: 24 of 158 on ``bert48_profile`` (K=4, configc, radius 3).
-    Without bands every position is an action.  The terminal reward is 1/L
-    where L is the pipeline length of the decoded plan on the normalized
-    topology.
+    Without bands every position is an action.  Every plan fits, and its
+    length is costed on the normalized topology, ``topo_norm``.
 
     The state is ``PickEnv``'s, one entry per action.  The profile (C*, A*,
     W*) and the bandwidth matrix are not inputs: a run plans on one fixed
@@ -573,7 +586,7 @@ class PipeInferEnv(PickEnv):
             raise ValueError("need one device-cut set per pick")
         self.arrays = arrays
         self.topo = topo
-        self.topo_norm = topo.normalized()
+        self.topo_norm = self.cost_topology = topo.normalized()
         self.micro_batches = micro_batches
         self.micro_batch_size = micro_batch_size
         d = topo.num_devices
@@ -589,20 +602,12 @@ class PipeInferEnv(PickEnv):
         phases = [(0, GRANULARITY - 1), (GRANULARITY - 1, d - 1)]
         super().__init__(num_stages, phases, bands)
 
-    def _plan_picks(self) -> tuple[list[int], list[int]]:
-        """The boundaries and device cuts picked so far."""
+    def _plan(self) -> tuple[PipelinePlan, list[StageMetrics]]:
         picks = self.num_stages - 1
-        boundaries = [a + 1 for a in self._picks[:picks]]
-        return boundaries, [a - (GRANULARITY - 2) for a in self._picks[picks:]]
-
-    def _outcome(self) -> tuple[float, dict]:
-        boundaries, cuts = self._plan_picks()
+        boundaries = tuple(a + 1 for a in self._picks[:picks])
+        cuts = tuple(a - (GRANULARITY - 2) for a in self._picks[picks:])
         metrics = self.decode_metrics(boundaries)
-        plan = PipelinePlan(
-            tuple(boundaries), tuple(cuts), self.micro_batches, self.micro_batch_size
-        )
-        length = max(pipeline_length(plan, metrics, self.topo_norm), _MIN_LENGTH)
-        return 1.0 / length, {"pipeline_length": length, "plan": plan, "metrics": metrics}
+        return PipelinePlan(boundaries, cuts, self.micro_batches, self.micro_batch_size), metrics
 
     def decode_metrics(self, boundaries: Sequence[int]) -> list[StageMetrics]:
         """Per-stage costs implied by the boundaries on the coarsened arrays.

@@ -84,6 +84,8 @@ TRAIN_PLAN = {
     "micro_batches": 4, "micro_batch_size": 16, "pipeline_length_s": 0.04425024576,
 }
 DROP = object()
+# a 160-device topology file, which admits more stages than the 128-point grid separates
+WIDE = object()
 
 
 @pytest.mark.parametrize(
@@ -121,6 +123,12 @@ DROP = object()
         # an inference pipeline has 2..32 stages on configc
         (INFER_PLAN, {"boundaries": [], "device_cuts": []}, EXIT_INFEASIBLE),
         (INFER_PLAN, {"boundaries": list(range(1, 34)), "device_cuts": list(range(1, 34))}, EXIT_INFEASIBLE),
+        # the grid has 127 boundaries, however many devices there are
+        (
+            INFER_PLAN,
+            {"topology": WIDE, "boundaries": list(range(1, 130)), "device_cuts": list(range(1, 130))},
+            EXIT_INFEASIBLE,
+        ),
         # --stages 1 refuses to plan, so a one-stage training plan is not valid
         (TRAIN_PLAN, {"pivots": [], "device_cuts": [], "pipeline_length_s": 0.024}, EXIT_INFEASIBLE),
         # a length NaN or infinite matches nothing, and a missing one is no length
@@ -136,13 +144,17 @@ DROP = object()
         "infer-micro-batches-str", "infer-micro-batches-bool", "infer-micro-batch-size-0",
         "train-micro-batches-str", "train-micro-batches-0", "train-micro-batch-size-float",
         "train-micro-batch-size-negative", "train-default-sizes", "infer-default-sizes",
-        "infer-no-cuts", "infer-34-stages", "train-one-stage", "infer-length-nan", "infer-length-inf",
-        "infer-no-length",
+        "infer-no-cuts", "infer-34-stages", "infer-130-stages", "train-one-stage", "infer-length-nan",
+        "infer-length-inf", "infer-no-length",
     ],
 )
 def test_pipeline_plan_on_bundled_inputs(tmp_path, base, change, status):
     payload = {**base, **change}
     payload = {key: value for key, value in payload.items() if value is not DROP}
+    if payload["topology"] is WIDE:
+        wide = tmp_path / "wide.json"
+        wide.write_text('{"servers": 20, "gpus_per_server": 8}')
+        payload["topology"] = str(wide)
     assert _validate(tmp_path, payload) == status
 
 

@@ -1,7 +1,8 @@
 """Environment states and terminal infos, and the traces the CLI writes from them."""
 
 import json
-from math import comb
+from itertools import repeat
+from math import comb, sqrt
 
 import numpy as np
 import pytest
@@ -10,14 +11,19 @@ from autoplan.cli import EXIT_OK, main
 from autoplan.dataproc import GRANULARITY, build_environment_arrays, generate_environment
 from autoplan.envs import (
     ACTION_PARTITION,
+    ACTION_REPLICATE,
     EpisodeError,
     PipeInferEnv,
     PipeTrainEnv,
     infer_search_bands,
 )
-from autoplan.pipecost import proportional_device_count_rows, proportional_device_counts
+from autoplan.pipecost import (
+    pipeline_length,
+    proportional_device_count_rows,
+    proportional_device_counts,
+)
 from autoplan.topology import DeviceTopology, load_topology
-from autoplan.zoo import GRAPHS, bert48_profile, uniform_chain, vgg_classifier, zoo_graph
+from autoplan.zoo import GRAPHS, bert48_profile, t5_block, uniform_chain, vgg_classifier, zoo_graph
 
 from helpers import opp_env
 
@@ -316,3 +322,70 @@ def test_device_count_rows_match_the_scalar_counts():
         counts = proportional_device_count_rows(rows, devices)
         expected = [proportional_device_counts(row, devices) for row in rows.tolist()]
         assert counts.tolist() == expected
+
+
+# -- how an env scores and ranks its episodes ---------------------------------
+
+PIPE_INFO_KEYS = {"pipeline_length", "memory_feasible", "plan", "metrics"}
+
+
+def _episode(env, actions):
+    """One episode, stepped through the actions until it ends; returns its
+    total reward and terminal info."""
+    env.reset()
+    total = 0.0
+    for action in actions:
+        result = env.step(action)
+        total += result.reward
+        if result.done:
+            return total, result.info
+    raise AssertionError("the actions ran out before the episode ended")
+
+
+def test_partition_rank_puts_more_partitions_first():
+    env = opp_env(t5_block())
+    ranks = {}
+    for action in (ACTION_PARTITION, ACTION_REPLICATE):
+        total, info = _episode(env, repeat(action))
+        assert not info["conflict"]
+        ranks[action] = env.rank(info, total)
+        assert ranks[action] == (info["partition_count"], total)
+    assert ranks[ACTION_PARTITION] > ranks[ACTION_REPLICATE]
+    # the partition count comes before the reward
+    one, none = ({"conflict": False, "partition_count": n} for n in (1, 0))
+    assert env.rank(one, 0.1) > env.rank(none, 9.9)
+
+
+def test_partition_rank_refuses_a_conflict():
+    env = opp_env(vgg_classifier())
+    total, info = _episode(env, repeat(ACTION_PARTITION))
+    assert info["conflict"] and env.rank(info, total) is None
+
+
+def test_train_ranks_the_plans_that_fit_by_length():
+    # 1 kB per device: some plans of the chain fit and some do not
+    env = PipeTrainEnv(uniform_chain(), load_topology("configc"), 4, mem_per_device=1e3)
+    assert env.cost_topology is env.topo
+    total, info = _episode(env, [0, 1, 2])
+    assert set(info) == PIPE_INFO_KEYS and not info["memory_feasible"]
+    assert total == -1.0 / sqrt(info["pipeline_length"])
+    assert env.rank(info, total) is None
+    ranks = []
+    for actions in ([0, 5, 12], [1, 6, 12]):
+        total, info = _episode(env, actions)
+        assert info["memory_feasible"] and total == 1.0 / info["pipeline_length"]
+        ranks.append(env.rank(info, total))
+        assert ranks[-1] == -info["pipeline_length"]
+    # the shorter plan ranks higher
+    assert ranks[1] > ranks[0]
+
+
+def test_infer_plans_fit_and_are_costed_on_the_normalized_topology():
+    topo = load_topology("configc")
+    env = _infer_env(build_environment_arrays(bert48_profile()))
+    assert env.cost_topology == topo.normalized() == env.topo_norm
+    total, info = _episode(env, _actions())
+    assert set(info) == PIPE_INFO_KEYS and info["memory_feasible"]
+    length = pipeline_length(info["plan"], info["metrics"], topo.normalized())
+    assert info["pipeline_length"] == length and total == 1.0 / length
+    assert env.rank(info, total) == -length
