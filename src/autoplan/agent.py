@@ -38,11 +38,12 @@ next update.  The exploration rate counts every observed transition, not
 updates or free decisions: it is the rate the schedule would reach with one
 update per transition, so thinning the updates leaves exploration as it
 was.  Learning is still the largest part of a planning run, against four
-fifths or more with an update per decision: 0.54 of the traced
-``opp-mlp100`` benchmark workload and 0.53 of ``pptrain-chain128``, whose
-env steps no longer cost stage plans, and 0.38 of ``ppinfer-bert48``,
+fifths or more with an update per decision: 0.58 of the traced
+``opp-mlp100`` benchmark workload and 0.59 of ``pptrain-chain128``, whose
+env steps no longer cost stage plans, and 0.46 of ``ppinfer-bert48``,
 whose head scores only the 24 actions its bands allow (see
-``autoplan.envs.PickEnv``; seed 0, 2 vCPUs).  The trunk is (64, 64) for
+``autoplan.envs.PickEnv``; ``share.agent_learn``, median of 7 traced runs
+at seed 0, 2 vCPUs).  The trunk is (64, 64) for
 every task: at batch 64 and 2 actions one learn takes 0.66, 3.0 and
 9.1 ms at 201, 2,001 and 6,667 inputs, against 3.9, 16 and 56 ms at (256, 256) (2 vCPUs,
 OpenBLAS with 2 threads).  Over ten seeds per benchmark workload the median plan quality of

@@ -194,6 +194,10 @@ def _load_profile_csv(path: str) -> ProfileArrays:
                 raise ProfileError(f"{path} is missing columns {sorted(missing)}")
             names, c, a, w = [], [], [], []
             for row in reader:
+                # DictReader fills the fields a short row lacks with None, and
+                # keys the surplus of a long row by None
+                if None in row or None in row.values():
+                    raise ProfileError(f"{path} line {reader.line_num} does not match its header")
                 if "name" in fields:
                     names.append(row[fields["name"]])
                 c.append(float(row[fields["c"]]))

@@ -115,12 +115,12 @@ class PartitionSearchEnv:
     ``info`` names the instruction that met it in ``conflict_site``;
     ``conflicts`` counts the episodes that ended so.
 
-    A step costs what its seed touches, not the candidate count: the dims
-    it settles are read off the tensors the propagation changed, and the
-    count of undecided candidates and the state vector are updated as dims
-    settle.  The first step of an episode also settles the dims its start
-    state had already decided (the base state's, or the propagated ones
-    after ``finetune_reset``), as a scan of every undecided dim would.
+    A step costs what its seed touches, not the candidate count: the
+    engine's ``settled`` reads the dims it settles off the tensors the
+    propagation changed, and the state vector is updated as dims settle.
+    The first step of an episode also settles the dims its start state had
+    already decided (``base_settled``, or the propagated ones after
+    ``finetune_reset``), as a scan of every undecided dim would.
     """
 
     def __init__(self, engine: PropagationEngine, order: Sequence[DimIndex]):
@@ -136,12 +136,12 @@ class PartitionSearchEnv:
         self._feasibility: dict[DimIndex, bool] = {}
         self._rows: dict[int, list[int]] = {}  # the engine's state of the episode
         self._seeds: dict[DimIndex, DimStatus] = {}
-        self._decided: dict[DimIndex, DimStatus] = {}
+        self._decided: dict[int, DimStatus] = {}  # keyed by position in dims
         # _decided as a state vector, without the position entry
         self._vec = np.full(self.state_dim, float(DimStatus.UNDECIDED))
-        # dims decided in _rows but not yet in _decided; the next step settles them
-        self._pending: list[DimIndex] = []
-        self._open = 0  # the candidate dims undecided in _rows
+        # (position, status) of the dims decided in _rows but not yet in
+        # _decided; the next step settles them
+        self._pending: list[tuple[int, DimStatus]] = []
         self._cursor = 0  # every dim in order[:_cursor] is decided
         self._done = True
         self._position: DimIndex | None = None
@@ -150,7 +150,7 @@ class PartitionSearchEnv:
 
     def reset(self) -> np.ndarray:
         self._rows = self.engine.base()
-        self._start({}, [self.dims[i] for i in self.engine.base_decided])
+        self._start({}, [*self.engine.base_settled.items()])
         self._done = False
         return self._state()
 
@@ -175,19 +175,20 @@ class PartitionSearchEnv:
         if result.outcome is Outcome.CONFLICT:
             raise ValueError("finetune needs a conflict-free strategy")
         self._rows = result.rows
-        self._start(seeds, [d for d, _ in result.newly_decided])
+        self._start(seeds, [(d.flat_index, status) for d, status in result.newly_decided])
         self._done = self._position is None
         return self._state()
 
-    def _start(self, seeds: dict[DimIndex, DimStatus], pending: list[DimIndex]) -> None:
+    def _start(
+        self, seeds: dict[DimIndex, DimStatus], pending: list[tuple[int, DimStatus]]
+    ) -> None:
         """Begin an episode on ``_rows``, which decide the seeds and ``pending``."""
         self._seeds = seeds
-        self._decided = dict(seeds)
+        self._decided = {d.flat_index: status for d, status in seeds.items()}
         self._vec.fill(float(DimStatus.UNDECIDED))
-        for d, status in seeds.items():
-            self._vec[d.flat_index] = float(status)
+        for i, status in self._decided.items():
+            self._vec[i] = float(status)
         self._pending = pending
-        self._open = len(self.dims) - len(seeds) - len(pending)
         self._cursor = 0
         self._position = self._next_position()
 
@@ -210,30 +211,21 @@ class PartitionSearchEnv:
 
         self._seeds[dim] = status
         # a dim this step settles is pending or sits in a tensor it changed
-        dims, decided = self.dims, self._decided
-        newly = {
-            d
-            for t in changed
-            for d in map(dims.__getitem__, self.engine.by_tensor.get(t, ()))
-            if d not in decided and rows[t][d.dim] != DimStatus.UNDECIDED
-        }
-        newly.update(self._pending)
-        self._open -= len(newly) - len(self._pending)
-        self._pending = []
+        decided = self._decided
+        newly = self.engine.settled(rows, changed, decided)
+        if self._pending:
+            # a changed tensor repeats the pending dims it holds
+            newly = sorted({*self._pending, *newly})
+            self._pending = []
         partitioned = 0
-        for d in sorted(newly, key=lambda d: d.flat_index):
-            value = DimStatus(rows[d.instruction_id][d.dim])
-            decided[d] = value
-            self._vec[d.flat_index] = float(value)
+        for i, value in newly:
+            decided[i] = value
+            self._vec[i] = float(value)
             partitioned += value == DimStatus.PARTITIONED
         replicated = len(newly) - partitioned
         reward = 0.4 * partitioned + 0.1 * replicated
-        info = {
-            "conflict": False,
-            "newly_partitioned": partitioned,
-            "newly_replicated": replicated,
-        }
-        if self._open == 0:
+        info = {"conflict": False}
+        if len(decided) == len(self.dims):
             self._done = True
             self._position = None
             info["partition_count"] = self.partition_count
@@ -258,7 +250,7 @@ class PartitionSearchEnv:
 
     @property
     def decided(self) -> dict[DimIndex, DimStatus]:
-        return dict(self._decided)
+        return {self.dims[i]: status for i, status in self._decided.items()}
 
     @property
     def seeds(self) -> dict[DimIndex, DimStatus]:
@@ -272,7 +264,7 @@ class PartitionSearchEnv:
         """The completed assignment of every candidate dim."""
         if not self._done or len(self._decided) != len(self.dims):
             raise EpisodeError("no completed strategy available")
-        return dict(self._decided)
+        return self.decided
 
     # -- internals --------------------------------------------------------
 
@@ -283,7 +275,7 @@ class PartitionSearchEnv:
         where the previous one stopped.
         """
         order = self.order
-        while self._cursor < len(order) and order[self._cursor] in self._decided:
+        while self._cursor < len(order) and order[self._cursor].flat_index in self._decided:
             self._cursor += 1
         return order[self._cursor] if self._cursor < len(order) else None
 

@@ -261,8 +261,14 @@ class HloGraph:
                 )
             if ins.shape.element_size < 1:
                 raise GraphValidationError(f"{ins.name}: element_size must be >= 1")
+            # the pipeline cost model sums the costs; NaN fails both comparisons
+            if (cost := ins.compute_cost_ms) is not None and not 0.0 <= cost < math.inf:
+                raise GraphValidationError(f"{ins.name}: compute_cost_ms must be finite and >= 0")
             if any(d < 1 for d in ins.shape.dims):
                 raise GraphValidationError(f"{ins.name}: dimension extents must be >= 1")
+            # the cost model prices bytes as floats, exact up to 2**53; far past it they overflow
+            if ins.shape.byte_size > 2**53:
+                raise GraphValidationError(f"{ins.name}: tensor holds more than 2**53 bytes")
             for op_id in ins.operand_ids:
                 if op_id not in self._instructions:
                     raise GraphValidationError(f"{ins.name}: unknown operand id {op_id}")
@@ -392,6 +398,8 @@ def graph_from_dict(data: Mapping) -> HloGraph:
         raise GraphParseError("'instructions' must be an array")
     instructions = []
     for pos, entry in enumerate(raw):
+        if not isinstance(entry, Mapping):
+            raise GraphParseError(f"instruction #{pos} must be an object")
         try:
             shape = TensorShape(
                 dims=tuple(int(d) for d in entry.get("shape", [])),
@@ -409,7 +417,8 @@ def graph_from_dict(data: Mapping) -> HloGraph:
                     compute_cost_ms=None if cost is None else float(cost),
                 )
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        # json reads a number too large for a float as infinity, which int() refuses
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise GraphParseError(f"instruction #{pos} is malformed: {exc}") from exc
     trainables = data.get("trainable_variables", [])
     if not isinstance(trainables, list) or not all(isinstance(t, str) for t in trainables):

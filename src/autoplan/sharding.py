@@ -27,27 +27,29 @@ The rules are monotone implications, so the fixed point of a seed set does
 not depend on the order in which the seeds arrive, and a conflict is found
 whatever the order.  A run therefore starts from an earlier fixed point:
 an engine keeps the fixed point of its pins alone (the base state), every
-run starts from it unless given a later one, and a search seeds one
-decision per step onto the state its previous step left.  Seeding dims one
-at a time decides and classifies exactly as seeding them all at once does.
+``run`` and ``trial`` starts from it, and a search ``advance``s one decision
+per step onto the state its previous step left.  Seeding dims one at a time
+decides and classifies exactly as seeding them all at once does.
 
 ``advance``, the core of every run, hands back the tensors whose rows it
 changed, also when it ends in a conflict, so work proportional to what a
-decision touches can follow it.  A search step reads the dims it settled
-off those tensors.  A trial (linkage extraction, the finetune feasibility
+decision touches can follow it.  One query, ``settled``, reads candidate
+statuses off rows: for a search step, off the tensors its ``advance``
+changed; for a run, ``newly_decided`` is the engine's ``base_settled`` (the
+query over every candidate tensor of the base state) plus the query over
+the changed tensors.  A trial (linkage extraction, the finetune feasibility
 check) seeds onto one working copy of the base state that the engine
 keeps, reads its outcome, then restores just the changed rows from the
 base: no trial copies the whole state.
 
 An opp run builds one engine: linkage extraction runs its trials on it and
 the env then searches on it (self-validation builds its own, so that it
-stays independent of the search).  A trial is one ``run`` and costs its
-propagation plus bookkeeping in the size of what it changed: the seeds are
-looked up among the candidates, which were checked once when the engine
-was built, and ``newly_decided`` joins the dims the base state decides,
-listed once by the first ``base()``, with the dims the base left open in
-the changed tensors.  On the 302-node, 200-dim MLP of the benchmark the
-400 trials take about 7 ms, two thirds of it propagation.
+stays independent of the search).  A trial costs its propagation plus
+bookkeeping in the size of what it changed: the seeds are looked up among
+the candidates, which were checked once when the engine was built, and
+``settled`` meets the changed tensors with the candidate tensors in one
+set intersection.  On the 302-node, 200-dim MLP of the benchmark the 400
+trials take about 7 ms, two thirds of it propagation.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from __future__ import annotations
 from collections import deque
 from functools import partial
 from enum import Enum, IntEnum
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Container, Iterable, Mapping, NamedTuple, Sequence
 
 from autoplan.ir import (
     ELEMENTWISE_BINARY,
@@ -94,10 +96,10 @@ class PropagationResult(NamedTuple):
     a conflict it is the state at the contradiction, and ``conflict_site``
     the instruction whose rule or seed met it.  A trial's result has no
     rows (None): they were restored to the base state.  ``newly_decided``
-    lists the candidate dims decided beyond the seeds themselves, in
-    candidate order; from a later search state than ``base()`` it keeps
-    only those the base state decides or the tensors the run changed hold.
-    A named tuple, since every linkage trial builds one.
+    lists the candidate dims the run decided beyond the seeds themselves,
+    the base state's included, in candidate order: the engine's
+    ``base_settled`` and what ``settled`` reads off the tensors the run
+    changed.  A named tuple, since every linkage trial builds one.
     """
 
     outcome: Outcome
@@ -310,12 +312,14 @@ class PropagationEngine:
     The rule plans are built and indexed by tensor once.  Parameters whose
     dims are not among the candidates are pinned to full replication on
     every run.  ``base()`` keeps the fixed point of those pins (the base
-    state), and every run starts from it or from a later fixed point, so no
-    run re-derives what the pins force; ``trial`` runs from one working copy
-    of it and undoes the rows it changed.
+    state), and every run starts from it, so no run re-derives what the
+    pins force; ``trial`` runs from one working copy of it and undoes the
+    rows it changed.
 
-    ``by_tensor`` maps each candidate tensor to its candidates' positions,
-    and ``base_decided`` lists the positions the base state decides.
+    ``settled`` is the one reader of rows for the candidates' statuses, and
+    ``base_settled``, which the first ``base()`` fills from it, maps the
+    position of every candidate the base state decides to its status, in
+    position order.
     """
 
     def __init__(self, graph: HloGraph, candidates: Sequence[DimIndex]):
@@ -323,9 +327,12 @@ class PropagationEngine:
         self.candidates = list(candidates)
         # the candidates pass a seed's check once, here, and not on every run
         self._positions: dict[tuple[int, int], int] = {}
+        # per candidate tensor, the (position, dim) of its candidates
+        self._by_tensor: dict[int, list[tuple[int, int]]] = {}
         for i, di in enumerate(self.candidates):
             self._check(di)
             self._positions[(di.instruction_id, di.dim)] = i
+            self._by_tensor.setdefault(di.instruction_id, []).append((i, di.dim))
         if len(self._positions) < len(self.candidates):
             raise ValueError("a dim appears twice among the candidates")
         touching: dict[int, list[Plan]] = {}
@@ -347,17 +354,10 @@ class PropagationEngine:
                     touching.setdefault(tid, []).append(plan)
             self._forced.extend(forced)
         self._touching = {tid: tuple(ps) for tid, ps in touching.items()}
-        self.by_tensor: dict[int, list[int]] = {}
-        for i, di in enumerate(self.candidates):
-            self.by_tensor.setdefault(di.instruction_id, []).append(i)
         self._base: Rows | None = None  # never seeded onto
         self._work: Rows | None = None  # the trials' copy of the base state
-        # set by the first base(): the positions the base state decides, with
-        # their newly_decided entries, and per tensor the candidates it leaves
-        # open, with their positions
-        self.base_decided: list[int] = []
-        self._base_newly: list[tuple[int, tuple[DimIndex, DimStatus]]] = []
-        self._base_open: dict[int, list[tuple[int, DimIndex]]] = {}
+        # filled by the first base(); a dict, so that it is a run's ``known`` too
+        self.base_settled: dict[int, DimStatus] = {}
 
     def _check(self, di: DimIndex) -> None:
         """Refuse a seed or candidate dim that the graph does not have."""
@@ -377,13 +377,7 @@ class PropagationEngine:
             # pins hold only replicated statuses, which cannot conflict
             self._base, dirty = self._pinned()
             _drain(self._base, dirty, self._touching, set())
-            for i, di in enumerate(self.candidates):
-                status = self._base[di.instruction_id][di.dim]
-                if status != _U:
-                    self.base_decided.append(i)
-                    self._base_newly.append((i, (di, _STATUS[status])))
-                else:
-                    self._base_open.setdefault(di.instruction_id, []).append((i, di))
+            self.base_settled = dict(self.settled(self._base, self._by_tensor.keys(), ()))
         return {tid: row[:] for tid, row in self._base.items()}
 
     def _pinned(self) -> tuple[Rows, list[int]]:
@@ -400,6 +394,27 @@ class PropagationEngine:
         for tid, dim in self._forced + inputs:
             _set(rows, tid, dim, _R, tid, dirty)
         return rows, dirty
+
+    def settled(
+        self, rows: Rows, tensors: Iterable[int], known: Container[int]
+    ) -> list[tuple[int, DimStatus]]:
+        """The (position, status) of every candidate in ``tensors`` that
+        ``rows`` decides and ``known`` lacks, sorted by position.
+
+        ``tensors`` are instruction ids and ``known`` candidate positions.
+        The tensors meet the candidate tensors in one set intersection, in C.
+        """
+        by_tensor = self._by_tensor
+        entries = []
+        for t in by_tensor.keys() & tensors:
+            row = rows[t]
+            for i, dim in by_tensor[t]:
+                status = row[dim]
+                if status != _U and i not in known:
+                    entries.append((i, _STATUS[status]))
+        # positions are unique, so the sort never compares past them
+        entries.sort()
+        return entries
 
     def advance(
         self, rows: Rows, seeds: Mapping[DimIndex, DimStatus]
@@ -426,72 +441,45 @@ class PropagationEngine:
             return c.site, changed
         return None, changed
 
-    def run(
-        self,
-        seeds: Mapping[DimIndex, DimStatus],
-        start: Rows | None = None,
-        *,
-        restore: bool = False,
-    ) -> PropagationResult:
-        """Propagate ``seeds`` to a fixed point.
+    def run(self, seeds: Mapping[DimIndex, DimStatus], *, restore: bool = False) -> PropagationResult:
+        """Propagate ``seeds`` to a fixed point from a copy of ``base()``.
 
-        The run starts from a copy of ``base()`` unless given a ``start``:
-        a fixed point of this engine that holds the base state, such as the
-        rows of an earlier conflict-free result.  The seeds go onto it in
-        place, so a search can seed one decision per step onto the state the
-        previous step left.  With ``restore`` the rows the run changed are
-        set back to their base values afterwards and the result has no
-        rows; ``trial`` runs so on a ``start`` that is the base state.
+        With ``restore`` the seeds go onto the engine's working copy of the
+        base state instead, the rows the run changed are set back to their
+        base values afterwards, and the result has no rows; ``trial`` runs so.
         """
         if len(seeds) > 1:
             seeds = {di: seeds[di] for di in sorted(seeds, key=lambda d: (d.instruction_id, d.dim))}
-        seeded = []  # the seeds' positions among the candidates
+        seeded = set()  # the seeds' positions among the candidates
         for di in seeds:
             i = self._positions.get((di.instruction_id, di.dim))
             if i is None:
                 self._check(di)
             else:
-                seeded.append(i)
-        rows = self.base() if start is None else start
+                seeded.add(i)
+        if restore and self._work is None:
+            self._work = self.base()
+        rows = self._work if restore else self.base()
         site, changed = self.advance(rows, seeds)
         if site is not None:
             outcome, newly = Outcome.CONFLICT, ()
         else:
-            newly = self._newly_decided(rows, changed, seeded)
-            outcome = Outcome.COMPLETE
-            for _, tid, dim in self.candidates:
-                if rows[tid][dim] == _U:
-                    outcome = Outcome.INCOMPLETE
-                    break
+            # the run moved on from the base state only in the changed tensors
+            entries = self.settled(rows, changed, self.base_settled)
+            if self.base_settled:
+                entries += self.base_settled.items()
+                entries.sort()
+            dims = self.candidates
+            newly = tuple([(dims[i], status) for i, status in entries if i not in seeded])
+            # the seeds and newly_decided are every candidate the rows decide
+            complete = len(seeded) + len(newly) == len(dims)
+            outcome = Outcome.COMPLETE if complete else Outcome.INCOMPLETE
         if restore:
             base = self._base
             for tid in changed:
                 rows[tid][:] = base[tid]
             rows = None
         return PropagationResult(outcome, rows, site, newly)
-
-    def _newly_decided(
-        self, rows: Rows, changed: set[int], seeded: list[int]
-    ) -> tuple[tuple[DimIndex, DimStatus], ...]:
-        """The ``newly_decided`` of a conflict-free run (see ``PropagationResult``).
-
-        The start holds the base state, and only the changed tensors moved
-        on from it, so a dim decided beyond the base is one the base left
-        open in a changed tensor; the base's own come from the list the
-        first ``base()`` built.  ``seeded`` holds the seeds' positions.
-        """
-        opened = self._base_open
-        entries = []
-        for t in opened.keys() & changed:
-            row = rows[t]
-            for i, di in opened[t]:
-                status = row[di.dim]
-                if status != _U and i not in seeded:
-                    entries.append((i, (di, _STATUS[status])))
-        entries += [entry for entry in self._base_newly if entry[0] not in seeded]
-        # positions are unique, so the sort never compares past them
-        entries.sort()
-        return tuple([entry for _, entry in entries])
 
     def trial(self, seeds: Mapping[DimIndex, DimStatus]) -> PropagationResult:
         """``run(seeds)`` without copying the base state.
@@ -501,9 +489,7 @@ class PropagationEngine:
         or not.  The result has the run's outcome, ``conflict_site`` and
         ``newly_decided``, but no rows.
         """
-        if self._work is None:
-            self._work = self.base()
-        return self.run(seeds, start=self._work, restore=True)
+        return self.run(seeds, restore=True)
 
 
 def propagate(

@@ -20,7 +20,7 @@ from autoplan.envs import PipeInferEnv, infer_search_bands
 from autoplan.pipecost import PipelinePlan, length_breakdown, pipeline_length
 from autoplan.sharding import PropagationEngine
 from autoplan.topology import load_topology
-from autoplan.zoo import bert48_profile, t5_block, zoo_graph
+from autoplan.zoo import bert48_profile, t5_block, uniform_chain, zoo_graph
 
 from helpers import linkage_chain_graph
 
@@ -443,6 +443,36 @@ def test_unknown_graph_is_config_error(tmp_path, task):
     assert main(args + ["--out", str(tmp_path / "plan.json")]) == EXIT_CONFIG
 
 
+def _chain_text(field, text):
+    """``uniform_chain(16)`` as JSON, with ``field`` of its fourth op spelled ``text``."""
+    data = uniform_chain(16).to_dict()
+    data["instructions"][3][field] = "@"
+    return json.dumps(data).replace('"@"', text)
+
+
+BAD_GRAPHS = {
+    "non-object-instruction.json": '{"instructions": [5]}',
+    # json reads 1e400 as infinity, which int() refuses
+    "overflowing-element-size.json": _chain_text("element_size", "1e400"),
+    # an int the cost model cannot turn into a float
+    "huge-element-size.json": _chain_text("element_size", "1" + "0" * 400),
+    "nan-cost.json": _chain_text("compute_cost_ms", '"nan"'),
+    "inf-cost.json": _chain_text("compute_cost_ms", '"inf"'),
+    # the env clamps a negative pipeline length that validation recomputes
+    "negative-cost.json": _chain_text("compute_cost_ms", "-50"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_GRAPHS))
+def test_unpriceable_graph_is_config_error(tmp_path, name):
+    graph = tmp_path / name
+    graph.write_text(BAD_GRAPHS[name])
+    out = tmp_path / "plan.json"
+    args = ["--task", "pp-train", "--graph", str(graph), "--stages", "4", "--topology", "configc"]
+    assert main(args + ["--episodes", "4", "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
 BAD_PROFILES = {
     # json.load reads null as None, which numpy turns into NaN
     "null-cell.json": '{"C": [0.1, null], "A": [1, 1], "W": [1, 1]}',
@@ -451,6 +481,9 @@ BAD_PROFILES = {
     "names-not-a-list.json": '{"names": 5, "C": [0.1], "A": [1], "W": [1]}',
     "text-cell.csv": "C,A,W\n0.1,1,1\nfast,1,1\n",
     "no-w.csv": "C,A\n0.1,1\n0.2,1\n",
+    # csv.DictReader fills a short row's missing fields with None
+    "short-row.csv": "name,C,A,W\na,1,2\n",
+    "long-row.csv": "name,C,A,W\na,1,2,3,4\n",
 }
 
 

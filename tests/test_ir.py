@@ -200,6 +200,16 @@ class TestValidation:
         with pytest.raises(GraphValidationError, match="element_size"):
             HloGraph([bad])
 
+    @pytest.mark.parametrize("cost", [float("nan"), float("inf"), -50.0])
+    def test_unpriceable_compute_cost(self, cost):
+        with pytest.raises(GraphValidationError, match="compute_cost_ms"):
+            HloGraph([_ins(0, "a", "parameter", dims=(2,), compute_cost_ms=cost)])
+
+    def test_tensor_past_the_float_range(self):
+        huge = Instruction(0, "a", "parameter", (), TensorShape((2,), element_size=10**400))
+        with pytest.raises(GraphValidationError, match="bytes"):
+            HloGraph([huge])
+
     def test_trainable_must_be_parameter(self):
         with pytest.raises(GraphValidationError, match="not a parameter"):
             HloGraph(
@@ -313,6 +323,15 @@ class TestSerialization:
     def test_malformed_instruction(self):
         with pytest.raises(GraphParseError, match="malformed"):
             graph_from_dict({"instructions": [{"name": "a"}]})
+
+    def test_instruction_must_be_an_object(self):
+        with pytest.raises(GraphParseError, match="must be an object"):
+            graph_from_dict({"instructions": [5]})
+
+    def test_overflowing_number(self):
+        entry = {"id": 0, "name": "a", "opcode": "parameter", "shape": [2], "element_size": 1e400}
+        with pytest.raises(GraphParseError, match="malformed"):
+            graph_from_dict({"instructions": [entry]})
 
     def test_instructions_key_required(self):
         with pytest.raises(GraphParseError, match="instructions"):

@@ -85,15 +85,45 @@ def test_seeds_one_at_a_time_match_sweep_engine(name, kind):
     rng = np.random.default_rng(len(dims) + 1)
     for _ in range(30):
         seeds = _random_seeds(rng, dims)
-        result = engine.run({})
+        rows = engine.base()
         for di, status in seeds.items():
-            result = engine.run({di: status}, start=result.rows)
-            if result.outcome is Outcome.CONFLICT:
+            site, _ = engine.advance(rows, {di: status})
+            if site is not None:
+                outcome = Outcome.CONFLICT
                 break
+        else:
+            undecided = any(rows[d.instruction_id][d.dim] == U for d in dims)
+            outcome = Outcome.INCOMPLETE if undecided else Outcome.COMPLETE
         ref = reference_propagate(graph, seeds, dims)
-        assert result.outcome is ref.outcome
+        assert outcome is ref.outcome
         if ref.outcome is not Outcome.CONFLICT:
-            assert result.rows == ref.rows
+            assert rows == ref.rows
+
+
+@pytest.mark.parametrize("name, kind", CASES)
+def test_settled_reads_what_a_scan_of_the_rows_reads(name, kind):
+    graph = _graph(name)
+    dims = _candidates(graph, kind)
+    engine = PropagationEngine(graph, candidates=dims)
+    tensors = {d.instruction_id for d in dims}
+    first = dims[0].instruction_id
+    odd = set(range(1, len(dims), 2))
+    rng = np.random.default_rng(len(dims) + 2)
+    for _ in range(20):
+        rows = engine.base()
+        for di, status in _random_seeds(rng, dims).items():
+            # a conflict leaves rows that still hold statuses to read
+            if engine.advance(rows, {di: status})[0] is not None:
+                break
+        scan = [
+            (i, DimStatus(rows[d.instruction_id][d.dim]))
+            for i, d in enumerate(dims)
+            if rows[d.instruction_id][d.dim] != U
+        ]
+        assert engine.settled(rows, tensors, ()) == scan
+        assert engine.settled(rows, tensors, odd) == [e for e in scan if e[0] not in odd]
+        assert engine.settled(rows, {first}, ()) == [e for e in scan if dims[e[0]].instruction_id == first]
+    assert list(engine.base_settled.items()) == engine.settled(engine.base(), tensors, ())
 
 
 def _tuple_read_graph():
