@@ -11,17 +11,18 @@ total score, epsilon), and a run summary JSON: the effective defaults, the
 best reward, the episode that found it (``found_at_episode``), the wall
 time from the start of training to that episode (``time_to_best_s``),
 ``final_epsilon``, ``learn_steps``, and ``phase_s``, the seconds spent
-loading inputs, building the env (linkage included), training, fine-tuning
+loading inputs, building the env (its trials included), training, fine-tuning
 (0 without ``--finetune``) and self-validating.
 Partition searches (opp, adp) also report ``propagations``, the propagation
-runs the search made (linkage extraction, env steps and self-validation),
-``conflicts``, the episodes that ended in a conflict (fine-tuning ones
-included).  An opp run builds two propagation engines: one that linkage
-extraction and the env share, and self-validation's own; sharing the first
-changes no count in ``propagations``.  Pipeline searches report the
-``length_terms`` of the plan, the per-stage terms its length adds up from
-on the env's ``cost_topology`` (normalized for pp-infer); they stay out of
-the plan JSON, whose fields are those of earlier plans.
+runs the search made (linkage extraction or adp's lone-partition
+feasibility trials, env steps and self-validation), and ``conflicts``, the
+episodes that ended in a conflict (fine-tuning ones included).  An opp run
+builds two propagation engines: one that linkage extraction and the env
+share, and self-validation's own; sharing the first changes no count in
+``propagations``.  Pipeline searches report the ``length_terms`` of the
+plan, the per-stage terms its length adds up from on the env's
+``cost_topology`` (normalized for pp-infer); they stay out of the plan
+JSON, whose fields are those of earlier plans.
 ``--log`` writes one JSON line per episode: its outcome and, per step, a
 digest of the state, the action and the reward.  An action is an index into
 the env's actions; for pp-infer those are only the positions its bands
@@ -653,7 +654,7 @@ def _run_search(cfg: RunConfig) -> int:
             best.info["plan"], best.info["metrics"], env.cost_topology
         )
     else:
-        # linkage extraction, env steps and self-validation alike
+        # linkage extraction or feasibility trials, env steps and self-validation alike
         summary["propagations"] = propagation_runs() - runs_before
         summary["conflicts"] = env.conflicts
     write_json(summary_path, summary)

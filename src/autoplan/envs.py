@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -106,42 +106,44 @@ class PartitionSearchEnv:
     0 replicated, 1 partitioned) plus the normalized flat index of the dim
     currently up for decision.  One ``PropagationEngine`` serves the whole
     run, and its graph and candidates are the env's graph and dims.  An
-    episode starts from a copy of its pinned base state, and a step seeds
-    only the current dim, with the chosen status, onto the state the
-    previous step left; the rules are monotone, so this decides exactly what
-    propagating all decisions taken so far at once would.  Every candidate
-    dim the step newly settles is rewarded at 0.4 (partitioned) or 0.1
-    (replicated).  A contradiction ends the episode with reward -1, and its
-    ``info`` names the instruction that met it in ``conflict_site``;
-    ``conflicts`` counts the episodes that ended so.
+    episode starts from a copy of its pinned base state (``finetune_reset``
+    advances it by the decisions it keeps), and a step seeds only the
+    current dim, with the chosen status, onto the state the previous step
+    left; the rules are monotone, so this decides exactly what propagating
+    all decisions taken so far at once would.  Every candidate dim the step
+    newly settles is rewarded at 0.4 (partitioned) or 0.1 (replicated).  A
+    contradiction ends the episode with reward -1, and its ``info`` names
+    the instruction that met it in ``conflict_site``; ``conflicts`` counts
+    the episodes that ended so.
 
-    A step costs what its seed touches, not the candidate count: the
-    engine's ``settled`` reads the dims it settles off the tensors the
-    propagation changed, and the state vector is updated as dims settle.
-    The first step of an episode also settles the dims its start state had
-    already decided (``base_settled``, or the propagated ones after
-    ``finetune_reset``), as a scan of every undecided dim would.
+    The first step of an episode reads every candidate tensor, so it also
+    settles the dims the start state decides beyond the seeds.  A later
+    step costs what its seed touches, not the candidate count: ``settled``
+    reads only the tensors the propagation changed.  ``infeasible``, the
+    dims whose lone partition conflicts, is fixed at construction (by the
+    linkage groups for opp, by one trial per dim for adp); ``finetune_reset``
+    keeps their replications.
     """
 
-    def __init__(self, engine: PropagationEngine, order: Sequence[DimIndex]):
+    def __init__(
+        self, engine: PropagationEngine, order: Sequence[DimIndex], infeasible: Iterable[DimIndex]
+    ):
         if not engine.candidates:
             raise ValueError("the environment needs at least one candidate dim")
         self.engine = engine
         self.graph = engine.graph
         self.dims = engine.candidates
         self.order = list(order)
+        self.infeasible = frozenset(infeasible)
         self.num_actions = 2
         self.state_dim = len(self.dims) + 1
         self.conflicts = 0
-        self._feasibility: dict[DimIndex, bool] = {}
+        self._tensors = {d.instruction_id for d in self.dims}
         self._rows: dict[int, list[int]] = {}  # the engine's state of the episode
-        self._seeds: dict[DimIndex, DimStatus] = {}
         self._decided: dict[int, DimStatus] = {}  # keyed by position in dims
         # _decided as a state vector, without the position entry
         self._vec = np.full(self.state_dim, float(DimStatus.UNDECIDED))
-        # (position, status) of the dims decided in _rows but not yet in
-        # _decided; the next step settles them
-        self._pending: list[tuple[int, DimStatus]] = []
+        self._stepped = False  # the episode's first step reads every candidate tensor
         self._cursor = 0  # every dim in order[:_cursor] is decided
         self._done = True
         self._position: DimIndex | None = None
@@ -150,47 +152,40 @@ class PartitionSearchEnv:
 
     def reset(self) -> np.ndarray:
         self._rows = self.engine.base()
-        self._start({}, [*self.engine.base_settled.items()])
-        self._done = False
-        return self._state()
+        return self._start({})
 
     def finetune_reset(self, strategy: Mapping[DimIndex, DimStatus]) -> np.ndarray:
         """Restart from a completed strategy with revertible replications undone.
 
-        Replicated dims whose partition trigger does not conflict on its own
-        go back to undecided; every other decision is kept as a seed.
+        Replicated dims whose partition does not conflict on its own go back
+        to undecided; every other decision is kept as a seed.
         """
-        missing = [d for d in self.dims if d not in strategy]
-        if missing:
+        if any(d not in strategy for d in self.dims):
             raise ValueError("finetune needs a strategy covering every candidate dim")
         seeds: dict[DimIndex, DimStatus] = {}
         for d in self.dims:
             status = strategy[d]
             if status == DimStatus.UNDECIDED:
                 raise ValueError("finetune needs a fully decided strategy")
-            if status == DimStatus.REPLICATED and self._partition_feasible(d):
+            if status == DimStatus.REPLICATED and d not in self.infeasible:
                 continue
             seeds[d] = status
-        result = self.engine.run(seeds)
-        if result.outcome is Outcome.CONFLICT:
+        self._rows = self.engine.base()
+        if self.engine.advance(self._rows, seeds)[0] is not None:
             raise ValueError("finetune needs a conflict-free strategy")
-        self._rows = result.rows
-        self._start(seeds, [(d.flat_index, status) for d, status in result.newly_decided])
-        self._done = self._position is None
-        return self._state()
+        return self._start(seeds)
 
-    def _start(
-        self, seeds: dict[DimIndex, DimStatus], pending: list[tuple[int, DimStatus]]
-    ) -> None:
-        """Begin an episode on ``_rows``, which decide the seeds and ``pending``."""
-        self._seeds = seeds
+    def _start(self, seeds: dict[DimIndex, DimStatus]) -> np.ndarray:
+        """Begin an episode on ``_rows``, which the seeds were advanced onto."""
         self._decided = {d.flat_index: status for d, status in seeds.items()}
         self._vec.fill(float(DimStatus.UNDECIDED))
         for i, status in self._decided.items():
             self._vec[i] = float(status)
-        self._pending = pending
+        self._stepped = False
         self._cursor = 0
         self._position = self._next_position()
+        self._done = self._position is None
+        return self._state()
 
     def step(self, action: int) -> StepResult:
         if self._done:
@@ -209,14 +204,10 @@ class PartitionSearchEnv:
                 {"conflict": True, "conflict_site": self.graph.instruction(site).name},
             )
 
-        self._seeds[dim] = status
-        # a dim this step settles is pending or sits in a tensor it changed
+        # past the first step, a dim this step settles sits in a tensor it changed
         decided = self._decided
-        newly = self.engine.settled(rows, changed, decided)
-        if self._pending:
-            # a changed tensor repeats the pending dims it holds
-            newly = sorted({*self._pending, *newly})
-            self._pending = []
+        newly = self.engine.settled(rows, changed if self._stepped else self._tensors, decided)
+        self._stepped = True
         partitioned = 0
         for i, value in newly:
             decided[i] = value
@@ -253,10 +244,6 @@ class PartitionSearchEnv:
         return {self.dims[i]: status for i, status in self._decided.items()}
 
     @property
-    def seeds(self) -> dict[DimIndex, DimStatus]:
-        return dict(self._seeds)
-
-    @property
     def partition_count(self) -> int:
         return sum(s == DimStatus.PARTITIONED for s in self._decided.values())
 
@@ -287,32 +274,23 @@ class PartitionSearchEnv:
             vec[-1] = self._position.flat_index / len(self.dims)
         return vec
 
-    def _partition_feasible(self, dim: DimIndex) -> bool:
-        # OppEnv holds every answer from its linkage groups; AdpEnv has no
-        # groups and runs a dim's trial the first time it is asked
-        if dim not in self._feasibility:
-            result = self.engine.trial({dim: DimStatus.PARTITIONED})
-            self._feasibility[dim] = result.outcome is not Outcome.CONFLICT
-        return self._feasibility[dim]
-
 
 class OppEnv(PartitionSearchEnv):
     """Operator partitioning over the trainable variable dims.
 
-    The linkage groups set the decision order, and their partition triggers
-    tell ``finetune_reset`` which dims may be partitioned alone, so it runs
-    no trial of its own.  An opp run builds one ``PropagationEngine`` over
-    the trainable variable dims, extracts the groups on it and hands both
-    to the env.
+    The linkage groups set the decision order, and their infeasible
+    partition triggers are the dims whose lone partition conflicts, so the
+    env runs no trial of its own.  An opp run builds one
+    ``PropagationEngine`` over the trainable variable dims, extracts the
+    groups on it and hands both to the env.
     """
 
     def __init__(self, engine: PropagationEngine, groups: Mapping[Trigger, LinkageGroup]):
-        super().__init__(engine, sorted_decision_order(groups))
-        self._feasibility = {
-            d: not group.infeasible
-            for (d, status), group in groups.items()
-            if status == DimStatus.PARTITIONED
-        }
+        infeasible = [
+            d for (d, status), group in groups.items()
+            if status == DimStatus.PARTITIONED and group.infeasible
+        ]
+        super().__init__(engine, sorted_decision_order(groups), infeasible)
 
 
 def adp_candidates(graph: HloGraph) -> list[int]:
@@ -329,7 +307,11 @@ def adp_candidates(graph: HloGraph) -> list[int]:
 
 
 class AdpEnv(PartitionSearchEnv):
-    """Data-parallel search over candidate input dims, no linkage groups."""
+    """Data-parallel search over candidate input dims, no linkage groups.
+
+    Without groups, the env runs one trial per candidate at construction to
+    find the dims whose lone partition conflicts.
+    """
 
     def __init__(self, graph: HloGraph):
         ids = adp_candidates(graph)
@@ -337,7 +319,11 @@ class AdpEnv(PartitionSearchEnv):
             raise ValueError("the graph has no candidate input tensors")
         names = [graph.instruction(i).name for i in ids]
         engine = PropagationEngine(graph, decision_dims(graph, names))
-        super().__init__(engine, order=engine.candidates)
+        infeasible = [
+            d for d in engine.candidates
+            if engine.trial({d: DimStatus.PARTITIONED}).outcome is Outcome.CONFLICT
+        ]
+        super().__init__(engine, engine.candidates, infeasible)
 
 
 class PickEnv:

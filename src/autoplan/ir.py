@@ -389,6 +389,13 @@ class HloGraph:
             fh.write("\n")
 
 
+def whole(value) -> int:
+    """``value`` as a count or an id; int() alone would take 4.9 as 4, true as 1 and "4" as 4."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or int(value) != float(value):
+        raise ValueError(f"{value!r} is not a whole number")
+    return int(value)
+
+
 def graph_from_dict(data: Mapping) -> HloGraph:
     """Build a validated graph from a decoded JSON object."""
     if not isinstance(data, Mapping) or "instructions" not in data:
@@ -401,25 +408,34 @@ def graph_from_dict(data: Mapping) -> HloGraph:
         if not isinstance(entry, Mapping):
             raise GraphParseError(f"instruction #{pos} must be an object")
         try:
-            shape = TensorShape(
-                dims=tuple(int(d) for d in entry.get("shape", [])),
-                element_size=int(entry.get("element_size", 4)),
-            )
+            name = entry["name"]
+            if not isinstance(name, str):
+                raise ValueError(f"name {name!r} is not a string")
+            is_forward = entry.get("is_forward", True)
+            if not isinstance(is_forward, bool):
+                raise ValueError(f"is_forward {is_forward!r} is not a boolean")
             cost = entry.get("compute_cost_ms")
+            if isinstance(cost, bool) or not isinstance(cost, (int, float, type(None))):
+                raise ValueError(f"compute_cost_ms {cost!r} is not a number")
+            shape = TensorShape(
+                dims=tuple(whole(d) for d in entry.get("shape", [])),
+                element_size=whole(entry.get("element_size", 4)),
+            )
             instructions.append(
                 Instruction(
-                    id=int(entry["id"]),
-                    name=str(entry["name"]),
+                    id=whole(entry["id"]),
+                    name=name,
                     opcode=str(entry["opcode"]),
-                    operand_ids=tuple(int(i) for i in entry.get("operands", [])),
+                    operand_ids=tuple(whole(i) for i in entry.get("operands", [])),
                     shape=shape,
-                    is_forward=bool(entry.get("is_forward", True)),
+                    is_forward=is_forward,
                     compute_cost_ms=None if cost is None else float(cost),
                 )
             )
         # json reads a number too large for a float as infinity, which int() refuses
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise GraphParseError(f"instruction #{pos} is malformed: {exc}") from exc
+            name = entry.get("name")
+            raise GraphParseError(f"instruction #{pos} ({name!r}) is malformed: {exc}") from exc
     trainables = data.get("trainable_variables", [])
     if not isinstance(trainables, list) or not all(isinstance(t, str) for t in trainables):
         raise GraphParseError("'trainable_variables' must be an array of names")

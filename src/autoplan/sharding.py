@@ -34,13 +34,13 @@ decides and classifies exactly as seeding them all at once does.
 ``advance``, the core of every run, hands back the tensors whose rows it
 changed, also when it ends in a conflict, so work proportional to what a
 decision touches can follow it.  One query, ``settled``, reads candidate
-statuses off rows: for a search step, off the tensors its ``advance``
-changed; for a run, ``newly_decided`` is the engine's ``base_settled`` (the
-query over every candidate tensor of the base state) plus the query over
-the changed tensors.  A trial (linkage extraction, the finetune feasibility
-check) seeds onto one working copy of the base state that the engine
-keeps, reads its outcome, then restores just the changed rows from the
-base: no trial copies the whole state.
+statuses off rows: a search step reads the tensors its ``advance`` changed
+(an episode's first step, every candidate tensor); only ``run`` reads the
+engine's ``base_settled``, the query over every candidate tensor of the
+base state, and adds the query over the changed tensors.  A trial (linkage
+extraction, adp's lone-partition feasibility check) seeds onto one working
+copy of the base state that the engine keeps, reads its outcome, then
+restores just the rows it changed: no trial copies the whole state.
 
 An opp run builds one engine: linkage extraction runs its trials on it and
 the env then searches on it (self-validation builds its own, so that it

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from autoplan.ir import whole
+
 # 130 GB/s NVLink-class links inside a server, 25 Gbit/s Ethernet between.
 DEFAULT_INTRA_BW = 130e9
 DEFAULT_INTER_BW = 25e9 / 8
@@ -99,20 +101,13 @@ def load_topology(spec: str) -> DeviceTopology:
         if "inter_bw_Gbps" in data:
             inter = float(data["inter_bw_Gbps"]) * 1e9 / 8
         return DeviceTopology(
-            num_servers=_whole(data["servers"]),
-            gpus_per_server=_whole(data["gpus_per_server"]),
+            num_servers=whole(data["servers"]),
+            gpus_per_server=whole(data["gpus_per_server"]),
             intra_bw=intra,
             inter_bw=inter,
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise TopologyError(f"malformed topology config {spec}: {exc}") from exc
-
-
-def _whole(value) -> int:
-    """``value`` as a count; int() alone would take 4.9 as 4 and true as 1."""
-    if isinstance(value, bool) or int(value) != float(value):
-        raise ValueError(f"{value!r} is not a whole number")
-    return int(value)
 
 
 def transfer_time(num_bytes: float, src: int, dst: int, topo: DeviceTopology) -> float:

@@ -460,6 +460,17 @@ BAD_GRAPHS = {
     "inf-cost.json": _chain_text("compute_cost_ms", '"inf"'),
     # the env clamps a negative pipeline length that validation recomputes
     "negative-cost.json": _chain_text("compute_cost_ms", "-50"),
+    # int() would read these as 3, 2, 8 and 4, and bool() "false" as true
+    "fractional-id.json": _chain_text("id", "3.5"),
+    "fractional-operand.json": _chain_text("operands", "[2.5]"),
+    "fractional-extent.json": _chain_text("shape", "[8.5, 8]"),
+    "fractional-element-size.json": _chain_text("element_size", "4.9"),
+    "text-is-forward.json": _chain_text("is_forward", '"false"'),
+    # iterating a string shape would read it as (8, 8)
+    "text-shape.json": _chain_text("shape", '"88"'),
+    # float() would read true as 1.0, and str() 5 as "5"
+    "boolean-cost.json": _chain_text("compute_cost_ms", "true"),
+    "numeric-name.json": _chain_text("name", "5"),
 }
 
 
@@ -528,12 +539,13 @@ def test_profile_file_plans_as_the_bundled_profile(tmp_path, suffix):
         # int() would truncate the count to 4 servers
         ('{"servers": 4.9, "gpus_per_server": 8}', EXIT_CONFIG),
         ('{"servers": true, "gpus_per_server": 8}', EXIT_CONFIG),
+        ('{"servers": "4", "gpus_per_server": 8}', EXIT_CONFIG),
         # json reads 1e999 as infinity
         ('{"servers": 4, "gpus_per_server": 8, "inter_bw": 1e999}', EXIT_CONFIG),
     ],
     ids=[
         "bytes-per-second", "conventional-units", "fractional-servers", "boolean-servers",
-        "infinite-bandwidth",
+        "text-servers", "infinite-bandwidth",
     ],
 )
 def test_topology_file_plans_as_its_preset(tmp_path, config, code):

@@ -333,6 +333,12 @@ class TestSerialization:
         with pytest.raises(GraphParseError, match="malformed"):
             graph_from_dict({"instructions": [entry]})
 
+    def test_malformed_instruction_is_named(self):
+        entry = {"id": 0.5, "name": "a", "opcode": "parameter", "shape": [2]}
+        message = r"instruction #0 \('a'\) is malformed: 0.5 is not a whole number"
+        with pytest.raises(GraphParseError, match=message):
+            graph_from_dict({"instructions": [entry]})
+
     def test_instructions_key_required(self):
         with pytest.raises(GraphParseError, match="instructions"):
             graph_from_dict({"nodes": []})

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from autoplan.envs import ACTION_PARTITION, ACTION_REPLICATE, OppEnv
+from autoplan.envs import ACTION_PARTITION, ACTION_REPLICATE, AdpEnv, OppEnv, adp_candidates
 from autoplan.ir import decision_dims, graph_from_dict
 from autoplan.linkage import extract_linkage_groups
 from autoplan.sharding import DimStatus, Outcome, PropagationEngine, propagation_runs
@@ -53,14 +53,43 @@ def _opp_graphs():
 @pytest.mark.parametrize("name", sorted(_opp_graphs()))
 def test_finetune_feasibility_matches_the_linkage_groups(name):
     # finetune undoes a replication when partitioning the dim alone does not
-    # conflict; the env reads that off the trigger's linkage group, which
-    # must agree with running the trial
+    # conflict; the env takes those dims from the triggers' linkage groups at
+    # construction, which must agree with running the trials
     graph = _opp_graphs()[name]
     env = opp_env(graph)
     groups = extract_linkage_groups(graph, env.dims)
     expected = [env.engine.trial({d: P}).outcome is not Outcome.CONFLICT for d in env.dims]
     assert [not groups[(d, P)].infeasible for d in env.dims] == expected
-    assert [env._partition_feasible(d) for d in env.dims] == expected
+    assert [d not in env.infeasible for d in env.dims] == expected
+
+
+def _adp_graphs():
+    return sorted(name for name in GRAPHS if adp_candidates(zoo_graph(name)))
+
+
+@pytest.mark.parametrize("name", _adp_graphs())
+def test_adp_feasibility_matches_lone_trials(name):
+    # AdpEnv has no linkage groups and runs the lone partition trials itself;
+    # a fresh engine's trials must find the same conflicting dims
+    graph = zoo_graph(name)
+    env = AdpEnv(graph)
+    engine = PropagationEngine(graph, env.dims)
+    expected = {d for d in env.dims if engine.trial({d: P}).outcome is Outcome.CONFLICT}
+    assert env.infeasible == expected
+    # so that, as opp's, a restart propagates its seeds once and no more
+    env.reset()
+    while not env.done:
+        assert not env.step(ACTION_REPLICATE).info["conflict"]
+    strategy = env.strategy()
+    before = propagation_runs()
+    env.finetune_reset(strategy)
+    assert propagation_runs() - before == 1
+
+
+def test_adp_feasibility_has_both_answers():
+    # the zoo holds adp dims that may and that may not be partitioned alone
+    env = AdpEnv(zoo_graph("vgg_classifier"))
+    assert 0 < len(env.infeasible) < len(env.dims)
 
 
 @pytest.mark.parametrize("name", sorted(_opp_graphs()))

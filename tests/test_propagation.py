@@ -9,6 +9,7 @@ fixed point.
 
 import functools
 import itertools
+import random
 import sys
 from pathlib import Path
 
@@ -234,6 +235,9 @@ def test_env_steps_match_one_shot(name, kind, actions, finetune):
     """Stepping an env decides what one-shot propagation of its seeds decides."""
     env = _env(name, kind)
     env.reset()
+    # an episode starts with its seeds decided and nothing else credited yet
+    seeds = env.decided
+    assert seeds == {}
     for action in actions:
         if env.done:
             # the episode completed; optionally restart it as --finetune does
@@ -241,16 +245,57 @@ def test_env_steps_match_one_shot(name, kind, actions, finetune):
                 break
             finetune = False
             env.finetune_reset(env.strategy())
+            seeds = env.decided
             if env.done:
                 break
         dim = next(d for d in env.order if d not in env.decided)
-        seeds = {**env.seeds, dim: P if action == 0 else R}
+        seeds = {**seeds, dim: P if action == 0 else R}
         result = env.step(action)
         outcome, decided = _one_shot_decided(env, seeds)
         if result.info["conflict"]:
             assert outcome is Outcome.CONFLICT
             break
         assert outcome is not Outcome.CONFLICT
-        assert env.seeds == seeds
         assert env.decided == decided
         assert result.done == (outcome is Outcome.COMPLETE)
+
+
+def _random_episode(env, rng, start):
+    """Start an episode, act at random until it ends; its seeds, its total
+    reward and its last step's info (empty when it starts done)."""
+    start()
+    seeds = env.decided
+    total, info = 0.0, {}
+    while not env.done:
+        result = env.step(rng.randrange(2))
+        total += result.reward
+        info = result.info
+    return seeds, total, info
+
+
+def _credit(strategy, seeds):
+    """0.4 per partitioned and 0.1 per replicated dim of the strategy that
+    is not a seed."""
+    statuses = [status for d, status in strategy.items() if d not in seeds]
+    return 0.4 * statuses.count(P) + 0.1 * statuses.count(R)
+
+
+@pytest.mark.parametrize("name, kind", CASES)
+def test_complete_episodes_credit_every_unseeded_dim_once(name, kind):
+    """A conflict-free episode earns each dim it did not seed exactly once,
+    the dims its start state already decides included: the first step
+    credits those."""
+    env = _env(name, kind)
+    rng = random.Random(0)
+    complete = 0
+    for _ in range(20):
+        _, total, info = _random_episode(env, rng, env.reset)
+        if info.get("conflict", True):
+            continue
+        complete += 1
+        strategy = info["strategy"]
+        assert total == pytest.approx(_credit(strategy, {}), abs=1e-9)
+        seeds, total, info = _random_episode(env, rng, lambda: env.finetune_reset(strategy))
+        if not info.get("conflict", True):
+            assert total == pytest.approx(_credit(info["strategy"], seeds), abs=1e-9)
+    assert complete
