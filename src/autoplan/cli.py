@@ -11,11 +11,11 @@ total score, epsilon), and a run summary JSON: the effective defaults, the
 best reward, the episode that found it (``found_at_episode``), the wall
 time from the start of training to that episode (``time_to_best_s``),
 ``final_epsilon``, ``learn_steps``, and ``phase_s``, the seconds spent
-loading inputs, building the env (its trials included), training, fine-tuning
-(0 without ``--finetune``) and self-validating.
+loading inputs, building the env (its one-off runs included), training,
+fine-tuning (0 without ``--finetune``) and self-validating.
 Partition searches (opp, adp) also report ``propagations``, the propagation
 runs the search made (linkage extraction or adp's lone-partition
-feasibility trials, env steps and self-validation), and ``conflicts``, the
+feasibility runs, env steps and self-validation), and ``conflicts``, the
 episodes that ended in a conflict (fine-tuning ones included).  An opp run
 builds two propagation engines: one that linkage extraction and the env
 share, and self-validation's own; sharing the first changes no count in
@@ -654,7 +654,7 @@ def _run_search(cfg: RunConfig) -> int:
             best.info["plan"], best.info["metrics"], env.cost_topology
         )
     else:
-        # linkage extraction or feasibility trials, env steps and self-validation alike
+        # linkage extraction or feasibility runs, env steps and self-validation alike
         summary["propagations"] = propagation_runs() - runs_before
         summary["conflicts"] = env.conflicts
     write_json(summary_path, summary)

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from autoplan.ir import number
+
 GRANULARITY = 128
 
 # distribution name -> draw(rng, n) in [0, 1]
@@ -154,17 +156,22 @@ def load_profile(path: str) -> ProfileArrays:
         raise ProfileError(f"{path} must hold a JSON object of profile columns")
     lowered = {str(k).lower(): v for k, v in data.items()}
     try:
+        c, a, w = (_column(lowered[key], key.upper()) for key in "caw")
         names = lowered.get("names")
-        return ProfileArrays(
-            c=np.asarray(lowered["c"], dtype=np.float64),
-            a=np.asarray(lowered["a"], dtype=np.float64),
-            w=np.asarray(lowered["w"], dtype=np.float64),
-            names=tuple(names) if names is not None else None,
-        )
+        if names is not None and not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+            raise ValueError(f"names {names!r} is not an array of strings")
+        return ProfileArrays(c=c, a=a, w=w, names=tuple(names) if names is not None else None)
     except KeyError as exc:
         raise ProfileError(f"{path} is missing profile column {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ProfileError(f"{path} has a malformed profile column: {exc}") from exc
+
+
+def _column(values, field: str) -> np.ndarray:
+    """A JSON profile column: an array of numbers, none a boolean or a string."""
+    if not isinstance(values, list):
+        raise ValueError(f"{field} {values!r} is not an array")
+    return np.array([number(v, field) for v in values], dtype=np.float64)
 
 
 _CSV_ALIASES = {

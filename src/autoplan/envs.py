@@ -121,8 +121,8 @@ class PartitionSearchEnv:
     step costs what its seed touches, not the candidate count: ``settled``
     reads only the tensors the propagation changed.  ``infeasible``, the
     dims whose lone partition conflicts, is fixed at construction (by the
-    linkage groups for opp, by one trial per dim for adp); ``finetune_reset``
-    keeps their replications.
+    linkage groups for opp, by one ``engine.run`` per dim for adp);
+    ``finetune_reset`` keeps their replications.
     """
 
     def __init__(
@@ -280,7 +280,7 @@ class OppEnv(PartitionSearchEnv):
 
     The linkage groups set the decision order, and their infeasible
     partition triggers are the dims whose lone partition conflicts, so the
-    env runs no trial of its own.  An opp run builds one
+    env runs no propagation of its own to find them.  An opp run builds one
     ``PropagationEngine`` over the trainable variable dims, extracts the
     groups on it and hands both to the env.
     """
@@ -309,8 +309,8 @@ def adp_candidates(graph: HloGraph) -> list[int]:
 class AdpEnv(PartitionSearchEnv):
     """Data-parallel search over candidate input dims, no linkage groups.
 
-    Without groups, the env runs one trial per candidate at construction to
-    find the dims whose lone partition conflicts.
+    Without groups, the env runs each candidate's lone partition once at
+    construction (``engine.run``) to find the dims where it conflicts.
     """
 
     def __init__(self, graph: HloGraph):
@@ -321,7 +321,7 @@ class AdpEnv(PartitionSearchEnv):
         engine = PropagationEngine(graph, decision_dims(graph, names))
         infeasible = [
             d for d in engine.candidates
-            if engine.trial({d: DimStatus.PARTITIONED}).outcome is Outcome.CONFLICT
+            if engine.run({d: DimStatus.PARTITIONED}).outcome is Outcome.CONFLICT
         ]
         super().__init__(engine, engine.candidates, infeasible)
 

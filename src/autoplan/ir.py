@@ -105,7 +105,7 @@ class DimIndex(NamedTuple):
     vector built by :func:`decision_dims`; it is a bijection onto
     ``range(len(dims))`` for a fixed candidate set.  A named tuple, because
     dims key the dicts and sets of every search step and of each linkage
-    trial, and a tuple hashes and compares in C.
+    run, and a tuple hashes and compares in C.
     """
 
     flat_index: int
@@ -396,6 +396,13 @@ def whole(value) -> int:
     return int(value)
 
 
+def number(value, field: str) -> float:
+    """``value`` as a float; float() alone would take "130e9" and true as numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{field} {value!r} is not a number")
+    return float(value)
+
+
 def graph_from_dict(data: Mapping) -> HloGraph:
     """Build a validated graph from a decoded JSON object."""
     if not isinstance(data, Mapping) or "instructions" not in data:
@@ -415,8 +422,6 @@ def graph_from_dict(data: Mapping) -> HloGraph:
             if not isinstance(is_forward, bool):
                 raise ValueError(f"is_forward {is_forward!r} is not a boolean")
             cost = entry.get("compute_cost_ms")
-            if isinstance(cost, bool) or not isinstance(cost, (int, float, type(None))):
-                raise ValueError(f"compute_cost_ms {cost!r} is not a number")
             shape = TensorShape(
                 dims=tuple(whole(d) for d in entry.get("shape", [])),
                 element_size=whole(entry.get("element_size", 4)),
@@ -429,7 +434,7 @@ def graph_from_dict(data: Mapping) -> HloGraph:
                     operand_ids=tuple(whole(i) for i in entry.get("operands", [])),
                     shape=shape,
                     is_forward=is_forward,
-                    compute_cost_ms=None if cost is None else float(cost),
+                    compute_cost_ms=None if cost is None else number(cost, "compute_cost_ms"),
                 )
             )
         # json reads a number too large for a float as infinity, which int() refuses

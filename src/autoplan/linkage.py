@@ -7,7 +7,7 @@ linkage group for that decision.  Group sizes drive the decision order
 during search: dims whose decisions settle many other dims are decided
 first, which shortens episodes considerably.
 
-Each trigger is a ``PropagationEngine.trial``: it seeds onto the engine's
+Each trigger is one ``PropagationEngine.run``: it seeds onto the engine's
 one working copy of the base state in place and then restores only the
 rows it changed, conflict or not.  Extraction therefore costs the rows the
 triggers touch, not a copy of the whole state per trigger, and grows
@@ -31,7 +31,7 @@ class LinkageGroup(NamedTuple):
 
     Groups are keyed by their trigger, which is not part of ``implied``.
     ``infeasible`` marks triggers whose lone seed already conflicts; their
-    group is empty.  A named tuple, as cheap to build as the trial result.
+    group is empty.  A named tuple, as cheap to build as the run's result.
     """
 
     implied: tuple[tuple[DimIndex, DimStatus], ...]
@@ -61,7 +61,7 @@ def extract_linkage_groups(
     groups: dict[Trigger, LinkageGroup] = {}
     for di in dims:
         for status in (DimStatus.PARTITIONED, DimStatus.REPLICATED):
-            result = engine.trial({di: status})
+            result = engine.run({di: status})
             if result.outcome is Outcome.CONFLICT:
                 groups[(di, status)] = _INFEASIBLE
             else:

@@ -25,31 +25,31 @@ changes anything.  Runs work on raw rows: a list of ints per instruction.
 
 The rules are monotone implications, so the fixed point of a seed set does
 not depend on the order in which the seeds arrive, and a conflict is found
-whatever the order.  A run therefore starts from an earlier fixed point:
-an engine keeps the fixed point of its pins alone (the base state), every
-``run`` and ``trial`` starts from it, and a search ``advance``s one decision
-per step onto the state its previous step left.  Seeding dims one at a time
-decides and classifies exactly as seeding them all at once does.
+whatever the order.  A propagation therefore starts from an earlier fixed
+point: an engine keeps the fixed point of its pins alone (the base state),
+and seeding dims one at a time decides and classifies exactly as seeding
+them all at once does.  The engine has three entry points:
 
-``advance``, the core of every run, hands back the tensors whose rows it
-changed, also when it ends in a conflict, so work proportional to what a
-decision touches can follow it.  One query, ``settled``, reads candidate
-statuses off rows: a search step reads the tensors its ``advance`` changed
-(an episode's first step, every candidate tensor); only ``run`` reads the
-engine's ``base_settled``, the query over every candidate tensor of the
-base state, and adds the query over the changed tensors.  A trial (linkage
-extraction, adp's lone-partition feasibility check) seeds onto one working
-copy of the base state that the engine keeps, reads its outcome, then
-restores just the rows it changed: no trial copies the whole state.
+- ``advance`` and ``settled`` serve a search episode.  ``advance`` seeds
+  onto rows the caller holds (a ``base()`` copy, then the state its
+  previous step left) and hands back the tensors whose rows it changed, on
+  a conflict too; ``settled`` reads the candidate statuses of the tensors
+  asked for, so a step costs what its decision touches.
+- ``run`` answers a one-off question (a linkage trigger, adp's
+  lone-partition feasibility): it seeds onto the one working copy of the
+  base state that the engine keeps, reads the outcome, then restores just
+  the rows it changed, conflict or not, so no run copies the whole state.
+- ``propagate`` is a fresh engine's ``run``, for a caller that asks once
+  (self-validation and ``--task validate``).
 
-An opp run builds one engine: linkage extraction runs its trials on it and
-the env then searches on it (self-validation builds its own, so that it
-stays independent of the search).  A trial costs its propagation plus
+An opp run builds one engine: linkage extraction runs its triggers on it
+and the env then searches on it (self-validation builds its own, so that it
+stays independent of the search).  A run costs its propagation plus
 bookkeeping in the size of what it changed: the seeds are looked up among
 the candidates, which were checked once when the engine was built, and
 ``settled`` meets the changed tensors with the candidate tensors in one
 set intersection.  On the 302-node, 200-dim MLP of the benchmark the 400
-trials take about 7 ms, two thirds of it propagation.
+linkage runs take about 7 ms, two thirds of it propagation.
 """
 
 from __future__ import annotations
@@ -90,20 +90,18 @@ Rows = dict[int, list[int]]
 
 
 class PropagationResult(NamedTuple):
-    """Outcome of running the rules from a seed set to a fixed point.
+    """Outcome of one ``run``: its seeds propagated to a fixed point.
 
-    ``rows`` holds the raw status row of every instruction, keyed by id; on
-    a conflict it is the state at the contradiction, and ``conflict_site``
-    the instruction whose rule or seed met it.  A trial's result has no
-    rows (None): they were restored to the base state.  ``newly_decided``
-    lists the candidate dims the run decided beyond the seeds themselves,
-    the base state's included, in candidate order: the engine's
-    ``base_settled`` and what ``settled`` reads off the tensors the run
-    changed.  A named tuple, since every linkage trial builds one.
+    On a conflict ``conflict_site`` is the instruction whose rule or seed
+    met the contradiction.  ``newly_decided`` lists the candidate dims the
+    run decided beyond the seeds themselves, the base state's included, in
+    candidate order: the engine's ``base_settled`` and what ``settled``
+    reads off the tensors the run changed.  The rows are not part of it:
+    ``run`` restores them to the base state.  A named tuple, since every
+    linkage trigger builds one.
     """
 
     outcome: Outcome
-    rows: Rows | None
     conflict_site: int | None
     newly_decided: tuple[tuple[DimIndex, DimStatus], ...]
 
@@ -297,8 +295,8 @@ _runs = 0  # see propagation_runs()
 
 
 def propagation_runs() -> int:
-    """The runs of every engine in the process so far: a ``run``, a
-    ``trial`` or an ``advance`` is one run each.
+    """The runs of every engine in the process so far: a ``run`` or an
+    ``advance`` is one run each.
 
     A module global, not a class attribute: writing to the class on every
     run would void the interpreter's attribute caches for its instances.
@@ -310,11 +308,12 @@ class PropagationEngine:
     """Propagation over a fixed graph and candidate dim set.
 
     The rule plans are built and indexed by tensor once.  Parameters whose
-    dims are not among the candidates are pinned to full replication on
-    every run.  ``base()`` keeps the fixed point of those pins (the base
-    state), and every run starts from it, so no run re-derives what the
-    pins force; ``trial`` runs from one working copy of it and undoes the
-    rows it changed.
+    dims are not among the candidates are pinned to full replication.
+    ``base()`` keeps the fixed point of those pins (the base state), and
+    every propagation starts from it, so none re-derives what the pins
+    force.  A search episode ``advance``s its own copy of the base state
+    and reads it with ``settled``; ``run`` answers a one-off question on
+    the engine's working copy and undoes the rows it changed.
 
     ``settled`` is the one reader of rows for the candidates' statuses, and
     ``base_settled``, which the first ``base()`` fills from it, maps the
@@ -355,7 +354,7 @@ class PropagationEngine:
             self._forced.extend(forced)
         self._touching = {tid: tuple(ps) for tid, ps in touching.items()}
         self._base: Rows | None = None  # never seeded onto
-        self._work: Rows | None = None  # the trials' copy of the base state
+        self._work: Rows | None = None  # run's working copy of the base state
         # filled by the first base(); a dict, so that it is a run's ``known`` too
         self.base_settled: dict[int, DimStatus] = {}
 
@@ -421,8 +420,8 @@ class PropagationEngine:
     ) -> tuple[int | None, set[int]]:
         """Seed onto ``rows`` in place, in the mapping's order, and drain.
 
-        The core of every run: ``rows`` must be a fixed point of this
-        engine.  Returns the instruction that met a contradiction (None
+        The core of every propagation: ``rows`` must be a fixed point of
+        this engine.  Returns the instruction that met a contradiction (None
         without one) and every tensor whose row changed, on a conflict too.
         It neither checks the seeds nor scans the candidates, so a search
         step costs what its seed touches.
@@ -441,12 +440,12 @@ class PropagationEngine:
             return c.site, changed
         return None, changed
 
-    def run(self, seeds: Mapping[DimIndex, DimStatus], *, restore: bool = False) -> PropagationResult:
-        """Propagate ``seeds`` to a fixed point from a copy of ``base()``.
+    def run(self, seeds: Mapping[DimIndex, DimStatus]) -> PropagationResult:
+        """Propagate ``seeds`` to a fixed point from the base state.
 
-        With ``restore`` the seeds go onto the engine's working copy of the
-        base state instead, the rows the run changed are set back to their
-        base values afterwards, and the result has no rows; ``trial`` runs so.
+        The seeds go onto the engine's working copy of the base state in
+        (instruction id, dim) order, and the rows the run changed are set
+        back to their base values afterwards, conflict or not.
         """
         if len(seeds) > 1:
             seeds = {di: seeds[di] for di in sorted(seeds, key=lambda d: (d.instruction_id, d.dim))}
@@ -457,9 +456,9 @@ class PropagationEngine:
                 self._check(di)
             else:
                 seeded.add(i)
-        if restore and self._work is None:
+        if self._work is None:
             self._work = self.base()
-        rows = self._work if restore else self.base()
+        rows = self._work
         site, changed = self.advance(rows, seeds)
         if site is not None:
             outcome, newly = Outcome.CONFLICT, ()
@@ -474,22 +473,10 @@ class PropagationEngine:
             # the seeds and newly_decided are every candidate the rows decide
             complete = len(seeded) + len(newly) == len(dims)
             outcome = Outcome.COMPLETE if complete else Outcome.INCOMPLETE
-        if restore:
-            base = self._base
-            for tid in changed:
-                rows[tid][:] = base[tid]
-            rows = None
-        return PropagationResult(outcome, rows, site, newly)
-
-    def trial(self, seeds: Mapping[DimIndex, DimStatus]) -> PropagationResult:
-        """``run(seeds)`` without copying the base state.
-
-        The seeds go onto the engine's working copy of the base state, and
-        the rows the run changed are then restored from the base, conflict
-        or not.  The result has the run's outcome, ``conflict_site`` and
-        ``newly_decided``, but no rows.
-        """
-        return self.run(seeds, restore=True)
+        base = self._base
+        for tid in changed:
+            rows[tid][:] = base[tid]
+        return PropagationResult(outcome, site, newly)
 
 
 def propagate(
@@ -497,7 +484,7 @@ def propagate(
     seeds: Mapping[DimIndex, DimStatus],
     candidates: Sequence[DimIndex],
 ) -> PropagationResult:
-    """One-shot propagation of a seed set over a graph.
+    """A fresh engine's ``run``: one-shot propagation of a seed set.
 
     ``candidates`` names the dims up for decision; parameters outside it are
     replicated.

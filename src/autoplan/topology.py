@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from autoplan.ir import whole
+from autoplan.ir import number, whole
 
 # 130 GB/s NVLink-class links inside a server, 25 Gbit/s Ethernet between.
 DEFAULT_INTRA_BW = 130e9
@@ -94,12 +94,12 @@ def load_topology(spec: str) -> DeviceTopology:
     except json.JSONDecodeError as exc:
         raise TopologyError(f"{spec} is not valid JSON: {exc}") from exc
     try:
-        intra = float(data["intra_bw"]) if "intra_bw" in data else DEFAULT_INTRA_BW
+        intra = number(data["intra_bw"], "intra_bw") if "intra_bw" in data else DEFAULT_INTRA_BW
         if "intra_bw_GBps" in data:
-            intra = float(data["intra_bw_GBps"]) * 1e9
-        inter = float(data["inter_bw"]) if "inter_bw" in data else DEFAULT_INTER_BW
+            intra = number(data["intra_bw_GBps"], "intra_bw_GBps") * 1e9
+        inter = number(data["inter_bw"], "inter_bw") if "inter_bw" in data else DEFAULT_INTER_BW
         if "inter_bw_Gbps" in data:
-            inter = float(data["inter_bw_Gbps"]) * 1e9 / 8
+            inter = number(data["inter_bw_Gbps"], "inter_bw_Gbps") * 1e9 / 8
         return DeviceTopology(
             num_servers=whole(data["servers"]),
             gpus_per_server=whole(data["gpus_per_server"]),

@@ -240,6 +240,21 @@ def stepwise_outcome(
     return result.outcome
 
 
+def fixed_point(
+    graph: HloGraph, seeds: Mapping[DimIndex, DimStatus], dims: Sequence[DimIndex]
+) -> dict[int, list[int]]:
+    """The status rows ``propagate(graph, seeds, dims)`` reaches, keyed by id.
+
+    A copy of a fresh engine's base state, advanced by the seeds in
+    (instruction id, dim) order, as ``run`` and an env advance theirs; on a
+    conflict, the rows at the contradiction.
+    """
+    engine = PropagationEngine(graph, dims)
+    rows = engine.base()
+    engine.advance(rows, {d: seeds[d] for d in sorted(seeds, key=lambda d: (d.instruction_id, d.dim))})
+    return rows
+
+
 def enumerate_completes(
     graph: HloGraph, dims: Sequence[DimIndex]
 ) -> list[frozenset[DimIndex]]:

@@ -495,6 +495,13 @@ BAD_PROFILES = {
     # csv.DictReader fills a short row's missing fields with None
     "short-row.csv": "name,C,A,W\na,1,2\n",
     "long-row.csv": "name,C,A,W\na,1,2,3,4\n",
+    # numpy reads these as the numbers 1.0 and 2.0, and true as 1.0
+    "text-number-cell.json": '{"C": ["1", "2"], "A": [1, 1], "W": [1, 1]}',
+    "boolean-cell.json": '{"C": [1, 2], "A": [1, true], "W": [1, 1]}',
+    "text-w-cell.json": '{"C": [1, 2], "A": [1, 1], "W": [1, "1e3"]}',
+    # tuple() splits a string into its characters, and takes any items
+    "names-a-string.json": '{"names": "ab", "C": [1, 2], "A": [1, 1], "W": [1, 1]}',
+    "numeric-names.json": '{"names": [1, 2], "C": [1, 2], "A": [1, 1], "W": [1, 1]}',
 }
 
 
@@ -542,10 +549,16 @@ def test_profile_file_plans_as_the_bundled_profile(tmp_path, suffix):
         ('{"servers": "4", "gpus_per_server": 8}', EXIT_CONFIG),
         # json reads 1e999 as infinity
         ('{"servers": 4, "gpus_per_server": 8, "inter_bw": 1e999}', EXIT_CONFIG),
+        # float() would read the text as 1.3e11 and true as 1 byte per second
+        ('{"servers": 4, "gpus_per_server": 8, "intra_bw": "130e9"}', EXIT_CONFIG),
+        ('{"servers": 4, "gpus_per_server": 8, "inter_bw": true}', EXIT_CONFIG),
+        ('{"servers": 4, "gpus_per_server": 8, "intra_bw_GBps": true}', EXIT_CONFIG),
+        ('{"servers": 4, "gpus_per_server": 8, "inter_bw_Gbps": "25"}', EXIT_CONFIG),
     ],
     ids=[
         "bytes-per-second", "conventional-units", "fractional-servers", "boolean-servers",
-        "text-servers", "infinite-bandwidth",
+        "text-servers", "infinite-bandwidth", "text-intra-bw", "boolean-inter-bw",
+        "boolean-intra-bw-GBps", "text-inter-bw-Gbps",
     ],
 )
 def test_topology_file_plans_as_its_preset(tmp_path, config, code):

@@ -98,3 +98,20 @@ def test_csv_row_that_does_not_match_its_header(tmp_path, row):
     path.write_text(f"name,C,A,W\nb,1,2,3\n{row}\n")
     with pytest.raises(ProfileError, match="line 3 does not match its header"):
         load_profile(str(path))
+
+
+@pytest.mark.parametrize(
+    "columns, message",
+    [
+        ('"C": [1, "2"], "A": [1, 1], "W": [1, 1]', "C '2' is not a number"),
+        ('"C": [1, 2], "A": [false, 1], "W": [1, 1]', "A False is not a number"),
+        ('"C": [1, 2], "A": [1, 1], "W": {"0": 1, "1": 1}', "W .* is not an array"),
+        ('"names": "ab", "C": [1, 2], "A": [1, 1], "W": [1, 1]', "names 'ab' is not an array of strings"),
+        ('"names": ["a", 2], "C": [1, 2], "A": [1, 1], "W": [1, 1]', "is not an array of strings"),
+    ],
+)
+def test_json_column_that_is_not_numbers_is_named(tmp_path, columns, message):
+    path = tmp_path / "profile.json"
+    path.write_text("{" + columns + "}")
+    with pytest.raises(ProfileError, match=message):
+        load_profile(str(path))

@@ -54,11 +54,11 @@ def _opp_graphs():
 def test_finetune_feasibility_matches_the_linkage_groups(name):
     # finetune undoes a replication when partitioning the dim alone does not
     # conflict; the env takes those dims from the triggers' linkage groups at
-    # construction, which must agree with running the trials
+    # construction, which must agree with running each lone partition
     graph = _opp_graphs()[name]
     env = opp_env(graph)
     groups = extract_linkage_groups(graph, env.dims)
-    expected = [env.engine.trial({d: P}).outcome is not Outcome.CONFLICT for d in env.dims]
+    expected = [env.engine.run({d: P}).outcome is not Outcome.CONFLICT for d in env.dims]
     assert [not groups[(d, P)].infeasible for d in env.dims] == expected
     assert [d not in env.infeasible for d in env.dims] == expected
 
@@ -69,12 +69,12 @@ def _adp_graphs():
 
 @pytest.mark.parametrize("name", _adp_graphs())
 def test_adp_feasibility_matches_lone_trials(name):
-    # AdpEnv has no linkage groups and runs the lone partition trials itself;
-    # a fresh engine's trials must find the same conflicting dims
+    # AdpEnv has no linkage groups and runs each lone partition itself; a
+    # fresh engine's runs must find the same conflicting dims
     graph = zoo_graph(name)
     env = AdpEnv(graph)
     engine = PropagationEngine(graph, env.dims)
-    expected = {d for d in env.dims if engine.trial({d: P}).outcome is Outcome.CONFLICT}
+    expected = {d for d in env.dims if engine.run({d: P}).outcome is Outcome.CONFLICT}
     assert env.infeasible == expected
     # so that, as opp's, a restart propagates its seeds once and no more
     env.reset()

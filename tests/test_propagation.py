@@ -23,7 +23,13 @@ from autoplan.linkage import extract_linkage_groups
 from autoplan.sharding import DimStatus, Outcome, PropagationEngine, propagate
 from autoplan.zoo import GRAPHS, zoo_graph
 
-from helpers import GraphBuilder, opp_env, reference_linkage_groups, reference_propagate
+from helpers import (
+    GraphBuilder,
+    fixed_point,
+    opp_env,
+    reference_linkage_groups,
+    reference_propagate,
+)
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
 from workloads import mlp_graph_dict  # noqa: E402
@@ -58,10 +64,11 @@ def _random_seeds(rng, dims):
     return {dims[i]: (P if rng.random() < 0.5 else R) for i in chosen}
 
 
-def _assert_same_fixed_point(result, ref):
+def _assert_same_fixed_point(result, rows, ref):
+    """A run's result and the rows its seeds reach match the sweep engine's."""
     assert result.outcome is ref.outcome
     if ref.outcome is not Outcome.CONFLICT:
-        assert result.rows == ref.rows
+        assert rows == ref.rows
         assert result.newly_decided == ref.newly_decided
 
 
@@ -74,8 +81,9 @@ def test_one_shot_runs_match_sweep_engine(name, kind):
     for _ in range(60):
         seeds = _random_seeds(rng, dims)
         ref = reference_propagate(graph, seeds, dims)
-        _assert_same_fixed_point(engine.run(seeds), ref)
-        _assert_same_fixed_point(propagate(graph, seeds, dims), ref)
+        rows = fixed_point(graph, seeds, dims)
+        _assert_same_fixed_point(engine.run(seeds), rows, ref)
+        _assert_same_fixed_point(propagate(graph, seeds, dims), rows, ref)
 
 
 @pytest.mark.parametrize("name, kind", CASES)
@@ -146,7 +154,9 @@ def test_get_tuple_element_links_the_element_it_reads():
     engine = PropagationEngine(graph, candidates=dims)
     for statuses in itertools.product((None, P, R), repeat=len(dims)):
         seeds = {d: s for d, s in zip(dims, statuses) if s is not None}
-        _assert_same_fixed_point(engine.run(seeds), reference_propagate(graph, seeds, dims))
+        _assert_same_fixed_point(
+            engine.run(seeds), fixed_point(graph, seeds, dims), reference_propagate(graph, seeds, dims)
+        )
     # w1's output dim reaches w2's input dim only through the read
     w1_out, w2_in = dims[1], dims[2]
     assert (w2_in, P) in engine.run({w1_out: P}).newly_decided
@@ -164,14 +174,15 @@ def test_linkage_matches_sweep_extraction(name):
 
 @functools.lru_cache(maxsize=None)
 def _engine(name, kind):
-    """One engine per case, so trials accumulate on its one working copy."""
+    """One engine per case, so runs accumulate on its one working copy."""
     graph = _graph(name)
     return PropagationEngine(graph, candidates=_candidates(graph, kind))
 
 
 @pytest.mark.parametrize("name, kind", CASES)
 def test_trials_leave_the_base_state_as_built(name, kind):
-    """Every trigger, and every pair of seeds, is undone, conflict or not."""
+    """Every one-off run of a trigger, and of every pair of seeds, is
+    undone, conflict or not."""
     graph = _graph(name)
     dims = _candidates(graph, kind)
     engine = PropagationEngine(graph, candidates=dims)
@@ -185,8 +196,8 @@ def test_trials_leave_the_base_state_as_built(name, kind):
     ]
     conflicts = 0
     for seeds in triggers + pairs:
-        result = engine.trial(seeds)
-        conflicts += result.outcome is Outcome.CONFLICT and engine.run(seeds).rows != fresh
+        result = engine.run(seeds)
+        conflicts += result.outcome is Outcome.CONFLICT and fixed_point(graph, seeds, dims) != fresh
         assert engine._work == fresh
     assert engine.base() == fresh
     if (name, kind) in (("t5_block", "opp"), ("vgg_classifier", "adp")):
@@ -198,16 +209,26 @@ def test_trials_leave_the_base_state_as_built(name, kind):
 @settings(max_examples=25)
 @given(data=st.data())
 def test_trial_matches_run_from_a_base_copy(name, kind, data):
+    """A one-off run on the engine's working copy reads what advancing a
+    ``base()`` copy by the same seeds reads, and leaves the copy as built."""
     engine = _engine(name, kind)
     dims = engine.candidates
     picks = data.draw(st.lists(st.integers(0, len(dims) - 1), min_size=1, max_size=2, unique=True))
     seeds = {dims[i]: data.draw(st.sampled_from([P, R])) for i in picks}
-    trial = engine.trial(seeds)
-    ref = engine.run(seeds)
-    assert trial.rows is None
-    assert (trial.outcome, trial.conflict_site, trial.newly_decided) == (
-        ref.outcome, ref.conflict_site, ref.newly_decided,
-    )
+    result = engine.run(seeds)
+    rows = engine.base()
+    ordered = sorted(seeds, key=lambda d: (d.instruction_id, d.dim))
+    site, _ = engine.advance(rows, {d: seeds[d] for d in ordered})
+    newly = ()
+    if site is not None:
+        outcome = Outcome.CONFLICT
+    else:
+        statuses = [(d, rows[d.instruction_id][d.dim]) for d in dims]
+        newly = tuple((d, DimStatus(s)) for d, s in statuses if s != U and d not in seeds)
+        complete = all(s != U for _, s in statuses)
+        outcome = Outcome.COMPLETE if complete else Outcome.INCOMPLETE
+    assert (result.outcome, result.conflict_site, result.newly_decided) == (outcome, site, newly)
+    assert engine._work == engine.base()
 
 
 @functools.lru_cache(maxsize=None)
@@ -220,9 +241,10 @@ def _one_shot_decided(env, seeds):
     result = propagate(env.graph, seeds, env.dims)
     if result.outcome is Outcome.CONFLICT:
         return result.outcome, None
+    rows = fixed_point(env.graph, seeds, env.dims)
     decided = {}
     for d in env.dims:
-        status = result.rows[d.instruction_id][d.dim]
+        status = rows[d.instruction_id][d.dim]
         if status != U:
             decided[d] = DimStatus(status)
     return result.outcome, decided

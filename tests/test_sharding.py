@@ -13,6 +13,7 @@ from autoplan.zoo import vgg_classifier
 
 from helpers import (
     GraphBuilder,
+    fixed_point,
     label_map,
     linkage_chain_graph,
     random_decision_graph,
@@ -42,9 +43,11 @@ class TestDotRule:
         g = self._graph()
         dims = decision_dims(g, ["a", "b", "c"])
         lk = by_label(g, dims)
-        result = propagate(g, {lk[k]: v for k, v in seeds_by_label.items()}, dims)
+        seeds = {lk[k]: v for k, v in seeds_by_label.items()}
+        result = propagate(g, seeds, dims)
+        rows = fixed_point(g, seeds, dims)
         statuses = {
-            lbl: DimStatus(result.rows[d.instruction_id][d.dim])
+            lbl: DimStatus(rows[d.instruction_id][d.dim])
             for lbl, d in lk.items()
         }
         return result, statuses
@@ -83,8 +86,8 @@ class TestTensorAutoReplicate:
         g = linkage_chain_graph()
         dims = trainable_dims(g)
         lk = by_label(g, dims)
-        result = propagate(g, {lk["w.d1"]: P}, dims)
-        assert result.rows[lk["w.d1"].instruction_id] == [R, P]
+        rows = fixed_point(g, {lk["w.d1"]: P}, dims)
+        assert rows[lk["w.d1"].instruction_id] == [R, P]
 
     def test_second_partition_on_tensor_conflicts(self):
         g = linkage_chain_graph()
@@ -103,8 +106,8 @@ class TestBroadcastReduce:
         g = b.build()
         dims = decision_dims(g, ["v", "bc"])
         lk = by_label(g, dims)
-        result = propagate(g, {}, dims)
-        assert result.rows[lk["bc.d0"].instruction_id][0] == int(R)
+        rows = fixed_point(g, {}, dims)
+        assert rows[lk["bc.d0"].instruction_id][0] == int(R)
 
     def test_broadcast_links_paired_dim(self):
         b = GraphBuilder()
@@ -113,8 +116,8 @@ class TestBroadcastReduce:
         g = b.build()
         dims = decision_dims(g, ["v", "bc"])
         lk = by_label(g, dims)
-        result = propagate(g, {lk["v.d0"]: P}, dims)
-        assert result.rows[lk["bc.d1"].instruction_id][1] == int(P)
+        rows = fixed_point(g, {lk["v.d0"]: P}, dims)
+        assert rows[lk["bc.d1"].instruction_id][1] == int(P)
 
     def test_partitioned_reduced_dim_replicates_output(self):
         b = GraphBuilder()
@@ -123,8 +126,8 @@ class TestBroadcastReduce:
         g = b.build()
         dims = decision_dims(g, ["x", "r"])
         lk = by_label(g, dims)
-        result = propagate(g, {lk["x.d1"]: P}, dims)
-        assert result.rows[lk["r.d0"].instruction_id][0] == int(R)
+        rows = fixed_point(g, {lk["x.d1"]: P}, dims)
+        assert rows[lk["r.d0"].instruction_id][0] == int(R)
 
     def test_partitioned_output_replicates_reduced_dims(self):
         b = GraphBuilder()
@@ -133,8 +136,8 @@ class TestBroadcastReduce:
         g = b.build()
         dims = decision_dims(g, ["x", "r"])
         lk = by_label(g, dims)
-        result = propagate(g, {lk["r.d0"]: P}, dims)
-        assert result.rows[lk["x.d1"].instruction_id][1] == int(R)
+        rows = fixed_point(g, {lk["r.d0"]: P}, dims)
+        assert rows[lk["x.d1"].instruction_id][1] == int(R)
 
     def test_kept_reduce_dim_links(self):
         b = GraphBuilder()
@@ -143,8 +146,8 @@ class TestBroadcastReduce:
         g = b.build()
         dims = decision_dims(g, ["x", "r"])
         lk = by_label(g, dims)
-        result = propagate(g, {lk["x.d1"]: P}, dims)
-        assert result.rows[lk["r.d0"].instruction_id][0] == int(P)
+        rows = fixed_point(g, {lk["x.d1"]: P}, dims)
+        assert rows[lk["r.d0"].instruction_id][0] == int(P)
 
 
 class TestPropagationResult:
@@ -185,7 +188,7 @@ class TestPropagationResult:
 
     def test_bad_seed_rejected_by_a_built_engine(self):
         # the candidates are checked once, when the engine is built; a seed
-        # outside them still gets the full check on every run and trial
+        # outside them still gets the full check on every run
         from autoplan.ir import DimIndex, GraphValidationError
 
         g = two_layer_graph()
@@ -199,16 +202,17 @@ class TestPropagationResult:
             DimIndex(0, x, 2),
         ]
         for seed in bad:
-            for propagate_once in (engine.run, engine.trial):
-                with pytest.raises(GraphValidationError):
-                    propagate_once({seed: P})
-                with pytest.raises(GraphValidationError):
-                    propagate_once({dims[0]: R, seed: P})
+            with pytest.raises(GraphValidationError):
+                engine.run({seed: P})
+            with pytest.raises(GraphValidationError):
+                engine.run({dims[0]: R, seed: P})
             with pytest.raises(GraphValidationError):
                 PropagationEngine(g, [*dims, seed])
+        # a refused seed list changes no row of the working copy
+        assert engine._work in (None, engine.base())
         # a valid seed outside the candidates is checked and propagated
         assert engine.run({DimIndex(0, x, 0): R}).outcome is Outcome.INCOMPLETE
-        assert engine.trial({DimIndex(7, dims[1].instruction_id, dims[1].dim): P}) == engine.trial(
+        assert engine.run({DimIndex(7, dims[1].instruction_id, dims[1].dim): P}) == engine.run(
             {dims[1]: P}
         )
         with pytest.raises(ValueError, match="twice"):
@@ -232,18 +236,18 @@ class TestNonCandidateInputs:
         g = linkage_chain_graph()
         dims = trainable_dims(g)
         lk = by_label(g, dims)
-        result = propagate(g, {lk["w.d1"]: P}, dims)
-        assert result.outcome is Outcome.COMPLETE
-        assert result.rows[g.by_name("x").id] == [R, R]
+        seeds = {lk["w.d1"]: P}
+        assert propagate(g, seeds, dims).outcome is Outcome.COMPLETE
+        assert fixed_point(g, seeds, dims)[g.by_name("x").id] == [R, R]
 
     def test_adp_replicates_weights(self):
         g = vgg_classifier()
         names = [g.instruction(i).name for i in adp_candidates(g)]
         dims = decision_dims(g, names)
         lk = by_label(g, dims)
-        result = propagate(g, {lk["arg0.1.d0"]: P}, dims)
-        assert result.outcome is not Outcome.CONFLICT
-        assert result.rows[g.by_name("w1").id] == [R, R]
+        seeds = {lk["arg0.1.d0"]: P}
+        assert propagate(g, seeds, dims).outcome is not Outcome.CONFLICT
+        assert fixed_point(g, seeds, dims)[g.by_name("w1").id] == [R, R]
         assert propagate(g, {lk["arg0.1.d1"]: P}, dims).outcome is Outcome.CONFLICT
 
 
@@ -278,8 +282,10 @@ class TestOneOpRules:
     def _run(self, opcode, operand_dims, out_dims, seeds_by_label):
         g, dims = self._graph(opcode, operand_dims, out_dims)
         lk = by_label(g, dims)
-        result = propagate(g, {lk[k]: v for k, v in seeds_by_label.items()}, dims)
-        statuses = {lbl: DimStatus(result.rows[d.instruction_id][d.dim]) for lbl, d in lk.items()}
+        seeds = {lk[k]: v for k, v in seeds_by_label.items()}
+        result = propagate(g, seeds, dims)
+        rows = fixed_point(g, seeds, dims)
+        statuses = {lbl: DimStatus(rows[d.instruction_id][d.dim]) for lbl, d in lk.items()}
         return result, statuses
 
     def test_unary_elementwise_links(self):
@@ -310,11 +316,13 @@ class TestOneOpRules:
     def test_idempotent(self):
         g, dims = self._graph("tanh", [(4, 6)], (4, 6))
         lk = by_label(g, dims)
-        first = propagate(g, {lk["a0.d0"]: P}, dims)
-        decided = {d: DimStatus(first.rows[d.instruction_id][d.dim]) for d in dims}
+        seeds = {lk["a0.d0"]: P}
+        first = propagate(g, seeds, dims)
+        rows = fixed_point(g, seeds, dims)
+        decided = {d: DimStatus(rows[d.instruction_id][d.dim]) for d in dims}
         again = propagate(g, decided, dims)
         assert again.outcome is first.outcome is Outcome.COMPLETE
-        assert again.rows == first.rows
+        assert fixed_point(g, decided, dims) == rows
 
     def test_broadcast_pairs_the_operand_dim(self):
         _, s = self._run("broadcast", [(6,)], (4, 6), {"a0.d0": P})
@@ -372,10 +380,16 @@ def test_seed_order_is_irrelevant(graph_seed, bits, shuffler):
     shuffler.shuffle(items)
     shuffled = propagate(g, dict(items), dims)
     assert shuffled.outcome == base.outcome
+    # run sorts its seeds, so advance takes the shuffled order as it comes
+    engine = PropagationEngine(g, dims)
+    rows = engine.base()
+    site, _ = engine.advance(rows, dict(items))
+    assert (site is not None) == (base.outcome is Outcome.CONFLICT)
     if base.outcome is not Outcome.CONFLICT:
+        ordered = fixed_point(g, assignment, dims)
         for d in dims:
-            a = base.rows[d.instruction_id][d.dim]
-            b = shuffled.rows[d.instruction_id][d.dim]
+            a = ordered[d.instruction_id][d.dim]
+            b = rows[d.instruction_id][d.dim]
             assert a == b
 
 
@@ -384,19 +398,22 @@ def test_propagation_is_idempotent(graph_seed):
     """Re-seeding a complete fixed point returns the same fixed point."""
     g = random_decision_graph(np.random.default_rng(graph_seed))
     dims = trainable_dims(g)
-    result = propagate(g, {d: R for d in dims}, dims)
+    seeds = {d: R for d in dims}
+    result = propagate(g, seeds, dims)
     assert result.outcome in (Outcome.COMPLETE, Outcome.CONFLICT)
     if result.outcome is Outcome.COMPLETE:
+        rows = fixed_point(g, seeds, dims)
         full = {
-            d: DimStatus(result.rows[d.instruction_id][d.dim])
+            d: DimStatus(rows[d.instruction_id][d.dim])
             for d in dims
         }
         again = propagate(g, full, dims)
         assert again.outcome is Outcome.COMPLETE
-        for ins_id, row in result.rows.items():
+        again_rows = fixed_point(g, full, dims)
+        for ins_id, row in rows.items():
             for i, status in enumerate(row):
                 if status != U:
-                    assert again.rows[ins_id][i] == status
+                    assert again_rows[ins_id][i] == status
 
 
 def test_exhaustive_small_graph():

@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from autoplan.topology import PRESETS, DeviceTopology, TopologyError, allreduce_time, transfer_time
+from autoplan.topology import (
+    PRESETS,
+    DeviceTopology,
+    TopologyError,
+    allreduce_time,
+    load_topology,
+    transfer_time,
+)
 
 PAYLOADS = (0.0, 1.0, 3.5e8)
 
@@ -80,3 +87,12 @@ def test_negative_payload_is_rejected():
         allreduce_time(-1.0, [0, 1], PRESETS["configa"])
     with pytest.raises(ValueError):
         transfer_time(-1.0, 0, 1, PRESETS["configa"])
+
+
+@pytest.mark.parametrize("field", ["intra_bw", "inter_bw", "intra_bw_GBps", "inter_bw_Gbps"])
+@pytest.mark.parametrize("value", ['"130"', "true", "[130]"])
+def test_bandwidth_that_is_not_a_number_is_named(tmp_path, field, value):
+    path = tmp_path / "topology.json"
+    path.write_text(f'{{"servers": 4, "gpus_per_server": 8, "{field}": {value}}}')
+    with pytest.raises(TopologyError, match=f"{field} .* is not a number"):
+        load_topology(str(path))
