@@ -1,12 +1,13 @@
-"""Dueling double DQN with prioritized replay, in plain numpy.
+"""Dueling double DQN with uniform replay, in plain numpy.
 
 The network is a ReLU trunk with separate value and advantage heads,
 combined as Q = V + A - mean(A).  Training follows the double-DQN rule: the
 online network picks the argmax over the next state's allowed actions, the
-target network scores it.  Replay is prioritized by absolute TD error with
-importance-sampling correction.  Everything runs in double precision with
-explicit analytic gradients so the backward pass can be checked against
-finite differences.
+target network scores it.  Each update draws its batch uniformly, with
+replacement, from the filled part of the replay ring, and minimizes the
+plain mean Huber loss of the batch's TD errors.  Everything runs in double
+precision with explicit analytic gradients so the backward pass can be
+checked against finite differences.
 
 ``AgentConfig`` holds the five settings a run can change (flags and the
 CLI's per-task defaults); every other hyper-parameter is a module constant.
@@ -39,13 +40,13 @@ updates or free decisions: it is the rate the schedule would reach with one
 update per transition, so thinning the updates leaves exploration as it
 was.  Learning is still the largest part of a planning run, against four
 fifths or more with an update per decision: 0.58 of the traced
-``opp-mlp100`` benchmark workload and 0.59 of ``pptrain-chain128``, whose
+``opp-mlp100`` benchmark workload and 0.61 of ``pptrain-chain128``, whose
 env steps no longer cost stage plans, and 0.46 of ``ppinfer-bert48``,
 whose head scores only the 24 actions its bands allow (see
 ``autoplan.envs.PickEnv``; ``share.agent_learn``, median of 7 traced runs
 at seed 0, 2 vCPUs).  The trunk is (64, 64) for
-every task: at batch 64 and 2 actions one learn takes 0.66, 3.0 and
-9.1 ms at 201, 2,001 and 6,667 inputs, against 3.9, 16 and 56 ms at (256, 256) (2 vCPUs,
+every task: at batch 64 and 2 actions one learn takes 0.50, 2.6 and
+8.0 ms at 201, 2,001 and 6,667 inputs, against 2.7, 11 and 38 ms at (256, 256) (2 vCPUs,
 OpenBLAS with 2 threads).  Over ten seeds per benchmark workload the median plan quality of
 the two widths differs by less than 0.001.
 
@@ -76,9 +77,6 @@ import numpy as np
 # one update per this many free decisions (masks allowing more than one action)
 LEARN_EVERY = 4
 HIDDEN = (64, 64)  # the trunk's layer widths
-# prioritized replay: priority exponent and importance-sampling exponent
-PER_ALPHA = 0.2
-PER_BETA = 0.6
 TARGET_SYNC_EVERY = 100  # updates between copies of the online net into the target
 # exploration decays linearly from EPSILON_START to EPSILON_FINAL
 EPSILON_START = 1.0
@@ -254,8 +252,8 @@ class Batch(NamedTuple):
     next_masks: np.ndarray
 
 
-class PrioritizedReplayBuffer:
-    """Ring buffer with proportional prioritized sampling.
+class ReplayBuffer:
+    """Ring buffer with uniform sampling.
 
     Each transition field lives in its own array, allocated on the first
     push once the state and mask sizes are known.  ``sample`` gathers into
@@ -268,7 +266,6 @@ class PrioritizedReplayBuffer:
         self.capacity = capacity
         self._store: Batch | None = None
         self._batch: Batch | None = None
-        self._priorities = np.zeros(capacity, dtype=np.float64)
         self._size = 0
         self._next = 0
 
@@ -276,7 +273,7 @@ class PrioritizedReplayBuffer:
         return self._size
 
     def push(self, transition: Transition) -> None:
-        """Insert with the current maximum priority so it gets sampled soon."""
+        """Insert, overwriting the oldest transition once the buffer is full."""
         t = transition
         if self._store is None:
             n = self.capacity
@@ -288,45 +285,32 @@ class PrioritizedReplayBuffer:
                 np.zeros(n),
                 np.zeros((n, len(t.next_mask)), dtype=bool),
             )
-        priority = self._priorities[: self._size].max() if self._size else 1.0
         fields = (t.state, t.action, t.reward, t.next_state, t.done, t.next_mask)
         for column, value in zip(self._store, fields):
             column[self._next] = value
-        self._priorities[self._next] = priority
         self._next = (self._next + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
-    def sample(
-        self, batch_size: int, alpha: float, beta: float, rng: random.Random
-    ) -> tuple[np.ndarray, Batch, np.ndarray]:
-        """Sample indices with probability proportional to priority**alpha.
+    def sample(self, batch_size: int, rng: random.Random) -> Batch:
+        """``batch_size`` transitions drawn uniformly, with replacement.
 
-        Each index is drawn with replacement from one ``u = rng.random()``:
-        it is the first index whose running sum of the probabilities, scaled
-        to end at 1, exceeds ``u``.  Returns (indices, the transitions at
-        them, importance weights); weights are normalized by the batch
-        maximum.
+        Each index is ``int(u * n)`` for one ``u = rng.random()``, where
+        ``n`` is the number of filled slots; as ``u < 1``, it is below ``n``.
         """
         n = self._size
         if n < batch_size:
             raise ValueError("not enough transitions to sample a batch")
-        scaled = self._priorities[:n] ** alpha
-        probs = scaled / scaled.sum()
-        cdf = np.cumsum(probs)
-        # the last bin ends at exactly 1.0 and random() < 1, so every index is below n
-        cdf /= cdf[-1]
-        indices = cdf.searchsorted([rng.random() for _ in range(batch_size)], side="right")
-        weights = (n * probs[indices]) ** (-beta)
-        weights = weights / weights.max()
+        indices = [int(rng.random() * n) for _ in range(batch_size)]
         if self._batch is None or len(self._batch.actions) != batch_size:
             self._batch = Batch(*(np.empty((batch_size, *c.shape[1:]), c.dtype) for c in self._store))
         for column, out in zip(self._store, self._batch):
             # mode="clip" gathers straight into out; "raise" would buffer a copy
             np.take(column, indices, axis=0, out=out, mode="clip")
-        return indices, self._batch, weights
+        return self._batch
 
-    def update_priorities(self, indices: np.ndarray, td_errors: np.ndarray) -> None:
-        self._priorities[indices] = np.abs(td_errors) + 1e-6
+
+# the name bench/tracing.py wraps (agent.replay_sample, agent.replay_push)
+PrioritizedReplayBuffer = ReplayBuffer
 
 
 class AdamOptimizer:
@@ -383,7 +367,7 @@ class DqnAgent:
         self.rng = random.Random(seed)
         self.net = QNetwork(state_dim, num_actions, HIDDEN, self.rng)
         self.target = self.net.clone()
-        self.buffer = PrioritizedReplayBuffer(config.buffer_capacity)
+        self.buffer = ReplayBuffer(config.buffer_capacity)
         self.optimizer = AdamOptimizer(self.net.flat, config.lr)
         self.observed = 0
         # decisions whose mask allowed more than one action
@@ -426,14 +410,16 @@ class DqnAgent:
         return None
 
     def learn(self) -> float:
-        """One double-DQN update on a prioritized batch; returns the loss.
+        """One double-DQN update on a uniformly drawn batch; returns the loss.
 
-        The buffer must hold a batch.
+        The loss is the batch mean of the Huber loss of the TD errors.  The
+        buffer must hold a batch; the draw takes ``batch_size`` values of
+        ``random()`` from the agent's generator, whatever the buffer holds.
         """
         net, config = self.net, self.config
-        indices, batch, weights = self.buffer.sample(config.batch_size, PER_ALPHA, PER_BETA, self.rng)
+        batch = self.buffer.sample(config.batch_size, self.rng)
         states, actions, rewards, next_states, done, next_masks = batch
-        rows = np.arange(len(indices))
+        rows = np.arange(len(actions))
 
         # terminal rows may have empty masks; their bootstrap term is zeroed anyway
         has_next = next_masks.any(axis=1)
@@ -450,13 +436,11 @@ class DqnAgent:
         q_taken = q_all[rows, actions]
         td = q_taken - targets
 
-        loss = float(np.mean(weights * huber(td, HUBER_DELTA)))
-        dq_taken = weights * np.clip(td, -HUBER_DELTA, HUBER_DELTA) / len(indices)
+        loss = float(np.mean(huber(td, HUBER_DELTA)))
         dq = np.zeros_like(q_all)
-        dq[rows, actions] = dq_taken
+        dq[rows, actions] = np.clip(td, -HUBER_DELTA, HUBER_DELTA) / len(actions)
         net.backward(cache, dq)
         self.optimizer.step(net.flat, net.grad_flat)
-        self.buffer.update_priorities(indices, td)
         if not np.isfinite(loss):
             raise DivergenceError(f"training loss diverged to {loss}")
         self.train_steps += 1

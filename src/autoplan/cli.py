@@ -583,9 +583,13 @@ def _run_search(cfg: RunConfig) -> int:
     for path in filter(None, (cfg.out, cfg.log)):
         if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
             raise ConfigError(f"cannot write {path!r}: not a file in an existing directory")
-    artifacts = map(os.path.realpath, (cfg.out, curve_path, summary_path))
-    if cfg.log and os.path.realpath(cfg.log) in artifacts:
+    artifacts = [os.path.realpath(path) for path in (cfg.out, curve_path, summary_path)]
+    logged = [os.path.realpath(cfg.log)] if cfg.log else []
+    if logged and logged[0] in artifacts:
         raise ConfigError(f"--log {cfg.log!r} names the plan, its curve or its summary")
+    for flag, path in (("--graph", cfg.graph), ("--topology", cfg.topology)):
+        if path and os.path.realpath(path) in artifacts + logged:
+            raise ConfigError(f"{flag} {path!r} names the plan, its curve, its summary or --log")
     phases = dict.fromkeys(PHASES, 0.0)
     clock = time.monotonic()
     inputs = resolve_inputs(cfg, task.inputs)
@@ -792,7 +796,11 @@ def config_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) 
         raise ConfigError(f"--task {args.task} does not read {', '.join(unread)}")
     if {"graph", "dist"} <= given.keys():
         raise ConfigError("--dist generates the profile that --graph would name; give one")
-    return RunConfig(**{**defaults, **given})
+    cfg = RunConfig(**{**defaults, **given})
+    # DqnAgent refuses this too, but only once the inputs are loaded
+    if cfg.batch_size is not None and cfg.batch_size > cfg.buffer_capacity:
+        raise ConfigError(f"--buffer {cfg.buffer_capacity} cannot hold one --batch-size {cfg.batch_size}")
+    return cfg
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -141,7 +141,8 @@ def load_profile(path: str) -> ProfileArrays:
     """Read a profile from JSON ({"names", "C", "A", "W"}) or CSV.
 
     CSV needs a header naming the columns name, C, A, W (case insensitive;
-    compute_ms, activation_bytes and param_bytes are accepted aliases).
+    compute_ms, activation_bytes and param_bytes are accepted aliases); JSON
+    keys are case insensitive.  Two columns for one field are refused.
     """
     if path.endswith(".csv"):
         return _load_profile_csv(path)
@@ -154,7 +155,11 @@ def load_profile(path: str) -> ProfileArrays:
         raise ProfileError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ProfileError(f"{path} must hold a JSON object of profile columns")
-    lowered = {str(k).lower(): v for k, v in data.items()}
+    keys: dict[str, str] = {}
+    for key in data:
+        if keys.setdefault(key.lower(), key) != key:
+            raise ProfileError(f"{path} has two columns for one field: {keys[key.lower()]!r} and {key!r}")
+    lowered = {field: data[key] for field, key in keys.items()}
     try:
         c, a, w = (_column(lowered[key], key.upper()) for key in "caw")
         names = lowered.get("names")
@@ -194,6 +199,8 @@ def _load_profile_csv(path: str) -> ProfileArrays:
             fields = {}
             for raw in reader.fieldnames:
                 key = _CSV_ALIASES.get(raw.strip().lower())
+                if key in fields:
+                    raise ProfileError(f"{path} has two columns for one field: {fields[key]!r} and {raw!r}")
                 if key:
                     fields[key] = raw
             missing = {"c", "a", "w"} - set(fields)

@@ -365,10 +365,11 @@ def opp_env(graph: HloGraph) -> OppEnv:
 # the dict-based Adam and the training step that ``autoplan.agent`` had before
 # its parameters became one flat vector, kept verbatim apart from their names,
 # type annotations and argument checks, the settings that are now
-# ``autoplan.agent`` constants, which they read as literals, and their random
-# draws.  Those come from a stdlib ``random.Random``, one call at a time:
-# ``uniform`` per weight, and per replay index one ``random()`` located with
-# ``bisect`` in the running sum of the probabilities.
+# ``autoplan.agent`` constants, which they read as literals, their random
+# draws and their replay rule.  The draws come from a stdlib ``random.Random``,
+# one call at a time: ``uniform`` per weight, and per replay index one
+# ``random()`` scaled to the list's length and truncated.  Replay draws
+# uniformly and the loss is the plain batch mean.
 
 
 class ReferenceQNetwork:
@@ -444,41 +445,28 @@ class ReferenceQNetwork:
 
 
 class ReferenceReplayBuffer:
-    """Ring buffer with proportional prioritized sampling."""
+    """Ring buffer of transitions with uniform sampling."""
 
     def __init__(self, capacity=2000):
         self.capacity = capacity
         self._data: list = []
-        self._priorities = np.zeros(capacity, dtype=np.float64)
         self._next = 0
 
     def __len__(self):
         return len(self._data)
 
     def push(self, transition):
-        priority = self._priorities[: len(self._data)].max() if self._data else 1.0
         if len(self._data) < self.capacity:
             self._data.append(transition)
         else:
             self._data[self._next] = transition
-        self._priorities[self._next] = priority
         self._next = (self._next + 1) % self.capacity
 
-    def sample(self, batch_size, alpha, beta, rng):
+    def sample(self, batch_size, rng):
         n = len(self._data)
         if n < batch_size:
             raise ValueError("not enough transitions to sample a batch")
-        scaled = self._priorities[:n] ** alpha
-        probs = scaled / scaled.sum()
-        running = list(itertools.accumulate(probs.tolist()))
-        ends = [total / running[-1] for total in running]
-        indices = np.array([bisect.bisect_right(ends, rng.random()) for _ in range(batch_size)])
-        weights = (n * probs[indices]) ** (-beta)
-        weights = weights / weights.max()
-        return indices, [self._data[i] for i in indices], weights
-
-    def update_priorities(self, indices, td_errors):
-        self._priorities[indices] = np.abs(td_errors) + 1e-6
+        return [self._data[int(rng.random() * n)] for _ in range(batch_size)]
 
 
 class ReferenceAdamOptimizer:
@@ -511,10 +499,8 @@ def _reference_huber(x, delta):
 
 
 def reference_train_step(net, target_net, buffer, config, optimizer, rng) -> float:
-    """One double-DQN update on a prioritized batch; returns the loss."""
-    indices, batch, weights = buffer.sample(
-        config.batch_size, 0.2, 0.6, rng
-    )
+    """One double-DQN update on a uniformly drawn batch; returns the loss."""
+    batch = buffer.sample(config.batch_size, rng)
     states = np.stack([t.state for t in batch])
     actions = np.array([t.action for t in batch], dtype=np.int64)
     rewards = np.array([t.reward for t in batch], dtype=np.float64)
@@ -537,13 +523,12 @@ def reference_train_step(net, target_net, buffer, config, optimizer, rng) -> flo
     q_taken = q_all[np.arange(len(batch)), actions]
     td = q_taken - targets
 
-    loss = float(np.mean(weights * _reference_huber(td, 1.0)))
-    dq_taken = weights * np.clip(td, -1.0, 1.0) / len(batch)
+    loss = float(np.mean(_reference_huber(td, 1.0)))
+    dq_taken = np.clip(td, -1.0, 1.0) / len(batch)
     dq = np.zeros_like(q_all)
     dq[np.arange(len(batch)), actions] = dq_taken
     grads = net.backward(cache, dq)
     optimizer.step(net.params, grads)
-    buffer.update_priorities(indices, td)
     return loss
 
 

@@ -5,15 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from autoplan.agent import (
-    PER_ALPHA,
-    PER_BETA,
-    AgentConfig,
-    DqnAgent,
-    PrioritizedReplayBuffer,
-    QNetwork,
-    Transition,
-)
+from autoplan.agent import AgentConfig, DqnAgent, QNetwork, ReplayBuffer, Transition
 
 from helpers import ReferenceLearner
 
@@ -106,25 +98,35 @@ def test_agent_refuses_a_seed_that_is_not_a_non_negative_int(seed):
 
 
 @pytest.mark.parametrize("pushes", [30, 67], ids=["filling", "wrapped"])
-def test_replay_draws_filled_slots_in_proportion_to_their_priority(pushes):
+def test_replay_draws_filled_slots_uniformly(pushes):
     capacity, batch, rounds = 50, 20, 1000
-    buffer = PrioritizedReplayBuffer(capacity)
+    buffer = ReplayBuffer(capacity)
     empty = np.zeros(1)
-    for _ in range(pushes):
-        buffer.push(Transition(empty, 0, 0.0, empty, False, np.ones(1, dtype=bool)))
+    for k in range(pushes):
+        # each transition's action names its slot, plus one: a slot never filled reads 0
+        buffer.push(Transition(empty, k % capacity + 1, 0.0, empty, False, np.ones(1, dtype=bool)))
     filled = len(buffer)
-    # TD errors spread over three orders of magnitude
-    td_errors = np.geomspace(1e-3, 1.0, filled)
-    buffer.update_priorities(np.arange(filled), td_errors)
     rng = random.Random(7)
-    counts = np.zeros(capacity, dtype=np.int64)
+    counts = np.zeros(capacity + 1, dtype=np.int64)
     for _ in range(rounds):
-        indices, _, _ = buffer.sample(batch, PER_ALPHA, PER_BETA, rng)
-        assert indices.min() >= 0 and indices.max() < filled
-        np.add.at(counts, indices, 1)
-    assert not counts[filled:].any()
-    scaled = (td_errors + 1e-6) ** PER_ALPHA
-    p = scaled / scaled.sum()
-    draws = batch * rounds
+        np.add.at(counts, buffer.sample(batch, rng).actions, 1)
+    assert counts[0] == 0 and not counts[filled + 1 :].any()
+    draws, p = batch * rounds, 1.0 / filled
     spread = 4.0 * np.sqrt(draws * p * (1.0 - p))
-    assert np.all(np.abs(counts[:filled] - draws * p) <= spread)
+    assert np.all(np.abs(counts[1 : filled + 1] - draws * p) <= spread)
+
+
+@pytest.mark.parametrize("pushes", [8, 23, 97], ids=["one-batch", "filling", "wrapped"])
+def test_an_update_draws_batch_size_values_from_the_agent_generator(pushes):
+    # so the exploration draws that follow an update do not depend on the replay rule
+    config = AgentConfig(batch_size=8, buffer_capacity=40)
+    agent = DqnAgent(config, 10, 5, seed=3)
+    rng = np.random.default_rng(5)
+    for _ in range(pushes):
+        agent.observe(random_transition(rng, 10, 5))
+    expected = random.Random()
+    expected.setstate(agent.rng.getstate())
+    for _ in range(config.batch_size):
+        expected.random()
+    agent.learn()
+    assert agent.rng.getstate() == expected.getstate()

@@ -593,6 +593,37 @@ def test_output_path_that_cannot_be_written_is_config_error(tmp_path, out, log):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "graph, topology, out, log, flag",
+    [
+        ("g.json", "t.json", "g.json", None, "--graph"),
+        ("g_summary.json", "t.json", "g.json", None, "--graph"),
+        ("g.json", "t.json", "plan.json", "g.json", "--graph"),
+        ("g.json", "t.json", "t.json", None, "--topology"),
+        ("g.json", "t_curve.csv", "t.json", None, "--topology"),
+        ("g.json", "t.json", "plan.json", "t.json", "--topology"),
+    ],
+    ids=["plan-graph", "summary-graph", "log-graph", "plan-topology", "curve-topology", "log-topology"],
+)
+def test_output_path_that_is_an_input_is_config_error(
+    tmp_path, monkeypatch, caplog, graph, topology, out, log, flag
+):
+    # a plan written over its graph file once made the next run on that file exit 2
+    monkeypatch.chdir(tmp_path)
+    zoo_graph("uniform_chain").save(graph)
+    Path(topology).write_text(json.dumps({"servers": 4, "gpus_per_server": 8}))
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    loads = _counted(monkeypatch, cli, "resolve_inputs")
+    args = [
+        "--task", "pp-train", "--graph", graph, "--topology", topology, "--stages", "2",
+        "--episodes", "2", "--out", out, *(["--log", log] if log else []),
+    ]
+    assert main(args) == EXIT_CONFIG
+    named = graph if flag == "--graph" else topology
+    assert f"{flag} {named!r} names the plan, its curve, its summary or --log" in caplog.text
+    assert loads == [] and {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
 @pytest.mark.parametrize("dist", ["normal", "binomial"])
 def test_generated_environment_plans_validate_and_repeat(tmp_path, dist):
     args = ["--task", "pp-infer", "--dist", dist, "--episodes", "5", "--stages", "4", "--topology", "configc"]
@@ -638,9 +669,12 @@ def test_no_planning_run_imports_numpy_random(tmp_path):
     assert (planned, generated) == (False, True)
 
 
-def test_buffer_smaller_than_a_batch_is_config_error(tmp_path):
+def test_buffer_smaller_than_a_batch_is_config_error(tmp_path, monkeypatch, caplog):
+    loads = _counted(monkeypatch, cli, "resolve_inputs")
     args = SEARCH_ARGS["pp-infer"] + ["--buffer", "10", "--out", str(tmp_path / "plan.json")]
     assert main(args) == EXIT_CONFIG
+    assert "--buffer 10 cannot hold one --batch-size 64" in caplog.text
+    assert loads == [] and list(tmp_path.iterdir()) == []
 
 
 def test_gen_data_task_is_gone(tmp_path):
@@ -730,11 +764,13 @@ def test_flag_the_task_would_drop_is_refused_before_any_input_is_loaded(
 
 
 def _flag_values(parser):
-    """(dest, option, argv tail) for every flag but --task: a value each flag accepts."""
+    """(dest, option, argv tail) for every flag but --task: a value each flag accepts alone."""
+    # a buffer must hold one batch of the default size
+    alone = {"buffer_capacity": str(AgentConfig().batch_size)}
     for action in parser._actions:
         if action.option_strings and action.dest not in ("help", "task"):
             option = action.option_strings[0]
-            value = [] if action.nargs == 0 else [str((action.choices or ["1"])[0])]
+            value = [] if action.nargs == 0 else [str((action.choices or [alone.get(action.dest, "1")])[0])]
             yield action.dest, option, [option, *value]
 
 

@@ -115,3 +115,20 @@ def test_json_column_that_is_not_numbers_is_named(tmp_path, columns, message):
     path.write_text("{" + columns + "}")
     with pytest.raises(ProfileError, match=message):
         load_profile(str(path))
+
+
+@pytest.mark.parametrize(
+    "name, text, columns",
+    [
+        ("profile.json", '{"C": [1, 2], "c": [5, 6], "A": [1, 1], "W": [1, 1]}', "'C' and 'c'"),
+        ("profile.csv", "C,compute_ms,A,W\n1,5,1,1\n2,6,1,1\n", "'C' and 'compute_ms'"),
+        ("profile.csv", "C,C,A,W\n1,5,1,1\n2,6,1,1\n", "'C' and 'C'"),
+    ],
+    ids=["json-case", "csv-alias", "csv-repeat"],
+)
+def test_two_columns_for_one_field_are_refused(tmp_path, name, text, columns):
+    # the later column used to win in silence
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(ProfileError, match=f"two columns for one field: {columns}"):
+        load_profile(str(path))
