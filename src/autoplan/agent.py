@@ -1,22 +1,21 @@
-"""Dueling double DQN with uniform replay, in plain numpy.
+"""Dueling DQN with uniform replay, in plain numpy.
 
 The network is a ReLU trunk with separate value and advantage heads,
-combined as Q = V + A - mean(A).  Training follows the double-DQN rule: the
-online network picks the argmax over the next state's allowed actions, the
-target network scores it.  Each update draws its batch uniformly, with
-replacement, from the filled part of the replay ring, and minimizes the
-plain mean Huber loss of the batch's TD errors.  Everything runs in double
-precision with explicit analytic gradients so the backward pass can be
-checked against finite differences.
+combined as Q = V + A - mean(A).  One network both acts and bootstraps: a
+TD target takes its masked maximum over the next state's allowed actions,
+as in the first DQN (arXiv 1312.5602).  Each update draws its batch
+uniformly, with replacement, from the filled part of the replay ring, and
+minimizes the plain mean Huber loss of the batch's TD errors.  Everything
+runs in double precision with explicit analytic gradients so the backward
+pass can be checked against finite differences.
 
 ``AgentConfig`` holds the five settings a run can change (flags and the
 CLI's per-task defaults); every other hyper-parameter is a module constant.
 
 One stdlib ``random.Random(seed)`` per agent makes every random draw, in
-this order: the online network's initial weights, tensor by tensor in
-layout order (the target network starts as their copy and draws nothing);
-then per decision one ``random()`` for the epsilon test and, when it
-explores, one ``randrange`` over the allowed actions; then per update
+this order: the network's initial weights, tensor by tensor in layout
+order; then per decision one ``random()`` for the epsilon test and, when
+it explores, one ``randrange`` over the allowed actions; then per update
 ``batch_size`` values of ``random()`` that pick the replay batch.  The
 numpy generator, whose first import costs about 10 ms of every run's
 set-up, is not used; only profile generation (``autoplan.dataproc``,
@@ -39,14 +38,14 @@ next update.  The exploration rate counts every observed transition, not
 updates or free decisions: it is the rate the schedule would reach with one
 update per transition, so thinning the updates leaves exploration as it
 was.  Learning is still the largest part of a planning run, against four
-fifths or more with an update per decision: 0.58 of the traced
-``opp-mlp100`` benchmark workload and 0.61 of ``pptrain-chain128``, whose
-env steps no longer cost stage plans, and 0.46 of ``ppinfer-bert48``,
+fifths or more with an update per decision: 0.56 of the traced
+``opp-mlp100`` benchmark workload and 0.58 of ``pptrain-chain128``, whose
+env steps no longer cost stage plans, and 0.44 of ``ppinfer-bert48``,
 whose head scores only the 24 actions its bands allow (see
 ``autoplan.envs.PickEnv``; ``share.agent_learn``, median of 7 traced runs
 at seed 0, 2 vCPUs).  The trunk is (64, 64) for
-every task: at batch 64 and 2 actions one learn takes 0.50, 2.6 and
-8.0 ms at 201, 2,001 and 6,667 inputs, against 2.7, 11 and 38 ms at (256, 256) (2 vCPUs,
+every task: at batch 64 and 2 actions one learn takes 0.44, 2.2 and
+7.1 ms at 201, 2,001 and 6,667 inputs, against 2.3, 8.4 and 28 ms at (256, 256) (2 vCPUs,
 OpenBLAS with 2 threads).  Over ten seeds per benchmark workload the median plan quality of
 the two widths differs by less than 0.001.
 
@@ -59,8 +58,8 @@ buffers, with the per-tensor operations in their original order, so the
 results are bit-for-bit those of one update per tensor.  The replay buffer
 stores each transition field in a preallocated array and gathers a batch by
 index into arrays it also keeps, so a wide state costs no fresh pages per
-step.  The online network scores ``next_states`` and ``states`` in two
-forward passes, not one stacked pass: a 128-row matrix product may sum in a
+step.  The network scores ``next_states`` and ``states`` in two forward
+passes, not one stacked pass: a 128-row matrix product may sum in a
 different order than two 64-row ones, which changes the last bits of the
 Q values and, through them, of the losses and the learned plans.
 """
@@ -77,7 +76,6 @@ import numpy as np
 # one update per this many free decisions (masks allowing more than one action)
 LEARN_EVERY = 4
 HIDDEN = (64, 64)  # the trunk's layer widths
-TARGET_SYNC_EVERY = 100  # updates between copies of the online net into the target
 # exploration decays linearly from EPSILON_START to EPSILON_FINAL
 EPSILON_START = 1.0
 EPSILON_FINAL = 0.1
@@ -136,10 +134,9 @@ class QNetwork:
         state_dim: int,
         num_actions: int,
         hidden: Sequence[int],
-        rng: random.Random | None = None,
-        flat: np.ndarray | None = None,
+        rng: random.Random,
     ):
-        """Draw the parameters from ``rng``, or take ``flat`` over as they are.
+        """Draw the parameters from ``rng``.
 
         Each parameter is ``rng.uniform(-b, b)`` with ``b = 1/sqrt(fan_in)``
         of its layer, drawn in layout order; the draws are made in bulk
@@ -161,18 +158,16 @@ class QNetwork:
         for head, width in (("v", 1), ("a", num_actions)):
             self._layout += [(f"w{head}", (fan_in, width), fan_in), (f"b{head}", (width,), fan_in)]
         size = sum(int(np.prod(shape)) for _, shape, _ in self._layout)
-        self.flat = np.empty(size) if flat is None else flat
+        self.flat = uniforms(rng, size)
         self.params = self.views(self.flat)
         self.grad_flat = np.empty(size)
         self.grads = self.views(self.grad_flat)
-        if flat is None:
-            self.flat[...] = uniforms(rng or random.Random(0), size)
-            for key, _, fan_in in self._layout:
-                # random.uniform's -b + (b - -b) * u, operation by operation
-                bound = 1.0 / np.sqrt(fan_in)
-                view = self.params[key]
-                view *= 2.0 * bound
-                view -= bound
+        for key, _, fan_in in self._layout:
+            # random.uniform's -b + (b - -b) * u, operation by operation
+            bound = 1.0 / np.sqrt(fan_in)
+            view = self.params[key]
+            view *= 2.0 * bound
+            view -= bound
 
     def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """Per-tensor views into a vector laid out like ``flat``."""
@@ -223,12 +218,6 @@ class QNetwork:
             if i:  # nothing needs the gradient of the states
                 dh = dz @ params[f"w{i}"].T
         return grads
-
-    def copy_from(self, other: "QNetwork") -> None:
-        self.flat[...] = other.flat
-
-    def clone(self) -> "QNetwork":
-        return QNetwork(self.state_dim, self.num_actions, self.hidden, flat=self.flat.copy())
 
 
 @dataclass(frozen=True)
@@ -354,7 +343,7 @@ def huber(x: np.ndarray, delta: float) -> np.ndarray:
 
 
 class DqnAgent:
-    """The network, target, replay buffer and Adam, and the schedule that trains them."""
+    """The network, replay buffer and Adam, and the schedule that trains them."""
 
     def __init__(self, config: AgentConfig, state_dim: int, num_actions: int, seed: int = 0):
         # a buffer that cannot fill a batch would never train, while epsilon decayed
@@ -366,7 +355,6 @@ class DqnAgent:
         self.config = config
         self.rng = random.Random(seed)
         self.net = QNetwork(state_dim, num_actions, HIDDEN, self.rng)
-        self.target = self.net.clone()
         self.buffer = ReplayBuffer(config.buffer_capacity)
         self.optimizer = AdamOptimizer(self.net.flat, config.lr)
         self.observed = 0
@@ -410,11 +398,12 @@ class DqnAgent:
         return None
 
     def learn(self) -> float:
-        """One double-DQN update on a uniformly drawn batch; returns the loss.
+        """One DQN update on a uniformly drawn batch; returns the loss.
 
-        The loss is the batch mean of the Huber loss of the TD errors.  The
-        buffer must hold a batch; the draw takes ``batch_size`` values of
-        ``random()`` from the agent's generator, whatever the buffer holds.
+        The loss is the batch mean of the Huber loss of the TD errors,
+        bootstrapped from the network's own masked maximum.  The buffer must
+        hold a batch; the draw takes ``batch_size`` values of ``random()``
+        from the agent's generator, whatever the buffer holds.
         """
         net, config = self.net, self.config
         batch = self.buffer.sample(config.batch_size, self.rng)
@@ -427,10 +416,9 @@ class DqnAgent:
         safe_masks[~has_next, 0] = True
         done = np.maximum(done, (~has_next).astype(np.float64))
 
-        online_next = net.forward(next_states)
-        best_next = np.argmax(np.where(safe_masks, online_next, -np.inf), axis=1)
-        target_next = self.target.forward(next_states)[rows, best_next]
-        targets = rewards + config.gamma * (1.0 - done) * target_next
+        q_next = net.forward(next_states)
+        next_value = np.max(np.where(safe_masks, q_next, -np.inf), axis=1)
+        targets = rewards + config.gamma * (1.0 - done) * next_value
 
         q_all, cache = net.forward_cached(states)
         q_taken = q_all[rows, actions]
@@ -444,6 +432,4 @@ class DqnAgent:
         if not np.isfinite(loss):
             raise DivergenceError(f"training loss diverged to {loss}")
         self.train_steps += 1
-        if self.train_steps % TARGET_SYNC_EVERY == 0:
-            self.target.copy_from(net)
         return loss

@@ -83,7 +83,7 @@ from autoplan.envs import (
     adp_candidates,
     infer_search_bands,
 )
-from autoplan.ir import DimIndex, GraphError, HloGraph, decision_dims, load_graph
+from autoplan.ir import DimIndex, GraphError, HloGraph, decision_dims, load_graph, load_json
 from autoplan.linkage import extract_linkage_groups
 from autoplan.pipecost import (
     InfeasiblePlanError,
@@ -91,6 +91,7 @@ from autoplan.pipecost import (
     StageMetrics,
     device_groups,
     length_breakdown,
+    memory_feasible,
     pipeline_length,
     stage_metrics,
 )
@@ -416,6 +417,13 @@ def validate_payload(
     # abs(x - nan) > tol is false, so a NaN length needs its own check
     if not math.isfinite(length) or abs(length - recorded) > 1e-9 * max(1.0, length):
         return False, f"recomputed pipeline length {length} disagrees"
+    if task == "pp-train":
+        if payload.get("memory_feasible") is not True:
+            return False, f"memory_feasible is {payload.get('memory_feasible')!r}, not true"
+        # absent or null, the budget is --mem-per-device's default: none
+        budget = payload.get("mem_per_device")
+        if budget is not None and not memory_feasible(plan, metrics, topo, budget):
+            return False, f"the stages do not fit mem_per_device {budget!r}"
     return True, "pipeline length matches the cost model"
 
 
@@ -494,6 +502,7 @@ def _pp_train_payload(cfg: RunConfig, inputs: dict, best: Best) -> dict:
         **_pipe_payload(cfg, inputs, best),
         "pivots": [graph.instruction(p).name for p in best.info["plan"].pivot_ids],
         "memory_feasible": best.info["memory_feasible"],
+        "mem_per_device": cfg.mem_per_device,
     }
 
 
@@ -666,24 +675,21 @@ def _run_search(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-# the plan fields validate loads inputs by, each with the flag it stands for
-# and that flag's check on a JSON value
+# the plan fields that stand for a flag (validate loads the inputs by them),
+# each with that flag's RunConfig field and its check on a JSON value
 _PLAN_INPUTS = {
     "graph": ("graph", lambda v: type(v) is str),
     "topology": ("topology", lambda v: type(v) is str),
     "distribution": ("dist", lambda v: v in DISTRIBUTIONS),
     "seed": ("seed", lambda v: type(v) is int and v >= 0),
+    "mem_per_device": ("mem_per_device", lambda v: type(v) in (int, float) and 0 < v < math.inf),
 }
 
 
 def _run_validate(cfg: RunConfig) -> int:
     if cfg.plan is None:
         raise ConfigError("validate needs --plan")
-    try:
-        with open(cfg.plan, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read plan {cfg.plan!r}: {exc}") from exc
+    payload = load_json(cfg.plan, ConfigError)
     if not isinstance(payload, dict):
         raise ConfigError(f"plan {cfg.plan!r} is not a JSON object")
     name = payload.get("task")
@@ -695,7 +701,7 @@ def _run_validate(cfg: RunConfig) -> int:
     for field, (flag, ok) in _PLAN_INPUTS.items():
         value = payload.get(field)
         if value is not None and not ok(value):
-            raise ConfigError(f"plan field {field!r} is {value!r}, which --{flag} would refuse")
+            raise ConfigError(f"plan field {field!r} is {value!r}, which --{flag.replace('_', '-')} would refuse")
         planned[flag] = getattr(cfg, flag) or (task.defaults.get(flag) if value is None else value)
     inputs = resolve_inputs(replace(cfg, **planned), task.inputs)
     ok, message = validate_payload(payload, **inputs)

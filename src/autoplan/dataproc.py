@@ -11,12 +11,11 @@ magnitudes survive.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from autoplan.ir import number
+from autoplan.ir import load_json, number
 
 GRANULARITY = 128
 
@@ -146,13 +145,7 @@ def load_profile(path: str) -> ProfileArrays:
     """
     if path.endswith(".csv"):
         return _load_profile_csv(path)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ProfileError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ProfileError(f"{path} is not valid JSON: {exc}") from exc
+    data = load_json(path, ProfileError)
     if not isinstance(data, dict):
         raise ProfileError(f"{path} must hold a JSON object of profile columns")
     keys: dict[str, str] = {}

@@ -403,6 +403,27 @@ def number(value, field: str) -> float:
     return float(value)
 
 
+def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """``json.load``'s ``object_pairs_hook``: a key repeated in one object is refused, not overwritten."""
+    out: dict = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"repeated key {key!r}")
+        out[key] = value
+    return out
+
+
+def load_json(path: str, error: type[Exception]):
+    """The JSON file at ``path``; ``error`` when it cannot be read, is not JSON or repeats a key."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh, object_pairs_hook=unique_keys)
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:
+        raise error(f"{path} is not valid JSON: {exc}") from exc
+
+
 def graph_from_dict(data: Mapping) -> HloGraph:
     """Build a validated graph from a decoded JSON object."""
     if not isinstance(data, Mapping) or "instructions" not in data:
@@ -449,14 +470,7 @@ def graph_from_dict(data: Mapping) -> HloGraph:
 
 def load_graph(path: str) -> HloGraph:
     """Load and validate a graph JSON file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise GraphParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise GraphParseError(f"{path} is not valid JSON: {exc}") from exc
-    return graph_from_dict(data)
+    return graph_from_dict(load_json(path, GraphParseError))
 
 
 def forward_subgraph(graph: HloGraph) -> list[int]:

@@ -8,12 +8,12 @@ are fast (NVLink class), links between servers go over the network.
 
 from __future__ import annotations
 
-import json
 import math
+import os
 from dataclasses import dataclass
 from typing import Sequence
 
-from autoplan.ir import number, whole
+from autoplan.ir import load_json, number, whole
 
 # 130 GB/s NVLink-class links inside a server, 25 Gbit/s Ethernet between.
 DEFAULT_INTRA_BW = 130e9
@@ -86,13 +86,9 @@ def load_topology(spec: str) -> DeviceTopology:
     preset = PRESETS.get(spec.lower())
     if preset is not None:
         return preset
-    try:
-        with open(spec, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise TopologyError(f"{spec!r} is neither a preset name nor a readable file") from exc
-    except json.JSONDecodeError as exc:
-        raise TopologyError(f"{spec} is not valid JSON: {exc}") from exc
+    if not os.path.isfile(spec):
+        raise TopologyError(f"{spec!r} is neither a preset name nor a readable file")
+    data = load_json(spec, TopologyError)
     try:
         intra = number(data["intra_bw"], "intra_bw") if "intra_bw" in data else DEFAULT_INTRA_BW
         if "intra_bw_GBps" in data:

@@ -366,17 +366,17 @@ def opp_env(graph: HloGraph) -> OppEnv:
 # its parameters became one flat vector, kept verbatim apart from their names,
 # type annotations and argument checks, the settings that are now
 # ``autoplan.agent`` constants, which they read as literals, their random
-# draws and their replay rule.  The draws come from a stdlib ``random.Random``,
-# one call at a time: ``uniform`` per weight, and per replay index one
-# ``random()`` scaled to the list's length and truncated.  Replay draws
-# uniformly and the loss is the plain batch mean.
+# draws, their replay rule and their bootstrap.  The draws come from a stdlib
+# ``random.Random``, one call at a time: ``uniform`` per weight, and per
+# replay index one ``random()`` scaled to the list's length and truncated.
+# Replay draws uniformly, the loss is the plain batch mean, and a TD target
+# bootstraps from the masked maximum of the one network, with no target copy.
 
 
 class ReferenceQNetwork:
     """Dueling MLP: shared ReLU trunk, value head and advantage head."""
 
-    def __init__(self, state_dim, num_actions, hidden, rng=None):
-        rng = rng or random.Random(0)
+    def __init__(self, state_dim, num_actions, hidden, rng):
         self.state_dim = state_dim
         self.num_actions = num_actions
         self.hidden = tuple(hidden)
@@ -434,15 +434,6 @@ class ReferenceQNetwork:
             dh = dz @ self.params[f"w{i}"].T
         return grads
 
-    def copy_from(self, other):
-        for key, value in other.params.items():
-            self.params[key] = value.copy()
-
-    def clone(self):
-        twin = ReferenceQNetwork(self.state_dim, self.num_actions, self.hidden)
-        twin.copy_from(self)
-        return twin
-
 
 class ReferenceReplayBuffer:
     """Ring buffer of transitions with uniform sampling."""
@@ -498,8 +489,8 @@ def _reference_huber(x, delta):
     return np.where(absx <= delta, 0.5 * x**2, delta * (absx - 0.5 * delta))
 
 
-def reference_train_step(net, target_net, buffer, config, optimizer, rng) -> float:
-    """One double-DQN update on a uniformly drawn batch; returns the loss."""
+def reference_train_step(net, buffer, config, optimizer, rng) -> float:
+    """One DQN update on a uniformly drawn batch, bootstrapped from ``net``; returns the loss."""
     batch = buffer.sample(config.batch_size, rng)
     states = np.stack([t.state for t in batch])
     actions = np.array([t.action for t in batch], dtype=np.int64)
@@ -514,10 +505,9 @@ def reference_train_step(net, target_net, buffer, config, optimizer, rng) -> flo
     safe_masks[~has_next, 0] = True
     done = np.maximum(done, (~has_next).astype(np.float64))
 
-    online_next = net.forward(next_states)
-    best_next = np.argmax(np.where(safe_masks, online_next, -np.inf), axis=1)
-    target_next = target_net.forward(next_states)[np.arange(len(batch)), best_next]
-    targets = rewards + config.gamma * (1.0 - done) * target_next
+    q_next = net.forward(next_states)
+    next_value = np.max(np.where(safe_masks, q_next, -np.inf), axis=1)
+    targets = rewards + config.gamma * (1.0 - done) * next_value
 
     q_all, cache = net.forward_cached(states)
     q_taken = q_all[np.arange(len(batch)), actions]
@@ -539,7 +529,6 @@ class ReferenceLearner:
         self.config = config
         self.rng = random.Random(seed)
         self.net = ReferenceQNetwork(state_dim, num_actions, (64, 64), self.rng)
-        self.target = self.net.clone()
         self.buffer = ReferenceReplayBuffer(config.buffer_capacity)
         self.optimizer = ReferenceAdamOptimizer(self.net.params, config)
         self.train_steps = 0
@@ -550,12 +539,8 @@ class ReferenceLearner:
     def learn(self):
         if len(self.buffer) < self.config.batch_size:
             return None
-        loss = reference_train_step(
-            self.net, self.target, self.buffer, self.config, self.optimizer, self.rng
-        )
+        loss = reference_train_step(self.net, self.buffer, self.config, self.optimizer, self.rng)
         self.train_steps += 1
-        if self.train_steps % 100 == 0:
-            self.target.copy_from(self.net)
         return loss
 
 

@@ -73,7 +73,6 @@ def test_training_matches_the_reference_learner_bit_for_bit():
         if losses % 50 == 0 or losses == 220:
             slots = [
                 ("net", agent.net.params, reference.net.params),
-                ("target", agent.target.params, reference.target.params),
                 ("adam.m", agent.net.views(agent.optimizer.m), reference.optimizer.m),
                 ("adam.v", agent.net.views(agent.optimizer.v), reference.optimizer.v),
             ]
@@ -130,3 +129,21 @@ def test_an_update_draws_batch_size_values_from_the_agent_generator(pushes):
         expected.random()
     agent.learn()
     assert agent.rng.getstate() == expected.getstate()
+
+
+def test_an_update_makes_two_forward_passes(monkeypatch):
+    # one over the next states for the bootstrap, one over the states for the gradient
+    agent = DqnAgent(AgentConfig(batch_size=8, buffer_capacity=40), 10, 5, seed=2)
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        agent.observe(random_transition(rng, 10, 5))
+    calls = []
+    original = QNetwork.forward_cached
+
+    def counted(net, states):
+        calls.append(len(states))
+        return original(net, states)
+
+    monkeypatch.setattr(QNetwork, "forward_cached", counted)
+    agent.learn()
+    assert calls == [8, 8]

@@ -82,6 +82,7 @@ TRAIN_PLAN = {
     "task": "pp-train", "graph": "uniform_chain", "topology": "configc",
     "pivots": ["op017", "op034", "op050"], "device_cuts": [8, 16, 24],
     "micro_batches": 4, "micro_batch_size": 16, "pipeline_length_s": 0.04425024576,
+    "memory_feasible": True,
 }
 DROP = object()
 # a 160-device topology file, which admits more stages than the 128-point grid separates
@@ -109,6 +110,13 @@ WIDE = object()
         (TRAIN_PLAN, {"pivots": [17, 34, 50]}, EXIT_INFEASIBLE),
         (TRAIN_PLAN, {"device_cuts": DROP}, EXIT_INFEASIBLE),
         (TRAIN_PLAN, {"device_cuts": "8,16,24"}, EXIT_INFEASIBLE),
+        # a training plan has no memory budget when it records none (train-valid
+        # records no mem_per_device field); its busiest device holds 256 bytes
+        (TRAIN_PLAN, {"mem_per_device": None}, EXIT_OK),
+        (TRAIN_PLAN, {"mem_per_device": 256}, EXIT_OK),
+        (TRAIN_PLAN, {"mem_per_device": 255.5}, EXIT_INFEASIBLE),
+        (TRAIN_PLAN, {"memory_feasible": False}, EXIT_INFEASIBLE),
+        (TRAIN_PLAN, {"memory_feasible": DROP}, EXIT_INFEASIBLE),
         # micro-batch counts and sizes are positive ints
         (INFER_PLAN, {"micro_batches": "4"}, EXIT_INFEASIBLE),
         (INFER_PLAN, {"micro_batches": True}, EXIT_INFEASIBLE),
@@ -141,6 +149,8 @@ WIDE = object()
         "infer-decreasing", "infer-no-boundaries", "infer-boundaries-int", "infer-boundary-float",
         "infer-no-device-cuts", "infer-device-cuts-int", "train-valid", "train-no-pivots",
         "train-pivots-int", "train-pivot-ids", "train-no-device-cuts", "train-device-cuts-str",
+        "train-budget-null", "train-budget-exact", "train-budget-too-small",
+        "train-memory-infeasible", "train-no-memory-feasible",
         "infer-micro-batches-str", "infer-micro-batches-bool", "infer-micro-batch-size-0",
         "train-micro-batches-str", "train-micro-batches-0", "train-micro-batch-size-float",
         "train-micro-batch-size-negative", "train-default-sizes", "infer-default-sizes",
@@ -162,6 +172,35 @@ def test_plan_that_is_not_an_object_is_config_error(tmp_path):
     assert _validate(tmp_path, [1]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "args, text, key",
+    [
+        (
+            ["--task", "opp", "--graph"],
+            '{"instructions": [], "trainable_variables": [], "instructions": []}',
+            "instructions",
+        ),
+        (
+            ["--task", "pp-train", "--graph", "uniform_chain", "--stages", "4", "--topology"],
+            '{"servers": 4, "gpus_per_server": 8, "servers": 1}',
+            "servers",
+        ),
+        (["--task", "pp-infer", "--graph"], '{"C": [1, 2], "C": [5, 6], "A": [1, 1], "W": [1, 1]}', "C"),
+        (["--task", "validate", "--plan"], json.dumps(TRAIN_PLAN)[:-1] + ', "pivots": ["op017"]}', "pivots"),
+    ],
+    ids=["graph", "topology", "profile", "plan"],
+)
+def test_input_with_a_repeated_key_is_config_error(tmp_path, caplog, args, text, key):
+    # each reader used to keep the later of the two keys
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    out = tmp_path / "plan.json"
+    searched = [] if "validate" in args else ["--episodes", "3", "--out", str(out)]
+    assert main([*args, str(path), *searched]) == EXIT_CONFIG
+    assert f"repeated key '{key}'" in caplog.text
+    assert not out.exists()
+
+
 GENERATED_PLAN_INPUTS = {
     "task": "pp-infer", "graph": None, "topology": "configc", "distribution": "uniform", "seed": 0,
 }
@@ -173,6 +212,7 @@ GENERATED_PLAN_INPUTS = {
     [
         ("task", ["opp"]), ("graph", ["x"]), ("graph", 0), ("topology", 7),
         ("distribution", "gamma"), ("seed", "x"), ("seed", 1.5), ("seed", -1),
+        ("mem_per_device", 0), ("mem_per_device", "1000"), ("mem_per_device", True),
     ],
 )
 def test_plan_input_field_is_checked_as_its_flag_is(tmp_path, monkeypatch, caplog, field, value):
@@ -828,8 +868,22 @@ def test_memory_budget_every_plan_fits_changes_nothing(tmp_path):
     for workdir, extra in ((free, []), (ample, ["--mem-per-device", "1e18"])):
         workdir.mkdir()
         assert main(MEMORY_ARGS + [*extra, "--out", str(workdir / "plan.json")]) == EXIT_OK
-    for name in ("plan.json", "plan_curve.csv"):
-        assert (free / name).read_bytes() == (ample / name).read_bytes()
+    plans = [json.loads((workdir / "plan.json").read_text()) for workdir in (free, ample)]
+    assert [plan.pop("mem_per_device") for plan in plans] == [None, 1e18]
+    assert plans[0] == plans[1]
+    assert (free / "plan_curve.csv").read_bytes() == (ample / "plan_curve.csv").read_bytes()
+
+
+def test_validate_rechecks_the_memory_fit_of_a_budgeted_plan(tmp_path, caplog):
+    plan = tmp_path / "plan.json"
+    assert main(MEMORY_ARGS + ["--mem-per-device", "1000", "--out", str(plan)]) == EXIT_OK
+    payload = json.loads(plan.read_text())
+    assert (payload["mem_per_device"], payload["memory_feasible"]) == (1000.0, True)
+    assert main(["--task", "validate", "--plan", str(plan)]) == EXIT_OK
+    # a plan edited to claim it does not fit used to validate all the same
+    plan.write_text(json.dumps({**payload, "memory_feasible": False}))
+    assert main(["--task", "validate", "--plan", str(plan)]) == EXIT_INFEASIBLE
+    assert "memory_feasible is False" in caplog.text
 
 
 @pytest.mark.parametrize("task", sorted(SEARCH_ARGS))

@@ -132,3 +132,11 @@ def test_two_columns_for_one_field_are_refused(tmp_path, name, text, columns):
     path.write_text(text)
     with pytest.raises(ProfileError, match=f"two columns for one field: {columns}"):
         load_profile(str(path))
+
+
+def test_repeated_json_key_is_refused(tmp_path):
+    # the later of two equal keys used to win in silence: c read [5, 6]
+    path = tmp_path / "profile.json"
+    path.write_text('{"C": [1, 2], "C": [5, 6], "A": [1, 1], "W": [1, 1]}')
+    with pytest.raises(ProfileError, match="repeated key 'C'"):
+        load_profile(str(path))

@@ -320,6 +320,25 @@ class TestSerialization:
         with pytest.raises(GraphParseError, match="not valid JSON"):
             load_graph(str(path))
 
+    @pytest.mark.parametrize(
+        "first, later",
+        [
+            # the later of two keys used to win in silence, here dropping the trainable w
+            ('"trainable_variables": ["bias", "scale", "w"]', '"trainable_variables": ["bias", "scale"]'),
+            # a key repeated in an instruction is refused as one at the top level is
+            ('"is_forward": true', '"is_forward": false'),
+        ],
+        ids=["top-level", "instruction"],
+    )
+    def test_repeated_key_is_refused(self, tmp_path, first, later):
+        text = json.dumps(linkage_chain_graph().to_dict())
+        assert first in text
+        path = tmp_path / "g.json"
+        path.write_text(text.replace(first, f"{first}, {later}", 1))
+        key = later.split('"')[1]
+        with pytest.raises(GraphParseError, match=f"repeated key '{key}'"):
+            load_graph(str(path))
+
     def test_malformed_instruction(self):
         with pytest.raises(GraphParseError, match="malformed"):
             graph_from_dict({"instructions": [{"name": "a"}]})

@@ -96,3 +96,11 @@ def test_bandwidth_that_is_not_a_number_is_named(tmp_path, field, value):
     path.write_text(f'{{"servers": 4, "gpus_per_server": 8, "{field}": {value}}}')
     with pytest.raises(TopologyError, match=f"{field} .* is not a number"):
         load_topology(str(path))
+
+
+def test_repeated_key_is_refused(tmp_path):
+    # the later of two keys used to win in silence: one server instead of four
+    path = tmp_path / "topology.json"
+    path.write_text('{"servers": 4, "gpus_per_server": 8, "servers": 1}')
+    with pytest.raises(TopologyError, match="repeated key 'servers'"):
+        load_topology(str(path))
