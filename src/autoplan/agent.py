@@ -9,14 +9,16 @@ minimizes the plain mean Huber loss of the batch's TD errors.  Everything
 runs in double precision with explicit analytic gradients so the backward
 pass can be checked against finite differences.
 
-``AgentConfig`` holds the five settings a run can change (flags and the
-CLI's per-task defaults); every other hyper-parameter is a module constant.
+``AgentConfig`` holds the two settings the tasks set apart (flags and the
+CLI's per-task defaults); every other hyper-parameter is a module constant,
+the discount ``GAMMA``, the replay batch ``BATCH_SIZE`` and the ring's
+``BUFFER_CAPACITY`` among them.
 
 One stdlib ``random.Random(seed)`` per agent makes every random draw, in
 this order: the network's initial weights, tensor by tensor in layout
 order; then per decision one ``random()`` for the epsilon test and, when
 it explores, one ``randrange`` over the allowed actions; then per update
-``batch_size`` values of ``random()`` that pick the replay batch.  The
+``BATCH_SIZE`` values of ``random()`` that pick the replay batch.  The
 numpy generator, whose first import costs about 10 ms of every run's
 set-up, is not used; only profile generation (``autoplan.dataproc``,
 ``--dist``) loads it.  Python keeps ``random()``'s sequence for an int
@@ -76,6 +78,9 @@ import numpy as np
 # one update per this many free decisions (masks allowing more than one action)
 LEARN_EVERY = 4
 HIDDEN = (64, 64)  # the trunk's layer widths
+GAMMA = 0.6  # the TD target's discount
+BATCH_SIZE = 64  # transitions per update
+BUFFER_CAPACITY = 2000  # transitions the replay ring holds
 # exploration decays linearly from EPSILON_START to EPSILON_FINAL
 EPSILON_START = 1.0
 EPSILON_FINAL = 0.1
@@ -91,13 +96,10 @@ class DivergenceError(Exception):
 
 @dataclass(frozen=True)
 class AgentConfig:
-    """The settings a run can change; ``epsilon_decay_iters`` counts
+    """The settings the tasks set apart; ``epsilon_decay_iters`` counts
     decisions, not updates (see above)."""
 
-    gamma: float = 0.6
     lr: float = 0.001
-    batch_size: int = 64
-    buffer_capacity: int = 2000
     epsilon_decay_iters: int = 2000
 
 
@@ -249,7 +251,7 @@ class ReplayBuffer:
     batch arrays allocated on the first sample and overwritten by the next.
     """
 
-    def __init__(self, capacity: int = 2000):
+    def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
@@ -346,16 +348,13 @@ class DqnAgent:
     """The network, replay buffer and Adam, and the schedule that trains them."""
 
     def __init__(self, config: AgentConfig, state_dim: int, num_actions: int, seed: int = 0):
-        # a buffer that cannot fill a batch would never train, while epsilon decayed
-        if config.buffer_capacity < config.batch_size:
-            raise ValueError("the replay buffer must hold at least one batch")
         # random.Random(-s) would seed the stream of Random(s), and a float seed its hash
         if not isinstance(seed, int) or seed < 0:
             raise ValueError(f"the seed must be a non-negative int, got {seed!r}")
         self.config = config
         self.rng = random.Random(seed)
         self.net = QNetwork(state_dim, num_actions, HIDDEN, self.rng)
-        self.buffer = ReplayBuffer(config.buffer_capacity)
+        self.buffer = ReplayBuffer(BUFFER_CAPACITY)
         self.optimizer = AdamOptimizer(self.net.flat, config.lr)
         self.observed = 0
         # decisions whose mask allowed more than one action
@@ -367,7 +366,7 @@ class DqnAgent:
     @property
     def epsilon(self) -> float:
         """The rate of one update per decision from the first full batch on."""
-        return epsilon_at(max(0, self.observed - self.config.batch_size + 1), self.config)
+        return epsilon_at(max(0, self.observed - BATCH_SIZE + 1), self.config)
 
     def act(self, state: np.ndarray, mask: np.ndarray) -> int:
         """Epsilon-greedy action over the allowed set."""
@@ -393,7 +392,7 @@ class DqnAgent:
         self.buffer.push(transition)
         self.observed += 1
         due, self._due = self._due, False
-        if due and len(self.buffer) >= self.config.batch_size:
+        if due and len(self.buffer) >= BATCH_SIZE:
             return self.learn()
         return None
 
@@ -402,11 +401,11 @@ class DqnAgent:
 
         The loss is the batch mean of the Huber loss of the TD errors,
         bootstrapped from the network's own masked maximum.  The buffer must
-        hold a batch; the draw takes ``batch_size`` values of ``random()``
+        hold a batch; the draw takes ``BATCH_SIZE`` values of ``random()``
         from the agent's generator, whatever the buffer holds.
         """
-        net, config = self.net, self.config
-        batch = self.buffer.sample(config.batch_size, self.rng)
+        net = self.net
+        batch = self.buffer.sample(BATCH_SIZE, self.rng)
         states, actions, rewards, next_states, done, next_masks = batch
         rows = np.arange(len(actions))
 
@@ -418,7 +417,7 @@ class DqnAgent:
 
         q_next = net.forward(next_states)
         next_value = np.max(np.where(safe_masks, q_next, -np.inf), axis=1)
-        targets = rewards + config.gamma * (1.0 - done) * next_value
+        targets = rewards + GAMMA * (1.0 - done) * next_value
 
         q_all, cache = net.forward_cached(states)
         q_taken = q_all[rows, actions]

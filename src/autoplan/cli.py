@@ -37,7 +37,7 @@ for the next decision, which the agent acts on and the transition stores.
 An episode with no update, such as one in four of pp-train's 3-decision
 episodes at K=4, leaves its ``loss`` empty.  Epsilon decays per observed
 transition all the same.  The summary's ``defaults`` are the run's
-``AgentConfig``, the five agent settings.
+``AgentConfig``, the two agent settings the tasks set apart.
 
 ``FLAG_DEFAULTS`` gives the flags each task reads, each with its value when
 left unset (``--help`` shows them).  A flag the task does not read, or
@@ -86,6 +86,7 @@ from autoplan.envs import (
 from autoplan.ir import DimIndex, GraphError, HloGraph, decision_dims, load_graph, load_json
 from autoplan.linkage import extract_linkage_groups
 from autoplan.pipecost import (
+    MICRO_BATCH_SIZE,
     InfeasiblePlanError,
     PipelinePlan,
     StageMetrics,
@@ -127,7 +128,6 @@ class RunConfig:
     stages: int | None = None
     radius: int | None = None
     micro_batches: int | None = None
-    micro_batch_size: int | None = None
     episodes: int | None = None
     seed: int | None = None
     out: str | None = None
@@ -136,10 +136,7 @@ class RunConfig:
     dist: str | None = None
     plan: str | None = None
     mem_per_device: float | None = None
-    gamma: float | None = None
     lr: float | None = None
-    batch_size: int | None = None
-    buffer_capacity: int | None = None
     epsilon_decay_iters: int | None = None
 
 
@@ -343,11 +340,12 @@ def validate_payload(
     topo: DeviceTopology | None = None,
     arrays: CoarsenedArrays | None = None,
 ) -> tuple[bool, str]:
-    """Re-derive a plan payload from first principles and compare."""
+    """Re-derive a plan payload from first principles and compare.
+
+    The keywords are the inputs the plan's task loads (``SearchTask.inputs``).
+    """
     task = payload.get("task")
     if task in ("opp", "adp"):
-        if graph is None:
-            return False, "sharding validation needs the graph"
         names = (
             list(graph.trainable_variables)
             if task == "opp"
@@ -380,23 +378,21 @@ def validate_payload(
         values = payload.get(key)
         if not isinstance(values, list) or any(type(v) is not kind for v in values):
             return False, f"{key} must be a list of {kind.__name__} values"
-    # an absent size takes its flag's default, as the search that wrote the plan did
-    defaults = SEARCH_TASKS[task].defaults
-    sizes = {key: payload.get(key, defaults[key]) for key in ("micro_batches", "micro_batch_size")}
+    # an absent size takes the value the search that wrote the plan used
+    sizes = {
+        "micro_batches": payload.get("micro_batches", SEARCH_TASKS[task].defaults["micro_batches"]),
+        "micro_batch_size": payload.get("micro_batch_size", MICRO_BATCH_SIZE),
+    }
     for key, value in sizes.items():
         if type(value) is not int or value < 1:
             return False, f"{key} {value!r} is not a positive int"
     if task == "pp-train":
-        if graph is None or topo is None:
-            return False, "pipeline validation needs the graph and topology"
         by_name = {graph.instruction(i).name: i for i in graph.topological_order}
         try:
             pivots = tuple(by_name[name] for name in payload["pivots"])
         except KeyError as exc:
             return False, f"unknown pivot {exc}"
     else:
-        if arrays is None or topo is None:
-            return False, "inference validation needs the profile and topology"
         pivots = tuple(payload["boundaries"])
         if len(pivots) > GRANULARITY - 1:
             return False, f"more boundaries than the {GRANULARITY - 1} of the {GRANULARITY}-point grid"
@@ -450,7 +446,6 @@ def _pp_train_env(cfg: RunConfig, inputs: dict) -> SearchEnv:
         num_stages=cfg.stages,
         radius=cfg.radius,
         micro_batches=cfg.micro_batches,
-        micro_batch_size=cfg.micro_batch_size,
         mem_per_device=cfg.mem_per_device,
     )
 
@@ -468,7 +463,6 @@ def _pp_infer_env(cfg: RunConfig, inputs: dict) -> SearchEnv:
         topo,
         num_stages=cfg.stages,
         micro_batches=cfg.micro_batches,
-        micro_batch_size=cfg.micro_batch_size,
         allowed_boundaries=boundary_bands,
         allowed_cuts=cut_bands,
     )
@@ -489,7 +483,7 @@ def _pipe_payload(cfg: RunConfig, inputs: dict, best: Best) -> dict:
     return {
         "topology": cfg.topology,
         "micro_batches": cfg.micro_batches,
-        "micro_batch_size": cfg.micro_batch_size,
+        "micro_batch_size": plan.micro_batch_size,
         "device_cuts": list(plan.device_cuts),
         "stages": _stage_payload(best.info["metrics"], plan, inputs["topo"]),
         "pipeline_length_s": best.info["pipeline_length"],
@@ -532,12 +526,12 @@ class SearchTask:
     defaults: Mapping[str, object]
 
 
-# the flags every search reads; AgentConfig fields no task sets keep AgentConfig's
+# the flags every search reads; AgentConfig's defaults hold where a task sets no other value
 _SEARCH_FLAGS = {"graph": None, "seed": 0, "log": None, **asdict(AgentConfig())}
 _PARTITION_FLAGS = {**_SEARCH_FLAGS, "finetune": False, "lr": 0.0005}
 _PIPE_FLAGS = {
     **_SEARCH_FLAGS, "topology": None, "stages": 2, "radius": 3, "micro_batches": 4,
-    "micro_batch_size": 16, "epsilon_decay_iters": 10000,
+    "epsilon_decay_iters": 10000,
 }
 
 SEARCH_TASKS: dict[str, SearchTask] = {
@@ -731,7 +725,6 @@ def _checked(convert: Callable[[str], float], ok: Callable[[float], bool], wante
 _COUNT = _checked(int, lambda v: v >= 1, "a count of at least 1")
 _NATURAL = _checked(int, lambda v: v >= 0, "an integer of at least 0")
 _POSITIVE = _checked(float, lambda v: math.isfinite(v) and v > 0, "finite and positive")
-_FRACTION = _checked(float, lambda v: 0 <= v <= 1, "in [0, 1]")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -758,10 +751,6 @@ def build_parser() -> argparse.ArgumentParser:
         "plan on uniform_chain(128), configc, is 1.20x/1.25x/1.24x radius 31's at K=2/3/4",
     )
     parser.add_argument("--micro-batches", type=_COUNT, help="per global batch")
-    parser.add_argument(
-        "--micro-batch-size", type=_COUNT,
-        help="only recorded in the plan; the length and memory models read --micro-batches",
-    )
     parser.add_argument("--episodes", type=_COUNT, help="training episode budget")
     parser.add_argument("--seed", type=_NATURAL, help="seeds the agent and a generated environment")
     parser.add_argument("--out", help="plan output path")
@@ -773,10 +762,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--plan", help="plan JSON to check")
     parser.add_argument("--mem-per-device", type=_POSITIVE, help="memory budget in bytes")
-    parser.add_argument("--gamma", type=_FRACTION, help="discount factor")
     parser.add_argument("--lr", type=_POSITIVE, help="learning rate")
-    parser.add_argument("--batch-size", type=_COUNT, help="training batch size")
-    parser.add_argument("--buffer", dest="buffer_capacity", type=_COUNT, help="replay buffer size")
     parser.add_argument(
         "--epsilon-decay", dest="epsilon_decay_iters", type=_NATURAL,
         help="the decisions epsilon takes to decay",
@@ -802,11 +788,7 @@ def config_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) 
         raise ConfigError(f"--task {args.task} does not read {', '.join(unread)}")
     if {"graph", "dist"} <= given.keys():
         raise ConfigError("--dist generates the profile that --graph would name; give one")
-    cfg = RunConfig(**{**defaults, **given})
-    # DqnAgent refuses this too, but only once the inputs are loaded
-    if cfg.batch_size is not None and cfg.batch_size > cfg.buffer_capacity:
-        raise ConfigError(f"--buffer {cfg.buffer_capacity} cannot hold one --batch-size {cfg.batch_size}")
-    return cfg
+    return RunConfig(**{**defaults, **given})
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -46,6 +46,7 @@ from autoplan.dataproc import GRANULARITY, CoarsenedArrays
 from autoplan.ir import DimIndex, HloGraph, decision_dims
 from autoplan.linkage import LinkageGroup, Trigger, sorted_decision_order
 from autoplan.pipecost import (
+    MICRO_BATCH_SIZE,
     CutCostTable,
     InfeasiblePlanError,
     PipelinePlan,
@@ -336,7 +337,9 @@ class PickEnv:
     ``i`` of the episode; ``bands`` has one row per pick and one column per
     position.  The episode ends with the last pick of the last phase: its
     plan (``_plan``) earns 1/L for its length L on ``cost_topology``, or
-    -1/sqrt(L) if it does not fit in memory (``_fits``).
+    -1/sqrt(L) if it does not fit in memory (``_fits``).  Every plan records
+    ``micro_batch_size``, the constant ``MICRO_BATCH_SIZE`` that no cost
+    reads.
 
     The actions are the positions some band allows, in position order:
     action ``i`` picks position ``_actions[i]``, and ``_picks`` holds
@@ -349,6 +352,7 @@ class PickEnv:
     """
 
     cost_topology: DeviceTopology  # set by the subclass
+    micro_batch_size = MICRO_BATCH_SIZE
 
     def __init__(self, num_stages: int, phases: Sequence[tuple[int, int]], bands: np.ndarray):
         self.num_stages = num_stages
@@ -439,13 +443,11 @@ class PipeTrainEnv(PickEnv):
         num_stages: int,
         radius: int = 3,
         micro_batches: int = 4,
-        micro_batch_size: int = 16,
         mem_per_device: float | None = None,
     ):
         self.graph = graph
         self.topo = self.cost_topology = topo
         self.micro_batches = micro_batches
-        self.micro_batch_size = micro_batch_size
         self.mem_per_device = mem_per_device
         self.backward_multiplier = 2.0
         self.table = CutCostTable.build(graph)
@@ -457,7 +459,7 @@ class PipeTrainEnv(PickEnv):
         pivots = tuple(self.candidates[i] for i in self._picks)
         metrics = self.table.stage_metrics(pivots, self.backward_multiplier)
         cuts = proportional_device_cuts(metrics, self.topo)
-        return PipelinePlan(pivots, cuts, self.micro_batches, self.micro_batch_size), metrics
+        return PipelinePlan(pivots, cuts, self.micro_batches), metrics
 
     def _fits(self, plan: PipelinePlan, metrics: Sequence[StageMetrics]) -> bool:
         budget = self.mem_per_device
@@ -541,7 +543,6 @@ class PipeInferEnv(PickEnv):
         topo: DeviceTopology,
         num_stages: int,
         micro_batches: int = 1,
-        micro_batch_size: int = 16,
         allowed_boundaries: Sequence[set[int]] | None = None,
         allowed_cuts: Sequence[set[int]] | None = None,
     ):
@@ -566,7 +567,6 @@ class PipeInferEnv(PickEnv):
         self.topo = topo
         self.topo_norm = self.cost_topology = topo.normalized()
         self.micro_batches = micro_batches
-        self.micro_batch_size = micro_batch_size
         d = topo.num_devices
         positions = (GRANULARITY - 1) + (d - 1)
         # per slot (boundaries, then cuts), the positions its band allows
@@ -585,7 +585,7 @@ class PipeInferEnv(PickEnv):
         boundaries = tuple(a + 1 for a in self._picks[:picks])
         cuts = tuple(a - (GRANULARITY - 2) for a in self._picks[picks:])
         metrics = self.decode_metrics(boundaries)
-        return PipelinePlan(boundaries, cuts, self.micro_batches, self.micro_batch_size), metrics
+        return PipelinePlan(boundaries, cuts, self.micro_batches), metrics
 
     def decode_metrics(self, boundaries: Sequence[int]) -> list[StageMetrics]:
         """Per-stage costs implied by the boundaries on the coarsened arrays.

@@ -39,6 +39,8 @@ from autoplan.topology import DeviceTopology, allreduce_time, transfer_time
 
 # weights plus their optimizer state, per weight byte (memory_feasible)
 OPTIMIZER_MULTIPLIER = 4.0
+# samples per micro batch, recorded in every pipeline plan
+MICRO_BATCH_SIZE = 16
 
 
 class InfeasiblePlanError(Exception):
@@ -64,14 +66,15 @@ class StageMetrics:
 class PipelinePlan:
     """K-stage plan: K-1 pivot instruction ids and K-1 device cuts.
 
-    ``micro_batch_size`` is only recorded in the plan: ``pipeline_length``
-    and ``memory_feasible`` read ``micro_batches`` alone.
+    ``micro_batch_size`` is a recorded constant, ``MICRO_BATCH_SIZE``,
+    that no cost reads: ``pipeline_length`` and ``memory_feasible`` read
+    ``micro_batches`` alone.
     """
 
     pivot_ids: tuple[int, ...]
     device_cuts: tuple[int, ...]
     micro_batches: int = 1
-    micro_batch_size: int = 16
+    micro_batch_size: int = MICRO_BATCH_SIZE
 
     def __post_init__(self) -> None:
         if len(self.pivot_ids) != len(self.device_cuts):

@@ -365,12 +365,14 @@ def opp_env(graph: HloGraph) -> OppEnv:
 # the dict-based Adam and the training step that ``autoplan.agent`` had before
 # its parameters became one flat vector, kept verbatim apart from their names,
 # type annotations and argument checks, the settings that are now
-# ``autoplan.agent`` constants, which they read as literals, their random
-# draws, their replay rule and their bootstrap.  The draws come from a stdlib
-# ``random.Random``, one call at a time: ``uniform`` per weight, and per
-# replay index one ``random()`` scaled to the list's length and truncated.
-# Replay draws uniformly, the loss is the plain batch mean, and a TD target
-# bootstraps from the masked maximum of the one network, with no target copy.
+# ``autoplan.agent`` constants, which they read as literals (the discount,
+# batch size and replay capacity are arguments, so a test can wrap a small
+# ring), their random draws, their replay rule and their bootstrap.  The
+# draws come from a stdlib ``random.Random``, one call at a time: ``uniform``
+# per weight, and per replay index one ``random()`` scaled to the list's
+# length and truncated.  Replay draws uniformly, the loss is the plain batch
+# mean, and a TD target bootstraps from the masked maximum of the one
+# network, with no target copy.
 
 
 class ReferenceQNetwork:
@@ -438,7 +440,7 @@ class ReferenceQNetwork:
 class ReferenceReplayBuffer:
     """Ring buffer of transitions with uniform sampling."""
 
-    def __init__(self, capacity=2000):
+    def __init__(self, capacity):
         self.capacity = capacity
         self._data: list = []
         self._next = 0
@@ -463,8 +465,8 @@ class ReferenceReplayBuffer:
 class ReferenceAdamOptimizer:
     """Adam with bias correction, one slot pair per parameter tensor."""
 
-    def __init__(self, params, config):
-        self.lr = config.lr
+    def __init__(self, params, lr):
+        self.lr = lr
         self.beta1 = 0.9
         self.beta2 = 0.999
         self.eps = 1e-8
@@ -489,9 +491,9 @@ def _reference_huber(x, delta):
     return np.where(absx <= delta, 0.5 * x**2, delta * (absx - 0.5 * delta))
 
 
-def reference_train_step(net, buffer, config, optimizer, rng) -> float:
+def reference_train_step(net, buffer, optimizer, rng, gamma, batch_size) -> float:
     """One DQN update on a uniformly drawn batch, bootstrapped from ``net``; returns the loss."""
-    batch = buffer.sample(config.batch_size, rng)
+    batch = buffer.sample(batch_size, rng)
     states = np.stack([t.state for t in batch])
     actions = np.array([t.action for t in batch], dtype=np.int64)
     rewards = np.array([t.reward for t in batch], dtype=np.float64)
@@ -507,7 +509,7 @@ def reference_train_step(net, buffer, config, optimizer, rng) -> float:
 
     q_next = net.forward(next_states)
     next_value = np.max(np.where(safe_masks, q_next, -np.inf), axis=1)
-    targets = rewards + config.gamma * (1.0 - done) * next_value
+    targets = rewards + gamma * (1.0 - done) * next_value
 
     q_all, cache = net.forward_cached(states)
     q_taken = q_all[np.arange(len(batch)), actions]
@@ -525,21 +527,24 @@ def reference_train_step(net, buffer, config, optimizer, rng) -> float:
 class ReferenceLearner:
     """The reference pieces wired together the way ``DqnAgent`` wires its own."""
 
-    def __init__(self, config, state_dim, num_actions, seed=0):
-        self.config = config
+    def __init__(self, state_dim, num_actions, seed, lr, gamma, batch_size, capacity):
+        self.gamma = gamma
+        self.batch_size = batch_size
         self.rng = random.Random(seed)
         self.net = ReferenceQNetwork(state_dim, num_actions, (64, 64), self.rng)
-        self.buffer = ReferenceReplayBuffer(config.buffer_capacity)
-        self.optimizer = ReferenceAdamOptimizer(self.net.params, config)
+        self.buffer = ReferenceReplayBuffer(capacity)
+        self.optimizer = ReferenceAdamOptimizer(self.net.params, lr)
         self.train_steps = 0
 
     def observe(self, transition):
         self.buffer.push(transition)
 
     def learn(self):
-        if len(self.buffer) < self.config.batch_size:
+        if len(self.buffer) < self.batch_size:
             return None
-        loss = reference_train_step(self.net, self.buffer, self.config, self.optimizer, self.rng)
+        loss = reference_train_step(
+            self.net, self.buffer, self.optimizer, self.rng, self.gamma, self.batch_size
+        )
         self.train_steps += 1
         return loss
 

@@ -5,9 +5,19 @@ import random
 import numpy as np
 import pytest
 
-from autoplan.agent import AgentConfig, DqnAgent, QNetwork, ReplayBuffer, Transition
+from autoplan import agent as agent_module
+from autoplan.agent import GAMMA, AgentConfig, DqnAgent, QNetwork, ReplayBuffer, Transition
 
 from helpers import ReferenceLearner
+
+SMALL_BATCH, SMALL_RING = 8, 40
+
+
+@pytest.fixture
+def small_replay(monkeypatch):
+    """Batches of 8 from a ring of 40, so a short run fills the ring and wraps it."""
+    monkeypatch.setattr(agent_module, "BATCH_SIZE", SMALL_BATCH)
+    monkeypatch.setattr(agent_module, "BUFFER_CAPACITY", SMALL_RING)
 
 
 def random_transition(rng: np.random.Generator, state_dim: int, num_actions: int) -> Transition:
@@ -54,17 +64,17 @@ def test_backward_matches_central_differences():
         np.testing.assert_allclose(grads[key], numeric, rtol=1e-6, atol=1e-8, err_msg=key)
 
 
-def test_training_matches_the_reference_learner_bit_for_bit():
-    config = AgentConfig(batch_size=8, buffer_capacity=40)
+def test_training_matches_the_reference_learner_bit_for_bit(small_replay):
+    config = AgentConfig()
     agent = DqnAgent(config, 10, 5, seed=4)
-    reference = ReferenceLearner(config, 10, 5, seed=4)
+    reference = ReferenceLearner(10, 5, 4, config.lr, GAMMA, SMALL_BATCH, SMALL_RING)
     rng = np.random.default_rng(17)
     losses = 0
     while losses < 220:  # the ring buffer wraps several times
         transition = random_transition(rng, 10, 5)
         agent.observe(transition)
         reference.observe(transition)
-        if len(agent.buffer) < config.batch_size:
+        if len(agent.buffer) < SMALL_BATCH:
             assert reference.learn() is None
             continue
         loss, expected = agent.learn(), reference.learn()
@@ -81,6 +91,7 @@ def test_training_matches_the_reference_learner_bit_for_bit():
                 for key, value in expected.items():
                     assert np.array_equal(tensors[key], value), f"{scope}.{key}"
     assert (agent.train_steps, agent.optimizer.t) == (reference.train_steps, reference.optimizer.t)
+    assert len(agent.buffer) == SMALL_RING < agent.observed
 
 
 def test_default_trunk_stays_small_on_a_wide_state():
@@ -116,24 +127,23 @@ def test_replay_draws_filled_slots_uniformly(pushes):
 
 
 @pytest.mark.parametrize("pushes", [8, 23, 97], ids=["one-batch", "filling", "wrapped"])
-def test_an_update_draws_batch_size_values_from_the_agent_generator(pushes):
+def test_an_update_draws_batch_size_values_from_the_agent_generator(small_replay, pushes):
     # so the exploration draws that follow an update do not depend on the replay rule
-    config = AgentConfig(batch_size=8, buffer_capacity=40)
-    agent = DqnAgent(config, 10, 5, seed=3)
+    agent = DqnAgent(AgentConfig(), 10, 5, seed=3)
     rng = np.random.default_rng(5)
     for _ in range(pushes):
         agent.observe(random_transition(rng, 10, 5))
     expected = random.Random()
     expected.setstate(agent.rng.getstate())
-    for _ in range(config.batch_size):
+    for _ in range(SMALL_BATCH):
         expected.random()
     agent.learn()
     assert agent.rng.getstate() == expected.getstate()
 
 
-def test_an_update_makes_two_forward_passes(monkeypatch):
+def test_an_update_makes_two_forward_passes(small_replay, monkeypatch):
     # one over the next states for the bootstrap, one over the states for the gradient
-    agent = DqnAgent(AgentConfig(batch_size=8, buffer_capacity=40), 10, 5, seed=2)
+    agent = DqnAgent(AgentConfig(), 10, 5, seed=2)
     rng = np.random.default_rng(9)
     for _ in range(20):
         agent.observe(random_transition(rng, 10, 5))
@@ -146,4 +156,4 @@ def test_an_update_makes_two_forward_passes(monkeypatch):
 
     monkeypatch.setattr(QNetwork, "forward_cached", counted)
     agent.learn()
-    assert calls == [8, 8]
+    assert calls == [SMALL_BATCH, SMALL_BATCH]

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import fields
 from itertools import accumulate
 from pathlib import Path
 
@@ -709,14 +710,6 @@ def test_no_planning_run_imports_numpy_random(tmp_path):
     assert (planned, generated) == (False, True)
 
 
-def test_buffer_smaller_than_a_batch_is_config_error(tmp_path, monkeypatch, caplog):
-    loads = _counted(monkeypatch, cli, "resolve_inputs")
-    args = SEARCH_ARGS["pp-infer"] + ["--buffer", "10", "--out", str(tmp_path / "plan.json")]
-    assert main(args) == EXIT_CONFIG
-    assert "--buffer 10 cannot hold one --batch-size 64" in caplog.text
-    assert loads == [] and list(tmp_path.iterdir()) == []
-
-
 def test_gen_data_task_is_gone(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["--task", "gen-data", "--out", str(tmp_path / "envs.jsonl")])
@@ -759,9 +752,9 @@ def test_opp_without_trainable_variables_is_config_error(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+# --gamma is gone, so its out-of-range values are refused too, as an unknown flag
 BAD_NUMBERS = [
     ("opp", "--episodes", "0"), ("opp", "--episodes", "-3"), ("pp-train", "--micro-batches", "0"),
-    ("pp-train", "--micro-batch-size", "0"), ("pp-infer", "--batch-size", "0"),
     ("adp", "--gamma", "nan"), ("adp", "--gamma", "5"), ("adp", "--lr", "-1"),
     ("pp-train", "--mem-per-device", "nan"), ("adp", "--epsilon-decay", "-5"),
     ("pp-train", "--radius", "-1"), ("pp-infer", "--radius", "-1"),
@@ -774,6 +767,30 @@ def test_bad_numeric_flag_is_config_error_before_any_work(tmp_path, monkeypatch,
     args = SEARCH_ARGS[task] + [flag, value, "--out", str(tmp_path / "plan.json")]
     assert _exit_code(args) == EXIT_CONFIG
     assert loads == [] and list(tmp_path.iterdir()) == []
+
+
+# settings every task shared, now constants of autoplan.agent and autoplan.pipecost,
+# each given the value it always had
+REMOVED_FLAGS = [
+    ("adp", "--gamma", "0.6"), ("pp-infer", "--batch-size", "64"),
+    ("opp", "--buffer", "2000"), ("pp-train", "--micro-batch-size", "16"),
+]
+
+
+@pytest.mark.parametrize("task, flag, value", REMOVED_FLAGS)
+def test_removed_flag_is_refused_before_any_work(tmp_path, monkeypatch, capsys, task, flag, value):
+    loads = _counted(monkeypatch, cli, "resolve_inputs")
+    args = SEARCH_ARGS[task] + [flag, value, "--out", str(tmp_path / "plan.json")]
+    assert _exit_code(args) == EXIT_CONFIG
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert loads == [] and list(tmp_path.iterdir()) == []
+
+
+def test_every_agent_setting_is_set_apart_by_the_tasks():
+    # a setting every search task gives one value is an autoplan.agent constant, not a field
+    searches = [cli.FLAG_DEFAULTS[name] for name in cli.SEARCH_TASKS]
+    for field in fields(AgentConfig):
+        assert len({defaults[field.name] for defaults in searches}) >= 2, field.name
 
 
 DROPPED_FLAGS = {
@@ -805,12 +822,10 @@ def test_flag_the_task_would_drop_is_refused_before_any_input_is_loaded(
 
 def _flag_values(parser):
     """(dest, option, argv tail) for every flag but --task: a value each flag accepts alone."""
-    # a buffer must hold one batch of the default size
-    alone = {"buffer_capacity": str(AgentConfig().batch_size)}
     for action in parser._actions:
         if action.option_strings and action.dest not in ("help", "task"):
             option = action.option_strings[0]
-            value = [] if action.nargs == 0 else [str((action.choices or [alone.get(action.dest, "1")])[0])]
+            value = [] if action.nargs == 0 else [str((action.choices or ["1"])[0])]
             yield action.dest, option, [option, *value]
 
 
